@@ -47,6 +47,7 @@ from .walk import (
     GiantPath,
     WalkRealization,
     all_excursions,
+    giant_results,
     longest_excursion,
     sample_clocks,
     sweep,

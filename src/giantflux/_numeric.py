@@ -28,7 +28,8 @@ def chol_with_jitter(
 ) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a PSD matrix, with escalating diagonal jitter.
 
-    Adds ``eps * max(diag)`` to the diagonal, with ``eps`` starting at
+    Tries the exact factorisation first (``eps_used`` 0).  If that fails, adds
+    ``eps * max(diag)`` to the diagonal, with ``eps`` starting at
     ``eps_start`` and escalating tenfold up to ``eps_max`` before giving up.
     Returns ``(lower_factor, eps_used)``.  An all-zero matrix factors to zero
     with no jitter.
@@ -48,6 +49,10 @@ def chol_with_jitter(
                 "matrix has an all-zero diagonal but nonzero off-diagonal entries"
             )
         return np.zeros_like(mat), 0.0
+    try:
+        return np.linalg.cholesky(mat), 0.0
+    except np.linalg.LinAlgError:
+        pass
     eye = np.eye(mat.shape[0])
     eps = eps_start
     while eps <= eps_max * (1.0 + 1e-12):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import harness
 from .limit_sampler import sample_x_path
-from .theory import DEFAULT_MARGIN, lambda_crit, supercritical_curves, x_cov
+from .theory import DEFAULT_MARGIN, ConvergenceError, lambda_crit, supercritical_curves, x_cov
 from .weights import WeightModel
 
 __all__ = ["ConfigError", "RunConfig", "dispatch", "main"]
@@ -84,6 +84,8 @@ def _parse_grid(raw) -> np.ndarray:
         grid = np.asarray(raw, dtype=np.float64)
     else:
         raise ConfigError("lambda_grid must be {min, max, points} or a non-empty list")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError("lambda_grid entries must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise ConfigError("lambda_grid must be strictly ascending")
     return grid
@@ -358,10 +360,8 @@ def dispatch(argv: list[str]) -> int:
     try:
         config = _load_run_config(args)
         return _COMMAND_HANDLERS[args.command](config)
-    except ConfigError as exc:
-        _log(f"error: {exc}")
-        return 2
-    except ValueError as exc:
+    # ConfigError and numpy's LinAlgError are ValueErrors
+    except (ValueError, ConvergenceError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
 

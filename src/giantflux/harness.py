@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph_oracle import DEFAULT_CAP, giant_path, simulate_dynamic_graph
 from .theory import DEFAULT_MARGIN, SupercriticalCurves, psi_cov, supercritical_curves, x_cov
-from .walk import GiantPath, longest_excursion, sample_clocks, sweep
+from .walk import GiantPath, giant_results, sample_clocks, sweep
 from .weights import WeightModel, WeightVector, sample_weight_vector
 
 __all__ = [
@@ -334,12 +334,7 @@ def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
 
     def walk_one(rep: int):
         r = sample_clocks(w, _child_seed(config.seed, _TAG_CLOCKS, rep))
-        out = np.empty((grid.size, 2))
-        for i, lam in enumerate(grid):
-            res = longest_excursion(r, lam)
-            out[i, 0] = res.vertex_count
-            out[i, 1] = res.total_volume
-        return out
+        return [(res.vertex_count, res.total_volume) for res in giant_results(r, grid)]
 
     walk_stats = np.array(_map_indexed(walk_one, config.replicates, config.threads))
     graph_paths = graph_replicates(

@@ -15,6 +15,14 @@ Because rescaling time by 1/lambda does not change the clock order, one sort
 per realization serves every lambda; the per-lambda scan is a handful of
 vectorized passes with all crossing times computed in closed form (the slope
 is exactly -1), so there is no time discretization anywhere.
+
+The giant's exact volume comes from its weight classes: a realization keeps
+each vertex's index into the distinct weights (``atoms``) in clock order, so
+counting the clock window gives the count of every atom present, and the
+exact real value of sum(count * atom) is rounded once.  That is bit for bit
+the correctly rounded sum of the window's weights, with one exact term per
+class present (at most min(window, K) for K distinct weights) rather than
+one Python float per vertex.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ __all__ = [
     "sample_clocks",
     "longest_excursion",
     "all_excursions",
+    "giant_results",
     "sweep",
     "walk_value",
 ]
@@ -48,17 +57,20 @@ _LEVEL_TOL = 1e-12
 class WalkRealization:
     """One draw of clocks plus everything precomputed for per-lambda scans.
 
-    The prefix sums of 1/n in clock order are k/n and stay implicit; volumes
-    are extracted by correctly rounded summation over the clock window, which
-    is order independent.
+    In clock order a vertex is kept only through its weight class:
+    ``atoms[sorted_class[k]]`` is the weight of the k-th clock.  A giant's
+    ``total_volume`` is summed exactly from the class counts of its clock
+    window (``_window_volumes``).  The prefix sums of 1/n in clock order are
+    k/n and stay implicit.
     """
 
     weights: np.ndarray       # original vertex order
     clocks: np.ndarray        # xi_j, original vertex order
-    order: np.ndarray         # permutation sorting clocks ascending
+    atoms: np.ndarray         # distinct weights, ascending
     sorted_clocks: np.ndarray
-    sorted_weights: np.ndarray
-    mass_prefix: np.ndarray   # pairwise prefix sums of w/n in clock order
+    sorted_class: np.ndarray  # index into atoms of each vertex, clock order
+    mass_prefix: np.ndarray   # S_k: pairwise prefix sums of w/n in clock order
+    mass_before: np.ndarray   # S_{k-1}, with S_0 = 0
 
     @property
     def n(self) -> int:
@@ -72,26 +84,35 @@ class WalkRealization:
     @classmethod
     def from_clocks(cls, weights, clocks) -> "WalkRealization":
         """Build from explicit clocks (used by tests to inject hand values)."""
-        w = np.asarray(weights, dtype=np.float64).copy()
-        xi = np.asarray(clocks, dtype=np.float64).copy()
-        if w.ndim != 1 or w.shape != xi.shape or w.size == 0:
-            raise ValueError("weights and clocks must be equal-length non-empty 1-d arrays")
-        if np.any(w <= 0.0) or np.any(xi <= 0.0):
-            raise ValueError("weights and clocks must be strictly positive")
-        order = np.argsort(xi)
-        sorted_clocks = xi[order]
-        sorted_w = w[order]
-        mass_prefix = pairwise_cumsum(sorted_w / w.size)
-        for arr in (w, xi, order, sorted_clocks, sorted_w, mass_prefix):
-            arr.setflags(write=False)
-        return cls(
-            weights=w,
-            clocks=xi,
-            order=order,
-            sorted_clocks=sorted_clocks,
-            sorted_weights=sorted_w,
-            mass_prefix=mass_prefix,
-        )
+        w = np.asarray(weights, dtype=np.float64)
+        v = WeightVector(n=w.size, weights=w, provenance="explicit")
+        return _realize(v, np.array(clocks, dtype=np.float64))
+
+
+def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
+    """The realization of ``v`` with clocks ``xi`` (vertex order); freezes ``xi`` in place."""
+    if xi.shape != v.weights.shape:
+        raise ValueError("weights and clocks must be equal-length non-empty 1-d arrays")
+    if not np.all(xi > 0.0):
+        raise ValueError("clocks must be strictly positive")
+    atoms, index = v.classes
+    order = np.argsort(xi)
+    sorted_clocks = xi[order]
+    sorted_class = index[order]
+    prefix = np.empty(v.n + 1)
+    prefix[0] = 0.0
+    prefix[1:] = pairwise_cumsum(atoms[sorted_class] / v.n)
+    for arr in (xi, sorted_clocks, sorted_class, prefix):
+        arr.setflags(write=False)
+    return WalkRealization(
+        weights=v.weights,
+        clocks=xi,
+        atoms=atoms,
+        sorted_clocks=sorted_clocks,
+        sorted_class=sorted_class,
+        mass_prefix=prefix[1:],
+        mass_before=prefix[:-1],
+    )
 
 
 @dataclass(frozen=True)
@@ -99,8 +120,8 @@ class ExcursionResult:
     """The excursion picked as the giant at one lambda.
 
     ``volume`` is the scaled volume d - g (the giant volume over n);
-    ``total_volume`` is the actual weight sum over the clock window and
-    agrees with n * (d - g) up to accumulated rounding.
+    ``total_volume`` is the correctly rounded weight sum over the clock
+    window and agrees with n * (d - g) up to accumulated rounding.
     """
 
     g: float
@@ -129,8 +150,7 @@ class GiantPath:
 def sample_clocks(w: WeightVector, seed: int) -> WalkRealization:
     """Draw the exponential clocks xi_j ~ Exp(w_j) for a weight vector."""
     rng = np.random.default_rng(seed)
-    xi = rng.standard_exponential(w.n) / w.weights
-    return WalkRealization.from_clocks(w.weights, xi)
+    return _realize(w, rng.standard_exponential(w.n) / w.weights)
 
 
 def _scan(r: WalkRealization, lam: float):
@@ -147,29 +167,93 @@ def _scan(r: WalkRealization, lam: float):
     if lam <= 0.0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     t = r.sorted_clocks / lam
-    s_after = r.mass_prefix
-    s_before = np.concatenate(([0.0], s_after[:-1]))
-    value_before = s_before - t
-    value_after = s_after - t
-    running_min = np.minimum.accumulate(value_before)
-    prev_min = np.concatenate(([np.inf], running_min[:-1]))
-    opens = value_before <= prev_min + _LEVEL_TOL * (1.0 + np.abs(prev_min))
+    value_before = r.mass_before - t
+    prev_min = np.minimum.accumulate(value_before)[:-1]
+    opens = np.empty(t.size, dtype=bool)
+    opens[0] = True
+    opens[1:] = value_before[1:] <= prev_min + _LEVEL_TOL * (1.0 + np.abs(prev_min))
     starts = np.flatnonzero(opens)
     ends = np.concatenate((starts[1:] - 1, [t.size - 1]))
     g = t[starts]
-    d = t[ends] + (value_after[ends] - value_before[starts])
+    t_end = t[ends]
+    d = t_end + ((r.mass_prefix[ends] - t_end) - value_before[starts])
     return g, d, starts, ends
 
 
-def _result_at(r: WalkRealization, g, d, starts, ends, idx: int) -> ExcursionResult:
-    n = r.n
-    lo, hi = int(starts[idx]), int(ends[idx])
+# Veltkamp's splitter for binary64: x * (2**27 + 1) splits x exactly into a
+# high and a low part of at most 26 significant bits each
+_SPLITTER = 134217729.0
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = x * _SPLITTER
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's error-free product: x * y == p + e exactly, p = fl(x * y)."""
+    p = x * y
+    x_hi, x_lo = _split(x)
+    y_hi, y_lo = _split(y)
+    return p, x_lo * y_lo - (((p - x_hi * y_hi) - x_lo * y_hi) - x_hi * y_lo)
+
+
+# counting by ``bincount`` is cheaper than sorting while the bins (windows
+# times classes) are within a few times the clock positions counted; past
+# that, sorting keeps the cost near-linear in the positions whatever K is
+_BINS_PER_POSITION = 8
+
+
+def _window_volumes(r: WalkRealization, bounds: np.ndarray) -> list[float]:
+    """Exact weight sum of each clock window [bounds[i], bounds[i+1]).
+
+    Each window is reduced to the count of every weight class present in
+    it, so it contributes one term per class present, at most min(window, K).
+    A class seen once contributes its atom; for a repeated class the
+    two-product writes count * atom exactly as p + e (e omitted when zero).
+    ``fsum`` rounds the exact total of a window's terms once, so each result
+    is bit for bit the ``fsum`` of the window's weights.  The products are
+    error-free while no atom lies outside about [1e-290, 1e290] (counts are
+    integers below 2**53).
+    """
+    k = r.atoms.size
+    lengths = bounds[1:] - bounds[:-1]
+    m = lengths.size
+    keys = r.sorted_class[bounds[0] : bounds[-1]]
+    if m > 1:
+        # window i counts its classes in bins i*k .. i*k + k - 1
+        keys = keys + np.repeat(np.arange(m) * k, lengths)
+    if m * k <= _BINS_PER_POSITION * keys.size:
+        counts = np.bincount(keys, minlength=m * k)
+        keys = np.flatnonzero(counts > 0)
+        counts = counts[keys]
+    else:
+        keys = np.sort(keys)
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        counts = np.diff(np.append(first, keys.size))
+        keys = keys[first]
+    # the distinct keys ascend, so window i's classes are keys[edges[i]:edges[i+1]]
+    edges = np.searchsorted(keys, np.arange(m + 1) * k)
+    terms = r.atoms[keys - np.repeat(np.arange(m) * k, edges[1:] - edges[:-1])]
+    multi = np.flatnonzero(counts > 1)
+    p, e = _two_product(counts[multi].astype(np.float64), terms[multi])
+    terms[multi] = p
+    inexact = e != 0.0
+    e_edges = np.searchsorted(multi[inexact], edges).tolist()
+    edges, terms, errors = edges.tolist(), terms.tolist(), e[inexact].tolist()
+    return [
+        fsum(terms[edges[i] : edges[i + 1]] + errors[e_edges[i] : e_edges[i + 1]])
+        for i in range(m)
+    ]
+
+
+def _result(g: float, d: float, lo: int, hi: int, n: int, total_volume: float) -> ExcursionResult:
     count = hi - lo + 1
-    total_volume = fsum(r.sorted_weights[lo : hi + 1].tolist())
     return ExcursionResult(
-        g=float(g[idx]),
-        d=float(d[idx]),
-        volume=float(d[idx] - g[idx]),
+        g=g,
+        d=d,
+        volume=d - g,
         count_fraction=count / n,
         vertex_count=count,
         total_volume=total_volume,
@@ -186,13 +270,24 @@ def longest_excursion(r: WalkRealization, lam: float) -> ExcursionResult:
     lengths = d - g
     top = float(lengths.max())
     idx = int(np.flatnonzero(lengths >= top - _LEVEL_TOL * (1.0 + top))[0])
-    return _result_at(r, g, d, starts, ends, idx)
+    lo, hi = int(starts[idx]), int(ends[idx])
+    (total_volume,) = _window_volumes(r, np.array([lo, hi + 1]))
+    return _result(float(g[idx]), float(d[idx]), lo, hi, r.n, total_volume)
 
 
 def all_excursions(r: WalkRealization, lam: float) -> list[ExcursionResult]:
     """Every excursion at intensity lam, in time order."""
     g, d, starts, ends = _scan(r, lam)
-    return [_result_at(r, g, d, starts, ends, i) for i in range(g.size)]
+    volumes = _window_volumes(r, np.append(starts, r.n))
+    return [
+        _result(gi, di, lo, hi, r.n, v)
+        for gi, di, lo, hi, v in zip(g.tolist(), d.tolist(), starts.tolist(), ends.tolist(), volumes)
+    ]
+
+
+def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
+    """The giant (first-longest excursion) at each lambda, from the one draw."""
+    return tuple(longest_excursion(r, lam) for lam in np.asarray(lambdas, dtype=np.float64))
 
 
 def sweep(r: WalkRealization, lambdas, curves_n: SupercriticalCurves) -> GiantPath:
@@ -204,21 +299,18 @@ def sweep(r: WalkRealization, lambdas, curves_n: SupercriticalCurves) -> GiantPa
     grid = np.asarray(lambdas, dtype=np.float64)
     if not np.array_equal(grid, curves_n.lambdas):
         raise ValueError("lambda grid does not match the grid of curves_n")
+    results = giant_results(r, grid)
     n = r.n
     sqrt_n = np.sqrt(n)
-    results = []
-    fluc_count = np.empty(grid.size)
-    fluc_volume = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        res = longest_excursion(r, lam)
-        results.append(res)
-        fluc_count[i] = (res.vertex_count - curves_n.rho[i] * n) / sqrt_n
-        fluc_volume[i] = (res.total_volume - curves_n.theta[i] * n) / sqrt_n
+    count = np.array([res.vertex_count for res in results], dtype=np.float64)
+    volume = np.array([res.total_volume for res in results])
+    fluc_count = (count - curves_n.rho * n) / sqrt_n
+    fluc_volume = (volume - curves_n.theta * n) / sqrt_n
     fluc_count.setflags(write=False)
     fluc_volume.setflags(write=False)
     return GiantPath(
         lambdas=curves_n.lambdas,
-        results=tuple(results),
+        results=results,
         fluc_count=fluc_count,
         fluc_volume=fluc_volume,
     )

@@ -12,6 +12,7 @@ its limiting law.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -118,17 +119,36 @@ class WeightModel:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A concrete length-n weight vector together with its provenance."""
+    """A concrete length-n weight vector together with its provenance.
+
+    ``weights`` is always a read-only float64 array (a writable input is
+    copied once), so everything derived from it can be cached.
+    """
 
     n: int
     weights: np.ndarray
     provenance: str
 
     def __post_init__(self) -> None:
+        w = self.weights
+        if not (isinstance(w, np.ndarray) and w.dtype == np.float64 and not w.flags.writeable):
+            object.__setattr__(self, "weights", _frozen(w))
         if self.n < 1 or self.weights.shape != (self.n,):
             raise ValueError(f"weight vector length {self.weights.shape} does not match n={self.n}")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weight vector entries must all be > 0")
+        if not np.all(self.weights > 0.0) or not np.all(np.isfinite(self.weights)):
+            raise ValueError("weight vector entries must all be finite and > 0")
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct weights (``atoms``, ascending) and each vertex's index into them.
+
+        ``atoms[index]`` reproduces ``weights`` exactly.  Computed once per
+        vector: every walk realization of the vector shares it.
+        """
+        atoms, index = np.unique(self.weights, return_inverse=True)
+        atoms.setflags(write=False)
+        index.setflags(write=False)
+        return atoms, index
 
 
 @dataclass(frozen=True)
@@ -218,7 +238,7 @@ def sample_weight_vector(model: WeightModel, n: int, mode: str, seed: int) -> We
             w = np.full(n, float(model.values[0]))
         else:
             w = _quantile_vector(model, n)
-        return WeightVector(n=n, weights=_frozen(w), provenance="quantile")
+        return WeightVector(n=n, weights=w, provenance="quantile")
     if mode == "iid":
         rng = np.random.default_rng(seed)
         if model.kind == "constant":
@@ -227,7 +247,7 @@ def sample_weight_vector(model: WeightModel, n: int, mode: str, seed: int) -> We
             w = rng.choice(model.values, size=n, p=model.probs)
         else:
             w = model.values[rng.integers(0, model.values.size, size=n)]
-        return WeightVector(n=n, weights=_frozen(w), provenance=f"iid-sample(seed={seed})")
+        return WeightVector(n=n, weights=w, provenance=f"iid-sample(seed={seed})")
     raise ValueError(f"unknown sampling mode {mode!r}; expected 'iid' or 'quantile'")
 
 

@@ -148,6 +148,33 @@ class TestHarnessCommands:
         assert "kind" in capsys.readouterr().err
 
 
+class TestErrorContract:
+    """Failures exit 2 with one ``[giantflux] error:`` line; exit 1 is only a failed check."""
+
+    @staticmethod
+    def _assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
+        assert len(lines) == 1, err
+
+    def test_bisection_failure_at_zero_margin(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, lambda_grid=[1.0000000000001])
+        out = tmp_path / "x.csv"
+        assert _run("theory", "--config", str(cfg), "--out", str(out), "--margin", "0") == 2
+        self._assert_one_error_line(capsys)
+
+    def test_nan_in_lambda_grid(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, lambda_grid=[1.5, float("nan")])
+        assert _run("theory", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+        self._assert_one_error_line(capsys)
+
+    def test_output_directory_missing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        assert _run("theory", "--config", str(cfg), "--out", str(out)) == 2
+        self._assert_one_error_line(capsys)
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path, replicates=30, n=40)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from giantflux.theory import supercritical_curves
 from giantflux.walk import (
@@ -210,3 +212,38 @@ class TestSweep:
         np.testing.assert_array_equal(a.fluc_count, b.fluc_count)
         np.testing.assert_array_equal(a.fluc_volume, b.fluc_volume)
         assert a.results == b.results
+
+
+@st.composite
+def _sizes(draw):
+    """(n, K): n vertices, K distinct weights, K = 1 and K = n included."""
+    n = draw(st.integers(1, 3000))
+    return n, draw(st.sampled_from([1, n]) | st.integers(1, n))
+
+
+class TestClassVolume:
+    """``total_volume`` from class counts equals ``fsum`` over the clock window."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        sizes=_sizes(),
+        log10_low=st.floats(-6.0, 6.0),
+        log10_span=st.floats(0.0, 12.0),
+        lam=st.floats(0.05, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fsum_of_window_weights(self, sizes, log10_low, log10_span, lam, seed):
+        """Bit for bit, for K = 1..n distinct weights with repeats, magnitudes 1e-6..1e6."""
+        n, k = sizes
+        rng = np.random.default_rng(seed)
+        log10_high = min(log10_low + log10_span, 6.0)
+        atoms = 10.0 ** rng.uniform(log10_low, log10_high, size=k)
+        w = atoms[rng.integers(0, k, size=n)]
+        xi = rng.standard_exponential(n) / w
+        r = WalkRealization.from_clocks(w, xi)
+        order = np.argsort(xi)
+        t = xi[order] / lam
+        for e in all_excursions(r, lam) + [longest_excursion(r, lam)]:
+            lo = int(np.searchsorted(t, e.g))
+            window = w[order[lo : lo + e.vertex_count]]
+            assert e.total_volume == math.fsum(window.tolist())

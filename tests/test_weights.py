@@ -218,3 +218,24 @@ class TestValidation:
     def test_config_rejects_unknown_type(self):
         with pytest.raises(ValueError):
             WeightModel.from_config({"type": "pareto", "alpha": 2.0})
+
+
+class TestWeightVector:
+    def test_rejects_non_finite_weights(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                WeightVector(n=2, weights=np.array([1.0, bad]), provenance="explicit")
+
+    def test_owns_a_read_only_copy(self):
+        w = np.array([2.0, 1.0, 2.0])
+        v = WeightVector(n=3, weights=w, provenance="explicit")
+        w[0] = 5.0
+        assert not v.weights.flags.writeable
+        np.testing.assert_array_equal(v.weights, [2.0, 1.0, 2.0])
+
+    def test_classes_reproduce_weights(self):
+        v = sample_weight_vector(HALF_HALF, 101, "quantile", 0)
+        atoms, index = v.classes
+        np.testing.assert_array_equal(atoms, [1.0, 2.0])
+        np.testing.assert_array_equal(atoms[index], v.weights)
+        assert v.classes is v.classes
