@@ -22,7 +22,13 @@ import numpy as np
 
 from . import harness
 from .limit_sampler import sample_x_path
-from .theory import DEFAULT_MARGIN, ConvergenceError, lambda_crit, supercritical_curves, x_cov
+from .theory import (
+    DEFAULT_MARGIN,
+    ConvergenceError,
+    require_supercritical,
+    supercritical_curves,
+    x_cov,
+)
 from .weights import WeightModel
 
 __all__ = ["ConfigError", "RunConfig", "dispatch", "main"]
@@ -76,7 +82,7 @@ def _parse_grid(raw) -> np.ndarray:
         for key in ("min", "max", "points"):
             if key not in raw:
                 raise ConfigError(f"lambda_grid object needs field '{key}'")
-        points = int(raw["points"])
+        points = _int_field("lambda_grid.points", raw["points"])
         if points < 1:
             raise ConfigError("lambda_grid points must be >= 1")
         grid = np.linspace(float(raw["min"]), float(raw["max"]), points)
@@ -89,6 +95,21 @@ def _parse_grid(raw) -> np.ndarray:
     if np.any(np.diff(grid) <= 0.0):
         raise ConfigError("lambda_grid must be strictly ascending")
     return grid
+
+
+def _int_field(name: str, value) -> int:
+    """An integer config value: a JSON integer, or a float with integral value; never a bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"field '{name}' must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _list_field(name: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"field '{name}' must be a list, got {json.dumps(value)}")
+    return value
 
 
 def _default_threads() -> int:
@@ -136,13 +157,16 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
     n = raw.get("n")
     n_list = raw.get("n_list")
-    seed = int(raw.get("seed", 0)) if args.seed is None else args.seed
+    seed = _int_field("seed", raw.get("seed", 0)) if args.seed is None else args.seed
     margin = float(raw.get("margin", DEFAULT_MARGIN)) if args.margin is None else args.margin
     threads = args.threads if args.threads is not None else _default_threads()
 
     cross_pairs = None
     if raw.get("cross_pairs") is not None:
-        cross_pairs = tuple((int(a), int(b)) for a, b in raw["cross_pairs"])
+        pairs = _list_field("cross_pairs", raw["cross_pairs"])
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise ConfigError("field 'cross_pairs' entries must be [i, j] pairs")
+        cross_pairs = tuple(tuple(_int_field("cross_pairs", x) for x in pair) for pair in pairs)
         for a, b in cross_pairs:
             if not (0 <= a < grid.size and 0 <= b < grid.size):
                 raise ConfigError(f"cross_pairs entry ({a}, {b}) out of grid range")
@@ -151,14 +175,17 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         model=model,
         lambdas=grid,
-        n=int(n) if n is not None else None,
-        n_list=tuple(int(x) for x in n_list) if n_list is not None else None,
-        replicates=int(raw.get("replicates", 200)),
+        n=_int_field("n", n) if n is not None else None,
+        n_list=(
+            tuple(_int_field("n_list", x) for x in _list_field("n_list", n_list))
+            if n_list is not None else None
+        ),
+        replicates=_int_field("replicates", raw.get("replicates", 200)),
         seed=seed,
         margin=margin,
         multiplier=float(raw.get("tolerance_multiplier", 3.0)),
-        draws=int(raw.get("draws", 1000)),
-        graph_cap=int(raw.get("graph_cap", 2000)),
+        draws=_int_field("draws", raw.get("draws", 1000)),
+        graph_cap=_int_field("graph_cap", raw.get("graph_cap", 2000)),
         gn_threshold=float(raw.get("gn_threshold", 0.5)),
         cross_pairs=cross_pairs,
         threads=threads,
@@ -170,15 +197,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _validate(config: RunConfig) -> None:
     if config.command in _SUPERCRITICAL_COMMANDS:
-        crit = lambda_crit(config.model)
-        threshold = crit * (1.0 + config.margin)
-        bad = config.lambdas[config.lambdas < threshold]
-        if bad.size:
-            raise ConfigError(
-                f"lambda = {bad[0]:.17g} is below the supercritical threshold "
-                f"lambda_crit * (1 + margin) = {threshold:.17g} "
-                f"(lambda_crit = {crit:.17g})"
-            )
+        require_supercritical(config.model, config.lambdas, config.margin)
     elif np.any(config.lambdas < 0.0):
         raise ConfigError("lambda grid entries must be >= 0")
     needs_n = {"walk", "graph", "fclt", "compare", "endpoints"}
@@ -191,7 +210,7 @@ def _validate(config: RunConfig) -> None:
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+    harness.write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ change any result.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import inf, isnan, nan, sqrt
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "graph_replicates",
     "write_report_csv",
     "write_report_json",
+    "write_text_atomic",
 ]
 
 EXPERIMENT_KINDS = ("fclt", "oracle-compare", "convergence-study", "endpoint-check")
@@ -241,8 +244,8 @@ def _weight_vector_for(config: ExperimentConfig, n: int) -> WeightVector:
     """
     model = config.model
     if model.kind == "empirical":
-        if n == model.values.size:
-            return WeightVector(n=n, weights=model.values, provenance="explicit")
+        if n == model.source.size:
+            return WeightVector(n=n, weights=model.source, provenance="explicit")
         return sample_weight_vector(model, n, "iid", _child_seed(config.seed, _TAG_WEIGHTS, n))
     return sample_weight_vector(model, n, "quantile", 0)
 
@@ -481,11 +484,25 @@ def write_report_csv(report: ExperimentReport, path) -> None:
             f"{_fmt(r.lam)},{r.stat},{_fmt(r.empirical)},{_fmt(r.target)},"
             f"{_fmt(r.se)},{_fmt(r.z)},{passed}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_report_json(report: ExperimentReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same directory.
+
+    ``os.replace`` then swaps it in, so ``path`` holds either its old bytes
+    or all the new ones; a failed write removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import chol_with_jitter
-from .theory import SupercriticalCurves, er_closed_forms, psi_cov, x_cov
+from .theory import SupercriticalCurves, er_closed_forms, psi_kernel, x_cov
 from .weights import WeightModel
 
 __all__ = [
@@ -24,9 +24,6 @@ __all__ = [
     "sample_x_path",
     "er_brownian_path",
 ]
-
-# evaluation times closer than this are treated as one point
-_TIME_DEDUP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -44,35 +41,25 @@ class LimitPathSample:
 
 
 def psi_cov_matrix(model: WeightModel, times) -> np.ndarray:
-    """Joint 2m x 2m kernel covariance at m time points.
+    """Joint 2m x 2m kernel covariance at m time points, which may repeat.
 
     Coordinates are ordered (order-0 at t_1..t_m, then order-1 at t_1..t_m).
     """
     ts = np.asarray(times, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(ts < 0.0):
-        raise ValueError("times must be >= 0")
-    if np.unique(ts).size != ts.size:
-        raise ValueError("times must be distinct")
-    m = ts.size
-    cov = np.empty((2 * m, 2 * m))
-    for p in (0, 1):
-        for q in (0, 1):
-            for i in range(m):
-                for j in range(m):
-                    cov[p * m + i, q * m + j] = psi_cov(model, p, q, ts[i], ts[j])
-    return cov
+    k0, k1, k2 = (psi_kernel(model, k, ts) for k in (0, 1, 2))
+    return np.block([[k0, k1], [k1, k2]])
 
 
 def _psd_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Sampling factor F with F @ F.T ~= cov, honoring exact degeneracies.
 
     Zero-variance coordinates are almost surely zero and get a zero row.
-    Coordinates whose covariance rows are bitwise equal are perfectly
-    correlated copies and share one factor row, so their draws come out
-    identical rather than jitter-close.  The reduced matrix goes through the
-    jittered Cholesky policy.
+    Coordinates whose covariance rows are bitwise equal, repeated times
+    included, are perfectly correlated copies and share one factor row, so
+    their draws come out identical rather than jitter-close.  The reduced
+    matrix goes through the jittered Cholesky policy.
     """
     dim = cov.shape[0]
     diag = np.diag(cov)
@@ -89,6 +76,14 @@ def _psd_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
     return factor, jitter
 
 
+def _draw_pair(cov: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """``count`` draws of the kernel pair with covariance ``cov``, shape (count, 2, m)."""
+    factor, _ = _psd_factor(cov)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, factor.shape[1]))
+    return (z @ factor.T).reshape(count, 2, cov.shape[0] // 2)
+
+
 def sample_psi_pair(model: WeightModel, times, count: int, seed: int) -> np.ndarray:
     """``count`` joint draws of the kernel pair at the given times.
 
@@ -97,42 +92,25 @@ def sample_psi_pair(model: WeightModel, times, count: int, seed: int) -> np.ndar
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    ts = np.asarray(times, dtype=np.float64)
-    cov = psi_cov_matrix(model, ts)
-    factor, _ = _psd_factor(cov)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, factor.shape[1]))
-    draws = z @ factor.T
-    return draws.reshape(count, 2, ts.size)
+    if np.unique(times).size != np.size(times):
+        raise ValueError("times must be distinct")
+    return _draw_pair(psi_cov_matrix(model, times), count, seed)
 
 
 def sample_x_path(curves: SupercriticalCurves, count: int, seed: int) -> list[LimitPathSample]:
     """Joint draws of the limit fluctuation pair over the curve grid.
 
-    The kernel pair is evaluated on the deduplicated set of times
-    lambda_i * theta_i (an arbitrary finite set, no monotonicity assumed) and
-    assembled with the coefficient table of the limit covariance.
+    The kernel pair is evaluated at the times lambda_i * theta_i (an
+    arbitrary finite set, no monotonicity assumed; equal times get one
+    shared draw) and assembled with the coefficient table of the limit
+    covariance.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     cov = x_cov(curves)
-    times = curves.lambdas * curves.theta
-    # dedupe times within tolerance, keeping a map from grid index to unique time
-    uniq: list[float] = []
-    time_idx = np.empty(times.size, dtype=np.int64)
-    for i, t in enumerate(times):
-        for u, known in enumerate(uniq):
-            if abs(t - known) <= _TIME_DEDUP_TOL:
-                time_idx[i] = u
-                break
-        else:
-            time_idx[i] = len(uniq)
-            uniq.append(float(t))
-    draws = sample_psi_pair(curves.model, np.array(uniq), count, seed)
-    psi0 = draws[:, 0, :][:, time_idx]
-    psi1 = draws[:, 1, :][:, time_idx]
-    x0 = psi0 + cov.coeff[None, :] * psi1
-    x1 = psi1 * cov.inv_beta[None, :]
+    draws = _draw_pair(psi_cov_matrix(curves.model, curves.lambdas * curves.theta), count, seed)
+    x0 = draws[:, 0, :] + cov.coeff[None, :] * draws[:, 1, :]
+    x1 = draws[:, 1, :] * cov.inv_beta[None, :]
     return [
         LimitPathSample(lambdas=curves.lambdas, x0=x0[k], x1=x1[k], seed=seed)
         for k in range(count)

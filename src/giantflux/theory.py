@@ -33,9 +33,11 @@ __all__ = [
     "ErClosedForms",
     "DEFAULT_MARGIN",
     "lambda_crit",
+    "require_supercritical",
     "theta",
     "rho",
     "beta",
+    "psi_kernel",
     "psi_cov",
     "supercritical_curves",
     "x_cov",
@@ -48,6 +50,8 @@ DEFAULT_MARGIN = 1e-3
 
 _ROOT_TOL = 1e-12
 _MAX_BISECT = 200
+# floats of (pair, atom) terms per moment evaluation in psi_kernel
+_KERNEL_BLOCK = 1 << 14
 
 
 class ConvergenceError(RuntimeError):
@@ -59,6 +63,67 @@ def lambda_crit(model: WeightModel) -> float:
     return 1.0 / mixed_moment(model, 2, 0.0)
 
 
+def require_supercritical(model: WeightModel, lambdas, margin: float = DEFAULT_MARGIN) -> float:
+    """Return lambda_crit; name the first lambda (or NaN) below lambda_crit * (1 + margin)."""
+    if not margin >= 0.0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
+    grid = np.asarray(lambdas, dtype=np.float64)
+    crit = lambda_crit(model)
+    threshold = crit * (1.0 + margin)
+    bad = grid[~(grid >= threshold)]
+    if bad.size:
+        raise ValueError(
+            f"lambda = {bad[0]:.17g} is below the supercritical threshold "
+            f"lambda_crit * (1 + margin) = {threshold:.17g} (lambda_crit = {crit:.17g})"
+        )
+    return crit
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray, move_lo) -> bool:
+    """Halve each open interval [lo_i, hi_i] in place until hi - lo <= 1e-12.
+
+    ``move_lo(open_, mid)`` marks the open entries whose ``lo`` moves up to
+    the midpoint; the others move ``hi`` down.  An entry changes only while
+    its own interval is open, so it does not depend on the other entries.
+    Returns whether every interval closed within the step budget.
+    """
+    for _ in range(_MAX_BISECT):
+        open_ = np.flatnonzero(hi - lo > _ROOT_TOL)
+        if open_.size == 0:
+            return True
+        mid = 0.5 * (lo[open_] + hi[open_])
+        up = move_lo(open_, mid)
+        lo[open_[up]] = mid[up]
+        hi[open_[~up]] = mid[~up]
+    return not np.any(hi - lo > _ROOT_TOL)
+
+
+def _theta_grid(model: WeightModel, lam: np.ndarray) -> np.ndarray:
+    """``theta`` at every entry of an array of supercritical lambdas, bisected together."""
+    mean_w = mixed_moment(model, 1, 0.0)
+    # Stage 1: f'(t) = lambda E[W^2 exp(-W lambda t)] - 1 decreases strictly
+    # from f'(0) > 0 to f'(E[W]) < 0; bisect it to a point a with f'(a) > 0,
+    # hence 0 < a < theta.
+    a, hi = np.zeros(lam.size), np.full(lam.size, mean_w)
+    _bisect(a, hi, lambda i, mid: lam[i] * mixed_moment(model, 2, lam[i] * mid) - 1.0 > 0.0)
+    unbracketed = ~(phi(model, 1, lam * a) - a > 0.0)
+    if unbracketed.any():
+        # Only reachable when lambda sits so close to lambda_crit that the
+        # maximizer is below resolvable scale.
+        raise ConvergenceError(
+            f"could not bracket the root at lambda={lam[unbracketed][0]:g}; "
+            "lambda is numerically indistinguishable from lambda_crit"
+        )
+    # Stage 2: f(t) = phi_1(lambda t) - t is > 0 on (0, theta) and < 0 beyond,
+    # so sign bisection on [a, E[W]] converges unconditionally.
+    b = np.full(lam.size, mean_w)
+    if not _bisect(a, b, lambda i, mid: phi(model, 1, lam[i] * mid) - mid >= 0.0):
+        raise ConvergenceError(
+            f"root bisection did not reach tolerance {_ROOT_TOL:g} in {_MAX_BISECT} steps"
+        )
+    return 0.5 * (a + b)
+
+
 def theta(model: WeightModel, lam: float) -> float:
     """Limiting giant volume fraction: positive root of phi_1(lambda t) = t.
 
@@ -67,53 +132,14 @@ def theta(model: WeightModel, lam: float) -> float:
     phi_1(lambda t) - t is strictly concave with f(0) = 0, f'(0) =
     lambda E[W^2] - 1 > 0 and f(E[W]) < 0, so we first bisect the monotone
     derivative on [0, E[W]] to bracket the maximizer, then bisect f itself on
-    the right branch.
+    the right branch.  The same bits as in ``supercritical_curves``.
     """
     lam = float(lam)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     if lam <= lambda_crit(model):
         return 0.0
-    mean_w = mixed_moment(model, 1, 0.0)
-
-    def f(t: float) -> float:
-        return phi(model, 1, lam * t) - t
-
-    def f_prime(t: float) -> float:
-        return lam * mixed_moment(model, 2, lam * t) - 1.0
-
-    # Stage 1: the derivative decreases strictly from f'(0) > 0 to
-    # f'(E[W]) < 0; bisect it to a point a with f'(a) > 0, hence 0 < a < theta.
-    lo, hi = 0.0, mean_w
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _ROOT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if f_prime(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    a, b = lo, mean_w
-    if not f(a) > 0.0:
-        # Only reachable when lambda sits so close to lambda_crit that the
-        # maximizer is below resolvable scale.
-        raise ConvergenceError(
-            f"could not bracket the root at lambda={lam:g}; "
-            "lambda is numerically indistinguishable from lambda_crit"
-        )
-    # Stage 2: f > 0 on (0, theta) and f < 0 beyond, so sign bisection on
-    # [a, E[W]] converges unconditionally.
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (a + b)
-        if f(mid) >= 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a <= _ROOT_TOL:
-            return 0.5 * (a + b)
-    raise ConvergenceError(
-        f"root bisection did not reach tolerance {_ROOT_TOL:g} in {_MAX_BISECT} steps"
-    )
+    return float(_theta_grid(model, np.array([lam]))[0])
 
 
 def rho(model: WeightModel, lam: float) -> float:
@@ -136,20 +162,39 @@ def beta(model: WeightModel, lam: float) -> float:
     return 1.0 - lam * mixed_moment(model, 2, lam * theta(model, lam))
 
 
+def psi_kernel(model: WeightModel, k: int, times) -> np.ndarray:
+    """Kernel matrix E[W^k (exp(-W max(t_i, t_j)) - exp(-W (t_i + t_j)))].
+
+    ``k = p + q`` is the weight order of the kernel pair (p, q).  The sum
+    term is evaluated once per pair i <= j, in blocks of at most
+    max(m, ``_KERNEL_BLOCK`` / K) pairs, so temporaries stay O(m K) floats
+    for m times and K atoms.  The matrix is exactly symmetric, and a row at
+    time 0 is exactly zero.
+    """
+    ts = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    at_t = mixed_moment(model, k, ts)
+    kernel = np.where(ts[:, None] >= ts[None, :], at_t[:, None], at_t[None, :])
+    rows, cols = np.triu_indices(ts.size)
+    pair_times = ts[rows] + ts[cols]
+    at_sum = np.empty(pair_times.size)
+    block = max(ts.size, _KERNEL_BLOCK // model.values.size)
+    for lo in range(0, pair_times.size, block):
+        at_sum[lo : lo + block] = mixed_moment(model, k, pair_times[lo : lo + block])
+    kernel[rows, cols] -= at_sum
+    kernel[cols, rows] = kernel[rows, cols]
+    return kernel
+
+
 def psi_cov(model: WeightModel, p: int, q: int, s: float, t: float) -> float:
     """Covariance kernel of the weighted empirical fluctuation pair.
 
     E[W^(p+q) (exp(-W max(s,t)) - exp(-W (s+t)))]; symmetric in (s, t) and
-    zero whenever either time is 0.
+    zero whenever either time is 0.  The off-diagonal entry of
+    ``psi_kernel`` at the two times (s, t).
     """
     if p not in (0, 1) or q not in (0, 1):
         raise ValueError(f"p and q must be in {{0, 1}}, got ({p}, {q})")
-    s = float(s)
-    t = float(t)
-    if s < 0.0 or t < 0.0:
-        raise ValueError(f"times must be >= 0, got ({s}, {t})")
-    k = p + q
-    return mixed_moment(model, k, max(s, t)) - mixed_moment(model, k, s + t)
+    return float(psi_kernel(model, p + q, [s, t])[0, 1])
 
 
 @dataclass(frozen=True)
@@ -175,23 +220,19 @@ def supercritical_curves(
     """Tabulate theta, rho, beta over a strictly ascending supercritical grid.
 
     Every grid point must satisfy lambda >= lambda_crit * (1 + margin); the
-    first offender is named in the error.
+    first offender is named in the error.  The whole grid is bisected at
+    once, and each entry equals its scalar ``theta``/``rho``/``beta``.
     """
     grid = np.asarray(lambdas, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("lambda grid must be a non-empty 1-d sequence")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("lambda grid must be strictly ascending")
-    crit = lambda_crit(model)
-    threshold = crit * (1.0 + margin)
-    if grid[0] < threshold:
-        raise ValueError(
-            f"lambda = {grid[0]:.17g} is below the supercritical threshold "
-            f"lambda_crit * (1 + margin) = {threshold:.17g} (lambda_crit = {crit:.17g})"
-        )
-    th = np.array([theta(model, lam) for lam in grid])
-    rh = np.array([phi(model, 0, lam * t) for lam, t in zip(grid, th)])
-    be = np.array([beta(model, lam) for lam in grid])
+    crit = require_supercritical(model, grid, margin)
+    th = _theta_grid(model, grid)
+    times = grid * th
+    rh = phi(model, 0, times)
+    be = 1.0 - grid * mixed_moment(model, 2, times)
     for arr in (grid, th, rh, be):
         arr.setflags(write=False)
     return SupercriticalCurves(
@@ -231,8 +272,7 @@ class LimitCovariance:
 
     @property
     def cov_count_volume(self) -> np.ndarray:
-        m = self.lambdas.size
-        return np.array([self.matrix[2 * i, 2 * i + 1] for i in range(m)])
+        return np.diag(self.matrix, 1)[0::2]
 
 
 def x_cov(curves: SupercriticalCurves) -> LimitCovariance:
@@ -241,39 +281,25 @@ def x_cov(curves: SupercriticalCurves) -> LimitCovariance:
     With T_i = lambda_i * theta_i, the count coordinate is
     psi_0(T_i) + coeff_i * psi_1(T_i) and the volume coordinate is
     psi_1(T_i) / beta_i, so every entry is a linear combination of kernel
-    values of weight order 0, 1, 2.  The assembled matrix is validated PSD by
-    the jittered Cholesky policy.
+    values of weight order 0, 1, 2.  Block (i, j) with i <= j is formed with
+    i first and mirrored below the diagonal.  The assembled matrix is
+    validated PSD by the jittered Cholesky policy.
     """
     model = curves.model
     lams = curves.lambdas
-    m = lams.size
     times = lams * curves.theta
-    coeff = np.array(
-        [lam * phi_prime(model, 0, t) / b for lam, t, b in zip(lams, times, curves.beta)]
-    )
+    coeff = lams * phi_prime(model, 0, times) / curves.beta
     inv_beta = 1.0 / curves.beta
-
-    def kernel(k: int, s: float, t: float) -> float:
-        return mixed_moment(model, k, max(s, t)) - mixed_moment(model, k, s + t)
-
-    cov = np.zeros((2 * m, 2 * m))
-    for i in range(m):
-        for j in range(i, m):
-            k0 = kernel(0, times[i], times[j])
-            k1 = kernel(1, times[i], times[j])
-            k2 = kernel(2, times[i], times[j])
-            cc = k0 + (coeff[i] + coeff[j]) * k1 + coeff[i] * coeff[j] * k2
-            cv = (k1 + coeff[i] * k2) * inv_beta[j]
-            vc = (k1 + coeff[j] * k2) * inv_beta[i]
-            vv = k2 * inv_beta[i] * inv_beta[j]
-            cov[2 * i, 2 * j] = cc
-            cov[2 * i, 2 * j + 1] = cv
-            cov[2 * i + 1, 2 * j] = vc
-            cov[2 * i + 1, 2 * j + 1] = vv
-            if j > i:
-                cov[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = (
-                    cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].T
-                )
+    k0, k1, k2 = (psi_kernel(model, k, times) for k in (0, 1, 2))
+    ci, cj = coeff[:, None], coeff[None, :]
+    bi, bj = inv_beta[:, None], inv_beta[None, :]
+    m = lams.size
+    cov = np.empty((2 * m, 2 * m))
+    cov[0::2, 0::2] = k0 + (ci + cj) * k1 + ci * cj * k2
+    cov[0::2, 1::2] = (k1 + ci * k2) * bj
+    cov[1::2, 0::2] = (k1 + cj * k2) * bi
+    cov[1::2, 1::2] = k2 * bi * bj
+    cov = np.where(np.tri(2 * m, k=-1, dtype=bool), cov.T, cov)
     _, jitter = chol_with_jitter(cov)
     for arr in (cov, coeff, inv_beta):
         arr.setflags(write=False)

@@ -11,7 +11,7 @@ its limiting law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -39,51 +39,55 @@ def _frozen(values: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Distribution of a strictly positive vertex weight W.
+    """Distribution of a strictly positive, finite vertex weight W.
 
-    ``kind`` is one of ``constant``, ``discrete``, ``empirical``.  ``values``
-    holds the support (for ``empirical``, every entry of the underlying
-    vector, duplicates included) and ``probs`` the matching probabilities
-    (``None`` means uniform over ``values``).  Build instances through the
-    classmethods; they validate positivity and probability normalization.
+    ``kind`` is one of ``constant``, ``discrete``, ``empirical``.  Every kind
+    is stored alike: ``values`` holds the K distinct atoms in ascending order
+    and ``probs`` their probabilities.  An ``empirical`` model also keeps its
+    source vector in ``source``, for the config round trip, for use as-is and
+    for iid resampling.  Build instances through the classmethods; they
+    validate finiteness, positivity and probability normalization.
     """
 
     kind: str
     values: np.ndarray
-    probs: np.ndarray | None
+    probs: np.ndarray
+    source: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def constant(cls, c: float) -> "WeightModel":
         c = float(c)
-        if not c > 0.0:
-            raise ValueError(f"constant weight must be > 0, got {c}")
+        if not (np.isfinite(c) and c > 0.0):
+            raise ValueError(f"constant weight must be finite and > 0, got {c}")
         return cls("constant", _frozen([c]), _frozen([1.0]))
 
     @classmethod
     def discrete(cls, atoms: Sequence[tuple[float, float]]) -> "WeightModel":
-        """Finite discrete law from (weight, probability) pairs."""
+        """Finite discrete law from (weight, probability) pairs; equal weights merge."""
         if len(atoms) == 0:
             raise ValueError("discrete model needs at least one atom")
-        w = _frozen([a[0] for a in atoms])
-        p = _frozen([a[1] for a in atoms])
-        if np.any(w <= 0.0):
-            raise ValueError(f"atom weights must be > 0, got {w.tolist()}")
-        if np.any(p <= 0.0) or np.any(p > 1.0):
+        w = np.array([a[0] for a in atoms], dtype=np.float64)
+        p = np.array([a[1] for a in atoms], dtype=np.float64)
+        if not np.all(np.isfinite(w) & (w > 0.0)):
+            raise ValueError(f"atom weights must be finite and > 0, got {w.tolist()}")
+        if not np.all((p > 0.0) & (p <= 1.0)):
             raise ValueError(f"atom probabilities must lie in (0, 1], got {p.tolist()}")
         total = float(np.sum(p))
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1 within {_PROB_SUM_TOL}")
-        return cls("discrete", w, p)
+        support, index = np.unique(w, return_inverse=True)
+        return cls("discrete", _frozen(support), _frozen(np.bincount(index, weights=p)))
 
     @classmethod
     def empirical(cls, weights: Sequence[float]) -> "WeightModel":
-        """Uniform law over an explicit, non-empty weight vector."""
+        """Uniform law over an explicit, non-empty weight vector: atom counts over n."""
         w = _frozen(weights)
-        if w.size == 0:
-            raise ValueError("empirical model needs a non-empty weight sequence")
-        if np.any(w <= 0.0):
-            raise ValueError("empirical weights must all be > 0")
-        return cls("empirical", w, None)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("empirical model needs a non-empty 1-d weight sequence")
+        if not np.all(np.isfinite(w) & (w > 0.0)):
+            raise ValueError("empirical weights must all be finite and > 0")
+        support, counts = np.unique(w, return_counts=True)
+        return cls("empirical", _frozen(support), _frozen(counts / w.size), w)
 
     @classmethod
     def from_config(cls, config: dict) -> "WeightModel":
@@ -109,12 +113,11 @@ class WeightModel:
         if self.kind == "constant":
             return {"type": "constant", "c": float(self.values[0])}
         if self.kind == "discrete":
-            assert self.probs is not None
             return {
                 "type": "discrete",
                 "atoms": [[float(w), float(p)] for w, p in zip(self.values, self.probs)],
             }
-        return {"type": "empirical", "weights": self.values.tolist()}
+        return {"type": "empirical", "weights": self.source.tolist()}
 
 
 @dataclass(frozen=True)
@@ -165,32 +168,30 @@ class AssumptionDiagnostics:
     warning: bool
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return t
-
-
-def mixed_moment(model: WeightModel, k: int, t: float) -> float:
+def mixed_moment(model: WeightModel, k: int, t):
     """E[W^k exp(-W t)], exact for the finitely supported models.
 
-    Only k in {0, 1, 2} is supported: nothing downstream needs higher
-    moments, and refusing k > 2 keeps the moment assumptions honest.
+    ``t`` is a time or an array of times; the result has its shape.  Each
+    entry sums its K terms p w^k exp(-w t) on its own, so it does not depend
+    on the other times evaluated with it.  Only k in {0, 1, 2} is supported:
+    nothing downstream needs higher moments, and refusing k > 2 keeps the
+    moment assumptions honest.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"moment order k must be in {{0, 1, 2}}, got {k}")
-    t = _check_t(t)
+    ts = np.asarray(t, dtype=np.float64)
+    if np.any(ts < 0.0):
+        raise ValueError(f"t must be >= 0, got {ts[ts < 0.0].flat[0]}")
     w = model.values
-    terms = w**k * np.exp(-t * w)
-    if model.probs is None:
-        # np.mean sums pairwise, keeping accumulation error O(log n) ulps
-        return float(np.mean(terms))
-    return float(np.dot(model.probs, terms))
+    terms = np.multiply.outer(-ts, w)
+    np.exp(terms, out=terms)
+    terms *= model.probs * w**k
+    out = np.add.reduce(terms, axis=-1)
+    return float(out) if ts.ndim == 0 else out
 
 
-def phi(model: WeightModel, p: int, t: float) -> float:
-    """E[W^p (1 - exp(-W t))] for p in {0, 1}.
+def phi(model: WeightModel, p: int, t):
+    """E[W^p (1 - exp(-W t))] for p in {0, 1}; ``t`` as in ``mixed_moment``.
 
     Non-decreasing in t, zero at t=0, bounded above by E[W^p].
     """
@@ -199,7 +200,7 @@ def phi(model: WeightModel, p: int, t: float) -> float:
     return mixed_moment(model, p, 0.0) - mixed_moment(model, p, t)
 
 
-def phi_prime(model: WeightModel, p: int, t: float) -> float:
+def phi_prime(model: WeightModel, p: int, t):
     """d/dt of ``phi(model, p, t)``, i.e. E[W^(p+1) exp(-W t)]."""
     if p not in (0, 1):
         raise ValueError(f"p must be 0 or 1, got {p}")
@@ -211,14 +212,11 @@ def _quantile_vector(model: WeightModel, n: int) -> np.ndarray:
 
     Midpoints avoid evaluating the inverse CDF at 0 or 1.
     """
-    assert model.probs is not None
-    order = np.argsort(model.values, kind="stable")
-    atoms = model.values[order]
-    cum = np.cumsum(model.probs[order])
+    cum = np.cumsum(model.probs)
     cum[-1] = 1.0  # guard against the probability sum rounding below 1
     levels = (np.arange(1, n + 1) - 0.5) / n
     idx = np.searchsorted(cum, levels, side="left")
-    return atoms[idx]
+    return model.values[idx]
 
 
 def sample_weight_vector(model: WeightModel, n: int, mode: str, seed: int) -> WeightVector:
@@ -234,19 +232,13 @@ def sample_weight_vector(model: WeightModel, n: int, mode: str, seed: int) -> We
     if mode == "quantile":
         if model.kind == "empirical":
             raise ValueError("quantile mode is not defined for empirical models")
-        if model.kind == "constant":
-            w = np.full(n, float(model.values[0]))
-        else:
-            w = _quantile_vector(model, n)
-        return WeightVector(n=n, weights=w, provenance="quantile")
+        return WeightVector(n=n, weights=_quantile_vector(model, n), provenance="quantile")
     if mode == "iid":
         rng = np.random.default_rng(seed)
-        if model.kind == "constant":
-            w = np.full(n, float(model.values[0]))
-        elif model.kind == "discrete":
-            w = rng.choice(model.values, size=n, p=model.probs)
+        if model.kind == "empirical":
+            w = model.source[rng.integers(0, model.source.size, size=n)]
         else:
-            w = model.values[rng.integers(0, model.values.size, size=n)]
+            w = rng.choice(model.values, size=n, p=model.probs)
         return WeightVector(n=n, weights=w, provenance=f"iid-sample(seed={seed})")
     raise ValueError(f"unknown sampling mode {mode!r}; expected 'iid' or 'quantile'")
 

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from giantflux.cli import dispatch
 from giantflux.theory import supercritical_curves, x_cov
@@ -173,6 +174,45 @@ class TestErrorContract:
         out = tmp_path / "missing" / "dir" / "x.csv"
         assert _run("theory", "--config", str(cfg), "--out", str(out)) == 2
         self._assert_one_error_line(capsys)
+
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"type": "discrete", "atoms": [[float("nan"), 0.5], [2.0, 0.5]]},
+            {"type": "constant", "c": float("inf")},
+        ],
+    )
+    def test_non_finite_model(self, tmp_path, capsys, model):
+        cfg = _write_config(tmp_path, model=model)
+        assert _run("theory", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        assert "[giantflux] error: field 'model':" in err and "finite" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", True),
+            ("replicates", 2.9),
+            ("n_list", [100, 200.5]),
+            ("draws", False),
+            ("seed", 1.5),
+            ("graph_cap", "2000"),
+            ("cross_pairs", [[0, 1.5]]),
+            ("lambda_grid", {"min": 1.5, "max": 2.0, "points": 2.5}),
+        ],
+    )
+    def test_integer_fields_are_strict(self, tmp_path, capsys, field, value):
+        cfg = _write_config(tmp_path, **{field: value})
+        assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"[giantflux] error: field '{field}" in err and "integer" in err
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = _write_config(tmp_path, n=40.0, replicates=3.0)
+        out = tmp_path / "walk.csv"
+        assert _run("walk", "--config", str(cfg), "--out", str(out), "--threads", "1") == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 2
 
 
 class TestDeterminism:

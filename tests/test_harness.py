@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from giantflux import harness
 from giantflux.harness import (
     ExperimentConfig,
     _child_seed,
@@ -191,6 +192,37 @@ class TestReportEmission:
         assert payload["kind"] == "fclt"
         assert payload["all_passed"] == report.all_passed
         assert len(payload["records"]) == len(report.records)
+
+    @pytest.mark.parametrize("writer", [write_report_csv, write_report_json])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        """A write that fails part-way leaves the old bytes and no temporary file."""
+        report = run_fclt(_config(replicates=10))
+        path = tmp_path / "report.out"
+        path.write_text("old contents\n")
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(harness, "open", lambda *a, **kw: HalfWrite(open(*a, **kw)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            writer(report, path)
+        monkeypatch.undo()
+        assert path.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.out"]
+        writer(report, path)
+        assert path.read_text() != "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.out"]
 
     def test_dispatcher_routes_by_kind(self):
         report = run_experiment(_config(replicates=10))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from giantflux.limit_sampler import (
+    _draw_pair,
     er_brownian_path,
     psi_cov_matrix,
     sample_psi_pair,
@@ -63,6 +64,15 @@ class TestPsiPair:
     def test_rejects_duplicate_times(self):
         with pytest.raises(ValueError):
             sample_psi_pair(HALF_HALF, [0.5, 0.5], 10, seed=6)
+
+    def test_repeated_time_shares_one_draw(self):
+        """A repeated time gives bitwise-equal covariance rows, hence one shared draw."""
+        cov = psi_cov_matrix(HALF_HALF, [0.5, 1.0, 0.5])
+        np.testing.assert_array_equal(cov[0], cov[2])
+        np.testing.assert_array_equal(cov[3], cov[5])
+        draws = _draw_pair(cov, 20, seed=6)
+        np.testing.assert_array_equal(draws[:, :, 0], draws[:, :, 2])
+        assert np.all(draws[:, :, 0] != draws[:, :, 1])
 
     def test_kernel_matrix_symmetric_psd(self):
         k = psi_cov_matrix(HALF_HALF, [0.3, 0.9, 2.0])

@@ -6,13 +6,18 @@ on the defining fixed-point equations).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from giantflux import theory, weights
 from giantflux.theory import (
     LimitCovariance,
     beta,
     er_closed_forms,
     lambda_crit,
     psi_cov,
+    psi_kernel,
+    require_supercritical,
     rho,
     supercritical_curves,
     theta,
@@ -234,3 +239,164 @@ class TestErClosedForms:
 
     def test_dense_limit(self):
         assert er_closed_forms(50.0).rho_er > 0.999
+
+
+class TestRequireSupercritical:
+    def test_returns_lambda_crit(self):
+        assert require_supercritical(HALF_HALF, [0.5, 1.0]) == lambda_crit(HALF_HALF)
+
+    def test_names_first_offender_including_nan(self):
+        with pytest.raises(ValueError, match="lambda = 0.29999999999999999 is below"):
+            require_supercritical(HALF_HALF, [0.3, 0.35, 1.0])
+        with pytest.raises(ValueError, match="lambda = nan is below"):
+            require_supercritical(HALF_HALF, [1.0, np.nan])
+
+    def test_rejects_negative_or_nan_margin(self):
+        """A negative margin would let subcritical lambdas reach the bisection."""
+        for margin in (-0.5, np.nan):
+            with pytest.raises(ValueError, match="margin must be >= 0"):
+                supercritical_curves(HALF_HALF, [0.3, 1.0], margin=margin)
+
+
+class TestPsiKernel:
+    def test_matches_direct_moments(self):
+        times = np.array([0.0, 0.4, 1.3, 0.4])
+        for k in (0, 1, 2):
+            kernel = psi_kernel(SKEWED, k, times)
+            for i, s in enumerate(times):
+                for j, t in enumerate(times):
+                    direct = mixed_moment(SKEWED, k, max(s, t)) - mixed_moment(SKEWED, k, s + t)
+                    assert kernel[i, j] == direct
+            assert np.all(kernel[0] == 0.0)
+
+    def test_blocks_when_support_is_large(self, monkeypatch):
+        """A K-atom model is evaluated in blocks of at most max(m, block / K) pairs."""
+        monkeypatch.setattr(theory, "_KERNEL_BLOCK", 64)
+        model = WeightModel.empirical(np.linspace(0.5, 3.0, 40))
+        times = np.linspace(0.1, 2.0, 9)
+        sizes = []
+        original = theory.mixed_moment
+
+        def counting(m, k, t):
+            sizes.append(np.size(t))
+            return original(m, k, t)
+
+        monkeypatch.setattr(theory, "mixed_moment", counting)
+        kernel = psi_kernel(model, 1, times)
+        assert sizes[0] == 9 and max(sizes[1:]) == 9 and sum(sizes[1:]) == 9 * 10 // 2
+        monkeypatch.undo()
+        np.testing.assert_array_equal(kernel, psi_kernel(model, 1, times))
+
+
+def _shuffled_vector(atoms, counts, rng):
+    vector = np.repeat(atoms, counts)
+    rng.shuffle(vector)
+    return vector
+
+
+@st.composite
+def _laws(draw):
+    """Atoms (distinct, positive), integer counts and a shuffle seed."""
+    k = draw(st.integers(1, 6))
+    atoms = draw(
+        st.lists(st.floats(0.2, 5.0), min_size=k, max_size=k, unique=True)
+    )
+    counts = draw(st.lists(st.integers(1, 30), min_size=k, max_size=k))
+    return np.array(atoms), np.array(counts), draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _grid_factors(draw, max_points=8):
+    """Sorted distinct multiples of lambda_crit, all above the default margin."""
+    factors = draw(
+        st.lists(st.floats(1.01, 6.0), min_size=1, max_size=max_points, unique=True)
+    )
+    return np.array(sorted(factors))
+
+
+def _assert_same_curves(a, b):
+    for name in ("lambdas", "theta", "rho", "beta"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), strict=True)
+
+
+class TestFiniteSupportProperties:
+    """Curves and covariance depend only on the law, computed once per lambda."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(law=_laws(), factors=_grid_factors())
+    def test_law_not_order_or_kind(self, law, factors):
+        """Reordered empirical weights and the same law as a discrete model: same bits."""
+        atoms, counts, seed = law
+        rng = np.random.default_rng(seed)
+        first = WeightModel.empirical(_shuffled_vector(atoms, counts, rng))
+        second = WeightModel.empirical(_shuffled_vector(atoms, counts, rng))
+        order = rng.permutation(atoms.size)
+        probs = counts / counts.sum()
+        discrete = WeightModel.discrete(list(zip(atoms[order], probs[order])))
+        grid = lambda_crit(first) * factors
+        reference = supercritical_curves(first, grid)
+        for other in (second, discrete):
+            curves = supercritical_curves(other, grid)
+            _assert_same_curves(curves, reference)
+            np.testing.assert_array_equal(x_cov(curves).matrix, x_cov(reference).matrix)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(law=_laws(), factors=_grid_factors(max_points=12))
+    def test_grid_entry_equals_scalar(self, law, factors):
+        """theta, rho, beta at a lambda do not depend on the grid around it."""
+        atoms, counts, _ = law
+        model = WeightModel.discrete(list(zip(atoms, counts / counts.sum())))
+        curves = supercritical_curves(model, lambda_crit(model) * factors)
+        for i, lam in enumerate(curves.lambdas):
+            assert theta(model, lam) == curves.theta[i]
+            assert rho(model, lam) == curves.rho[i]
+            assert beta(model, lam) == curves.beta[i]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(law=_laws(), factors=_grid_factors(max_points=6))
+    def test_x_cov_is_bilinear_in_scalar_psi_cov(self, law, factors):
+        atoms, counts, _ = law
+        model = WeightModel.discrete(list(zip(atoms, counts / counts.sum())))
+        curves = supercritical_curves(model, lambda_crit(model) * factors)
+        cov = x_cov(curves)
+        times = curves.lambdas * curves.theta
+        c, b = cov.coeff, cov.inv_beta
+        for i in range(times.size):
+            for j in range(i, times.size):
+                k0, k1, k2 = (
+                    psi_cov(model, p, q, times[i], times[j]) for p, q in ((0, 0), (0, 1), (1, 1))
+                )
+                expected = [
+                    [k0 + (c[i] + c[j]) * k1 + c[i] * c[j] * k2, (k1 + c[i] * k2) * b[j]],
+                    [(k1 + c[j] * k2) * b[i], k2 * b[i] * b[j]],
+                ]
+                np.testing.assert_array_equal(cov.block(i, j), expected, strict=False)
+        np.testing.assert_array_equal(cov.matrix, cov.matrix.T)
+
+
+class TestWorkCount:
+    def test_two_atom_vector_costs_two_atoms_and_one_bisection(self, monkeypatch):
+        """Curves of a two-atom n = 1e5 vector sum 2 terms per moment and bisect each lambda once."""
+        v = sample_weight_vector(HALF_HALF, 10**5, "quantile", 0)
+        model = WeightModel.empirical(v.weights)
+        grid = np.linspace(1.5, 3.0, 20)
+        supports = []
+        bisected = []
+        moment, bisect = weights.mixed_moment, theory._theta_grid
+
+        def counting_moment(m, k, t):
+            supports.append(m.values.size)
+            return moment(m, k, t)
+
+        def counting_bisect(m, lams):
+            bisected.append(lams.size)
+            return bisect(m, lams)
+
+        monkeypatch.setattr(weights, "mixed_moment", counting_moment)
+        monkeypatch.setattr(theory, "mixed_moment", counting_moment)
+        monkeypatch.setattr(theory, "_theta_grid", counting_bisect)
+        curves = supercritical_curves(model, grid)
+        assert set(supports) == {2}
+        assert bisected == [grid.size]
+        monkeypatch.undo()
+        _assert_same_curves(curves, supercritical_curves(HALF_HALF, grid))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from giantflux.weights import (
     WeightModel,
@@ -69,6 +71,29 @@ class TestMixedMoment:
                         for w, p in zip(model.values, model.probs)
                     )
                 assert mixed_moment(model, k, t) == pytest.approx(expected, rel=1e-14)
+
+
+    def test_array_of_times_has_its_shape(self):
+        times = np.array([[0.0, 0.5], [1.0, 2.0], [3.0, 4.0]])
+        out = mixed_moment(HALF_HALF, 1, times)
+        assert out.shape == times.shape
+        assert out[0, 0] == 1.5
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        k_atoms=st.sampled_from([1, 2, 3, 9, 200]) | st.integers(1, 40),
+        shape=st.sampled_from([(1,), (7,), (3, 5), (64,)]),
+        k=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entry_does_not_depend_on_the_batch(self, k_atoms, shape, k, seed):
+        """Each entry of an array evaluation equals the scalar call bit for bit."""
+        rng = np.random.default_rng(seed)
+        model = WeightModel.empirical(rng.uniform(0.1, 5.0, size=k_atoms)[rng.integers(0, k_atoms, 300)])
+        times = rng.uniform(0.0, 6.0, size=shape)
+        out = mixed_moment(model, k, times)
+        for index in np.ndindex(shape):
+            assert out[index] == mixed_moment(model, k, float(times[index]))
 
 
 class TestPhi:
@@ -209,6 +234,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             WeightModel.empirical([])
 
+    def test_rejects_non_finite_inputs(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                WeightModel.constant(bad)
+            with pytest.raises(ValueError, match="finite"):
+                WeightModel.discrete([(bad, 0.5), (2.0, 0.5)])
+            with pytest.raises(ValueError, match="finite"):
+                WeightModel.empirical([1.0, bad])
+            with pytest.raises(ValueError, match="probabilities"):
+                WeightModel.discrete([(1.0, bad), (2.0, 0.5)])
+
     def test_config_round_trip(self):
         for model in (WeightModel.constant(2.0), HALF_HALF, WeightModel.empirical([1.0, 3.0])):
             clone = WeightModel.from_config(model.to_config())
@@ -218,6 +254,27 @@ class TestValidation:
     def test_config_rejects_unknown_type(self):
         with pytest.raises(ValueError):
             WeightModel.from_config({"type": "pareto", "alpha": 2.0})
+
+
+class TestFiniteSupport:
+    def test_empirical_is_stored_as_atom_frequencies(self):
+        model = WeightModel.empirical([2.0, 1.0, 2.0, 2.0])
+        np.testing.assert_array_equal(model.values, [1.0, 2.0])
+        np.testing.assert_array_equal(model.probs, [0.25, 0.75])
+        np.testing.assert_array_equal(model.source, [2.0, 1.0, 2.0, 2.0])
+        assert model.to_config() == {"type": "empirical", "weights": [2.0, 1.0, 2.0, 2.0]}
+
+    def test_discrete_atoms_sorted_and_merged(self):
+        model = WeightModel.discrete([(2.0, 0.25), (1.0, 0.5), (2.0, 0.25)])
+        np.testing.assert_array_equal(model.values, [1.0, 2.0])
+        np.testing.assert_array_equal(model.probs, [0.5, 0.5])
+        assert model.source is None
+
+    def test_iid_resamples_the_source_vector(self):
+        source = np.array([3.0, 1.0, 1.0, 2.0, 1.0])
+        v = sample_weight_vector(WeightModel.empirical(source), 50, "iid", 11)
+        expected = source[np.random.default_rng(11).integers(0, source.size, size=50)]
+        np.testing.assert_array_equal(v.weights, expected)
 
 
 class TestWeightVector:
