@@ -3,10 +3,17 @@
 Eight subcommands over one JSON config format: ``theory`` tabulates the
 supercritical curves and limit variances, ``walk`` and ``graph`` run the two
 simulators, ``limit`` samples the limit process, and ``fclt`` / ``compare`` /
-``endpoints`` / ``converge`` run the verification experiments.  Data goes
-only to the output files; progress goes to stderr.  Exit codes: 0 success
-(and all checks passed where applicable), 1 a verification check failed,
-2 config or validation error.
+``endpoints`` / ``converge`` run the verification experiments.
+
+The CLI only reads the JSON and converts its types strictly: integer fields
+take integers or integral floats, float fields take finite numbers, and a
+boolean or a string is never read as a number.  It then builds one
+``harness.ExperimentConfig`` from the fields the file sets, plus the
+``--seed``, ``--margin`` and ``--threads`` overrides; that class holds every
+default and every range and consistency check.  Data goes only to the output
+files; progress goes to stderr.  Exit codes: 0 success (and all checks passed
+where applicable), 1 a verification check failed, 2 config or validation
+error.
 """
 
 from __future__ import annotations
@@ -15,86 +22,26 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from . import harness
+from .harness import COMMAND_KINDS, ExperimentConfig, _fmt
 from .limit_sampler import sample_x_path
-from .theory import (
-    DEFAULT_MARGIN,
-    ConvergenceError,
-    require_supercritical,
-    supercritical_curves,
-    x_cov,
-)
+from .theory import DEFAULT_MARGIN, ConvergenceError, supercritical_curves, x_cov
 from .weights import WeightModel
 
-__all__ = ["ConfigError", "RunConfig", "dispatch", "main"]
-
-_SUPERCRITICAL_COMMANDS = {"theory", "walk", "limit", "fclt", "compare", "endpoints", "converge"}
-_HARNESS_KINDS = {
-    "fclt": "fclt",
-    "compare": "oracle-compare",
-    "endpoints": "endpoint-check",
-    "converge": "convergence-study",
-}
-_KNOWN_FIELDS = {
-    "model", "n", "n_list", "lambda_grid", "replicates", "seed", "margin",
-    "tolerance_multiplier", "draws", "graph_cap", "gn_threshold", "cross_pairs", "kind",
-}
+__all__ = ["ConfigError", "dispatch", "main"]
 
 
 class ConfigError(ValueError):
     """Configuration or validation problem; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    model: WeightModel
-    lambdas: np.ndarray
-    n: int | None
-    n_list: tuple[int, ...] | None
-    replicates: int
-    seed: int
-    margin: float
-    multiplier: float
-    draws: int
-    graph_cap: int
-    gn_threshold: float
-    cross_pairs: tuple[tuple[int, int], ...] | None
-    threads: int
-    out: Path
-
-
 def _log(message: str) -> None:
     print(f"[giantflux] {message}", file=sys.stderr)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _parse_grid(raw) -> np.ndarray:
-    if isinstance(raw, dict):
-        for key in ("min", "max", "points"):
-            if key not in raw:
-                raise ConfigError(f"lambda_grid object needs field '{key}'")
-        points = _int_field("lambda_grid.points", raw["points"])
-        if points < 1:
-            raise ConfigError("lambda_grid points must be >= 1")
-        grid = np.linspace(float(raw["min"]), float(raw["max"]), points)
-    elif isinstance(raw, list) and raw:
-        grid = np.asarray(raw, dtype=np.float64)
-    else:
-        raise ConfigError("lambda_grid must be {min, max, points} or a non-empty list")
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError("lambda_grid entries must be finite")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ConfigError("lambda_grid must be strictly ascending")
-    return grid
 
 
 def _int_field(name: str, value) -> int:
@@ -106,23 +53,84 @@ def _int_field(name: str, value) -> int:
     return int(value)
 
 
+def _float_field(name: str, value) -> float:
+    """A float config value: a finite JSON number; never a bool or a string."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = float("inf")
+        if isfinite(number):
+            return number
+    raise ConfigError(f"field '{name}' must be a finite number, got {json.dumps(value)}")
+
+
 def _list_field(name: str, value) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"field '{name}' must be a list, got {json.dumps(value)}")
     return value
 
 
+def _n_list_field(name: str, value) -> tuple[int, ...]:
+    return tuple(_int_field(name, x) for x in _list_field(name, value))
+
+
+def _pairs_field(name: str, value) -> tuple[tuple[int, int], ...]:
+    pairs = _list_field(name, value)
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ConfigError(f"field '{name}' entries must be [i, j] pairs")
+    return tuple(tuple(_int_field(name, x) for x in pair) for pair in pairs)
+
+
+def _parse_grid(raw) -> tuple[float, ...]:
+    if isinstance(raw, dict):
+        for key in ("min", "max", "points"):
+            if key not in raw:
+                raise ConfigError(f"lambda_grid object needs field '{key}'")
+        points = _int_field("lambda_grid.points", raw["points"])
+        if points < 1:
+            raise ConfigError("lambda_grid points must be >= 1")
+        lo = _float_field("lambda_grid.min", raw["min"])
+        hi = _float_field("lambda_grid.max", raw["max"])
+        return tuple(np.linspace(lo, hi, points).tolist())
+    if isinstance(raw, list) and raw:
+        return tuple(_float_field("lambda_grid", x) for x in raw)
+    raise ConfigError("lambda_grid must be {min, max, points} or a non-empty list")
+
+
+def _optional(convert):
+    """A converter that reads JSON null as "not set"."""
+    return lambda name, value: None if value is None else convert(name, value)
+
+
+# JSON field -> (ExperimentConfig field, converter); model, lambda_grid and
+# kind are read on their own
+_FIELDS = {
+    "seed": ("seed", _int_field),
+    "margin": ("margin", _float_field),
+    "cross_pairs": ("cross_pairs", _optional(_pairs_field)),
+    "n": ("n", _optional(_int_field)),
+    "n_list": ("n_list", _optional(_n_list_field)),
+    "replicates": ("replicates", _int_field),
+    "tolerance_multiplier": ("multiplier", _float_field),
+    "draws": ("draws", _int_field),
+    "graph_cap": ("graph_cap", _int_field),
+    "gn_threshold": ("gn_threshold", _float_field),
+}
+_KNOWN_FIELDS = {"model", "lambda_grid", "kind", *_FIELDS}
+
+
 def _default_threads() -> int:
     env = os.environ.get("GIANTFLUX_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError as exc:
             raise ConfigError(f"GIANTFLUX_THREADS must be an integer, got {env!r}") from exc
     return os.cpu_count() or 1
 
 
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     path = Path(args.config)
     try:
         raw = json.loads(path.read_text())
@@ -145,68 +153,22 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"field 'model': {exc}") from exc
     if "lambda_grid" not in raw:
         raise ConfigError("config needs field 'lambda_grid'")
-    grid = _parse_grid(raw["lambda_grid"])
-
-    kind = raw.get("kind")
-    expected_kind = _HARNESS_KINDS.get(args.command)
-    if kind is not None and expected_kind is not None and kind != expected_kind:
+    kind = COMMAND_KINDS[args.command]
+    if raw.get("kind") not in (None, kind):
         raise ConfigError(
-            f"config kind {kind!r} does not match subcommand {args.command!r} "
-            f"(expected {expected_kind!r})"
+            f"config kind {raw['kind']!r} does not match subcommand {args.command!r} "
+            f"(expected {kind!r})"
         )
-
-    n = raw.get("n")
-    n_list = raw.get("n_list")
-    seed = _int_field("seed", raw.get("seed", 0)) if args.seed is None else args.seed
-    margin = float(raw.get("margin", DEFAULT_MARGIN)) if args.margin is None else args.margin
-    threads = args.threads if args.threads is not None else _default_threads()
-
-    cross_pairs = None
-    if raw.get("cross_pairs") is not None:
-        pairs = _list_field("cross_pairs", raw["cross_pairs"])
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-            raise ConfigError("field 'cross_pairs' entries must be [i, j] pairs")
-        cross_pairs = tuple(tuple(_int_field("cross_pairs", x) for x in pair) for pair in pairs)
-        for a, b in cross_pairs:
-            if not (0 <= a < grid.size and 0 <= b < grid.size):
-                raise ConfigError(f"cross_pairs entry ({a}, {b}) out of grid range")
-
-    config = RunConfig(
-        command=args.command,
-        model=model,
-        lambdas=grid,
-        n=_int_field("n", n) if n is not None else None,
-        n_list=(
-            tuple(_int_field("n_list", x) for x in _list_field("n_list", n_list))
-            if n_list is not None else None
-        ),
-        replicates=_int_field("replicates", raw.get("replicates", 200)),
-        seed=seed,
-        margin=margin,
-        multiplier=float(raw.get("tolerance_multiplier", 3.0)),
-        draws=_int_field("draws", raw.get("draws", 1000)),
-        graph_cap=_int_field("graph_cap", raw.get("graph_cap", 2000)),
-        gn_threshold=float(raw.get("gn_threshold", 0.5)),
-        cross_pairs=cross_pairs,
-        threads=threads,
-        out=Path(args.out),
-    )
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
-    if config.command in _SUPERCRITICAL_COMMANDS:
-        require_supercritical(config.model, config.lambdas, config.margin)
-    elif np.any(config.lambdas < 0.0):
-        raise ConfigError("lambda grid entries must be >= 0")
-    needs_n = {"walk", "graph", "fclt", "compare", "endpoints"}
-    if config.command in needs_n and config.n is None:
-        raise ConfigError(f"subcommand '{config.command}' requires config field 'n'")
-    if config.command == "converge" and not config.n_list:
-        raise ConfigError("subcommand 'converge' requires config field 'n_list'")
-    if config.replicates < 2:
-        raise ConfigError("replicates must be >= 2")
+    fields = {"model": model, "lambdas": _parse_grid(raw["lambda_grid"]), "kind": kind}
+    for key, (name, convert) in _FIELDS.items():
+        if key in raw:
+            fields[name] = convert(key, raw[key])
+    if args.seed is not None:
+        fields["seed"] = args.seed
+    if args.margin is not None:
+        fields["margin"] = args.margin
+    fields["threads"] = args.threads if args.threads is not None else _default_threads()
+    return ExperimentConfig(**fields)
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -216,8 +178,8 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_theory(config: RunConfig) -> int:
-    curves = supercritical_curves(config.model, config.lambdas, config.margin)
+def _cmd_theory(config: ExperimentConfig, out: Path) -> int:
+    curves = supercritical_curves(config.model, config.grid(), config.margin)
     cov = x_cov(curves)
     _log(f"tabulated {len(curves)} grid points (factorization jitter {cov.jitter:g})")
     lines = ["lambda,theta,rho,beta,var_L,var_V,cov_LV"]
@@ -231,38 +193,13 @@ def _cmd_theory(config: RunConfig) -> int:
                 )
             )
         )
-    _write_lines(config.out, lines)
+    _write_lines(out, lines)
     return 0
 
 
-def _experiment_config(config: RunConfig, kind: str) -> harness.ExperimentConfig:
-    return harness.ExperimentConfig(
-        model=config.model,
-        lambdas=tuple(float(x) for x in config.lambdas),
-        replicates=config.replicates,
-        seed=config.seed,
-        kind=kind,
-        n=config.n,
-        n_list=config.n_list,
-        multiplier=config.multiplier,
-        margin=config.margin,
-        threads=config.threads,
-        graph_cap=config.graph_cap,
-        gn_threshold=config.gn_threshold,
-        cross_pairs=config.cross_pairs,
-    )
-
-
-def _cmd_walk(config: RunConfig) -> int:
-    exp = _experiment_config(config, "fclt")
-    w = harness._weight_vector_for(exp, config.n)
-    curves_n = supercritical_curves(
-        WeightModel.empirical(w.weights), config.lambdas, config.margin
-    )
+def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
     _log(f"running {config.replicates} walk replicates at n={config.n}")
-    paths = harness.walk_replicates(
-        w, curves_n, config.replicates, config.seed, config.threads
-    )
+    _, paths = harness.walk_paths(config, config.n)
     lines = ["replicate,lambda,g,d,volume,count,flucL,flucV"]
     for rep, path in enumerate(paths):
         for i, lam in enumerate(config.lambdas):
@@ -271,46 +208,41 @@ def _cmd_walk(config: RunConfig) -> int:
                 f"{rep},{_fmt(lam)},{_fmt(res.g)},{_fmt(res.d)},{_fmt(res.total_volume)},"
                 f"{res.vertex_count},{_fmt(path.fluc_count[i])},{_fmt(path.fluc_volume[i])}"
             )
-    _write_lines(config.out, lines)
+    _write_lines(out, lines)
     return 0
 
 
-def _cmd_graph(config: RunConfig) -> int:
-    exp = _experiment_config(config, "fclt")
-    w = harness._weight_vector_for(exp, config.n)
-    if config.n > config.graph_cap:
-        raise ConfigError(f"n={config.n} exceeds the graph simulation cap {config.graph_cap}")
+def _cmd_graph(config: ExperimentConfig, out: Path) -> int:
+    w = harness.weight_vector_for(config, config.n)
     _log(f"running {config.replicates} graph replicates at n={config.n}")
     paths = harness.graph_replicates(
-        w, config.lambdas, config.replicates, config.seed, config.threads, cap=config.graph_cap
+        w, config.grid(), config.replicates, config.seed, config.threads, cap=config.graph_cap
     )
     lines = ["replicate,lambda,L,V"]
     for rep, path in enumerate(paths):
         for snap in path:
             lines.append(f"{rep},{_fmt(snap.lam)},{snap.count},{_fmt(snap.volume)}")
-    _write_lines(config.out, lines)
+    _write_lines(out, lines)
     return 0
 
 
-def _cmd_limit(config: RunConfig) -> int:
-    curves = supercritical_curves(config.model, config.lambdas, config.margin)
+def _cmd_limit(config: ExperimentConfig, out: Path) -> int:
+    curves = supercritical_curves(config.model, config.grid(), config.margin)
     _log(f"sampling {config.draws} limit draws on {len(curves)} grid points")
     samples = sample_x_path(curves, config.draws, config.seed)
     lines = ["draw,lambda,x0,x1"]
     for k, sample in enumerate(samples):
         for i, lam in enumerate(sample.lambdas):
             lines.append(f"{k},{_fmt(lam)},{_fmt(sample.x0[i])},{_fmt(sample.x1[i])}")
-    _write_lines(config.out, lines)
+    _write_lines(out, lines)
     return 0
 
 
-def _cmd_harness(config: RunConfig) -> int:
-    kind = _HARNESS_KINDS[config.command]
-    exp = _experiment_config(config, kind)
-    _log(f"running {kind} experiment (R={config.replicates}, threads={config.threads})")
-    report = harness.run_experiment(exp)
-    harness.write_report_csv(report, config.out)
-    harness.write_report_json(report, config.out.with_suffix(".json"))
+def _cmd_harness(config: ExperimentConfig, out: Path) -> int:
+    _log(f"running {config.kind} experiment (R={config.replicates}, threads={config.threads})")
+    report = harness.run_experiment(config)
+    harness.write_report_csv(report, out)
+    harness.write_report_json(report, out.with_suffix(".json"))
     checked = [r for r in report.records if r.passed is not None]
     failures = [r for r in checked if not r.passed]
     _log(
@@ -321,7 +253,7 @@ def _cmd_harness(config: RunConfig) -> int:
     for r in failures:
         _log(f"FAIL lambda={r.lam:g} {r.stat}: empirical={r.empirical:g} "
              f"target={r.target:g} z={r.z:g}")
-    if kind == "convergence-study":
+    if config.kind == "convergence-study":
         return 0
     return 0 if report.all_passed else 1
 
@@ -377,8 +309,8 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code) if exc.code is not None else 0
     try:
-        config = _load_run_config(args)
-        return _COMMAND_HANDLERS[args.command](config)
+        config = _load_config(args)
+        return _COMMAND_HANDLERS[args.command](config, Path(args.out))
     # ConfigError and numpy's LinAlgError are ValueErrors
     except (ValueError, ConvergenceError, OSError) as exc:
         _log(f"error: {exc}")

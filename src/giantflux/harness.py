@@ -15,13 +15,16 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import inf, isnan, nan, sqrt
+from math import inf, isfinite, isnan, nan, sqrt
 from pathlib import Path
 
 import numpy as np
 
 from .graph_oracle import DEFAULT_CAP, giant_path, simulate_dynamic_graph
-from .theory import DEFAULT_MARGIN, SupercriticalCurves, psi_cov, supercritical_curves, x_cov
+from .theory import (
+    DEFAULT_MARGIN, SupercriticalCurves, psi_cov, require_supercritical, supercritical_curves,
+    x_cov,
+)
 from .walk import GiantPath, giant_results, sample_clocks, sweep
 from .weights import WeightModel, WeightVector, sample_weight_vector
 
@@ -29,12 +32,14 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "ReportRecord",
-    "EXPERIMENT_KINDS",
+    "COMMAND_KINDS",
     "run_fclt",
     "run_oracle_compare",
     "run_endpoint_check",
     "run_convergence_study",
     "run_experiment",
+    "weight_vector_for",
+    "walk_paths",
     "walk_replicates",
     "graph_replicates",
     "write_report_csv",
@@ -42,7 +47,12 @@ __all__ = [
     "write_text_atomic",
 ]
 
-EXPERIMENT_KINDS = ("fclt", "oracle-compare", "convergence-study", "endpoint-check")
+# subcommand -> config kind; the four experiments keep their report names
+COMMAND_KINDS = {
+    "theory": "theory", "walk": "walk", "graph": "graph", "limit": "limit", "fclt": "fclt",
+    "compare": "oracle-compare", "endpoints": "endpoint-check", "converge": "convergence-study",
+}
+_COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 
 # stream tags keeping the RNG streams of the different samplers disjoint
 _TAG_CLOCKS = 1
@@ -55,15 +65,19 @@ def _child_seed(base_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one run of any subcommand (``kind``).
+
+    Building a config validates every field; the CLI passes only the fields
+    a config file sets, so the defaults here are the only ones.
+    """
 
     model: WeightModel
     lambdas: tuple[float, ...]
-    replicates: int
-    seed: int
     kind: str
+    replicates: int = 200
+    seed: int = 0
     n: int | None = None
     n_list: tuple[int, ...] | None = None
     multiplier: float = 3.0
@@ -72,14 +86,51 @@ class ExperimentConfig:
     graph_cap: int = DEFAULT_CAP
     gn_threshold: float = 0.5
     cross_pairs: tuple[tuple[int, int], ...] | None = None
+    draws: int = 1000
 
     def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
+        command = _COMMANDS.get(self.kind)
+        if command is None:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.replicates < 2:
-            raise ValueError(f"need at least 2 replicates, got {self.replicates}")
-        if len(self.lambdas) == 0:
+        grid = self.grid()
+        if grid.size == 0:
             raise ValueError("lambda grid must be non-empty")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("lambda_grid entries must be finite")
+        if np.any(np.diff(grid) <= 0.0):
+            raise ValueError("lambda_grid must be strictly ascending")
+        for a, b in self.cross_pairs or ():
+            if not (0 <= a < grid.size and 0 <= b < grid.size):
+                raise ValueError(f"cross_pairs entry ({a}, {b}) out of grid range")
+        if self.kind == "graph":
+            if np.any(grid < 0.0):
+                raise ValueError("lambda grid entries must be >= 0")
+        else:
+            require_supercritical(self.model, grid, self.margin)
+        needs_n = command in ("walk", "graph", "fclt", "compare", "endpoints")
+        if needs_n and self.n is None:
+            raise ValueError(f"subcommand '{command}' requires config field 'n'")
+        if command == "converge" and not self.n_list:
+            raise ValueError(f"subcommand '{command}' requires config field 'n_list'")
+        if self.replicates < 2:
+            raise ValueError("replicates must be >= 2")
+        for n in self.n_list if command == "converge" else (self.n,) if needs_n else ():
+            if n < 1:
+                raise ValueError(f"n must be >= 1, got {n}")
+        if self.kind in ("graph", "oracle-compare") and self.n > self.graph_cap:
+            raise ValueError(f"n={self.n} exceeds the graph simulation cap {self.graph_cap}")
+        if self.kind == "oracle-compare" and self.model.kind == "empirical":
+            raise ValueError(
+                "oracle comparison uses quantile weights; empirical models not supported"
+            )
+        if self.draws < 1:
+            raise ValueError(f"draws must be >= 1, got {self.draws}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if not (isfinite(self.multiplier) and self.multiplier > 0.0):
+            raise ValueError(
+                f"tolerance_multiplier must be finite and > 0, got {self.multiplier}"
+            )
 
     def grid(self) -> np.ndarray:
         return np.asarray(self.lambdas, dtype=np.float64)
@@ -235,7 +286,7 @@ def graph_replicates(
     return _map_indexed(one, count, threads)
 
 
-def _weight_vector_for(config: ExperimentConfig, n: int) -> WeightVector:
+def weight_vector_for(config: ExperimentConfig, n: int) -> WeightVector:
     """Deterministic weight vector policy.
 
     Constant/discrete models use the quantile vector, which satisfies the
@@ -250,10 +301,20 @@ def _weight_vector_for(config: ExperimentConfig, n: int) -> WeightVector:
     return sample_weight_vector(model, n, "quantile", 0)
 
 
-def _require_n(config: ExperimentConfig) -> int:
-    if config.n is None:
-        raise ValueError(f"experiment kind {config.kind!r} requires a single n")
-    return config.n
+def walk_paths(
+    config: ExperimentConfig, n: int, seed_path: tuple[int, ...] = ()
+) -> tuple[SupercriticalCurves, list[GiantPath]]:
+    """``config.replicates`` walk sweeps at size n, and the curves that centre them.
+
+    The curves are those of the empirical law of the weight vector in use,
+    so each fluctuation is centred on its own finite-n law.
+    """
+    w = weight_vector_for(config, n)
+    curves_n = supercritical_curves(WeightModel.empirical(w.weights), config.grid(), config.margin)
+    paths = walk_replicates(
+        w, curves_n, config.replicates, config.seed, config.threads, seed_path=seed_path
+    )
+    return curves_n, paths
 
 
 def _fluc_matrices(paths: list[GiantPath]) -> tuple[np.ndarray, np.ndarray]:
@@ -275,12 +336,9 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
     """
     if config.kind != "fclt":
         raise ValueError(f"run_fclt needs kind='fclt', got {config.kind!r}")
-    n = _require_n(config)
     grid = config.grid()
-    w = _weight_vector_for(config, n)
-    curves_n = supercritical_curves(WeightModel.empirical(w.weights), grid, config.margin)
     cov = x_cov(supercritical_curves(config.model, grid, config.margin))
-    paths = walk_replicates(w, curves_n, config.replicates, config.seed, config.threads)
+    _, paths = walk_paths(config, config.n)
     fluc_count, fluc_volume = _fluc_matrices(paths)
 
     mult = config.multiplier
@@ -326,14 +384,8 @@ def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
     """
     if config.kind != "oracle-compare":
         raise ValueError(f"run_oracle_compare needs kind='oracle-compare', got {config.kind!r}")
-    n = _require_n(config)
-    if n > config.graph_cap:
-        raise ValueError(f"n={n} exceeds the graph simulation cap {config.graph_cap}")
-    if config.model.kind == "empirical":
-        raise ValueError("oracle comparison uses quantile weights; empirical models not supported")
     grid = config.grid()
-    supercritical_curves(config.model, grid, config.margin)  # validates the grid
-    w = sample_weight_vector(config.model, n, "quantile", 0)
+    w = weight_vector_for(config, config.n)
 
     def walk_one(rep: int):
         r = sample_clocks(w, _child_seed(config.seed, _TAG_CLOCKS, rep))
@@ -376,14 +428,11 @@ def run_endpoint_check(config: ExperimentConfig) -> ExperimentReport:
     """
     if config.kind != "endpoint-check":
         raise ValueError(f"run_endpoint_check needs kind='endpoint-check', got {config.kind!r}")
-    n = _require_n(config)
     grid = config.grid()
-    w = _weight_vector_for(config, n)
-    curves_n = supercritical_curves(WeightModel.empirical(w.weights), grid, config.margin)
     target_curves = supercritical_curves(config.model, grid, config.margin)
-    paths = walk_replicates(w, curves_n, config.replicates, config.seed, config.threads)
+    curves_n, paths = walk_paths(config, config.n)
 
-    sqrt_n = sqrt(n)
+    sqrt_n = sqrt(config.n)
     mult = config.multiplier
     records = []
     for i, lam in enumerate(grid):
@@ -425,17 +474,11 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(
             f"run_convergence_study needs kind='convergence-study', got {config.kind!r}"
         )
-    if not config.n_list:
-        raise ValueError("convergence study requires n_list")
     grid = config.grid()
     cov = x_cov(supercritical_curves(config.model, grid, config.margin))
     records = []
     for n_idx, n in enumerate(config.n_list):
-        w = _weight_vector_for(config, n)
-        curves_n = supercritical_curves(WeightModel.empirical(w.weights), grid, config.margin)
-        paths = walk_replicates(
-            w, curves_n, config.replicates, config.seed, config.threads, seed_path=(n_idx,)
-        )
+        _, paths = walk_paths(config, n, seed_path=(n_idx,))
         fluc_count, fluc_volume = _fluc_matrices(paths)
         for i, lam in enumerate(grid):
             var_c, _ = _var_se(fluc_count[:, i])
@@ -466,6 +509,8 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    if config.kind not in _RUNNERS:
+        raise ValueError(f"kind {config.kind!r} is not an experiment: {', '.join(_RUNNERS)}")
     return _RUNNERS[config.kind](config)
 
 

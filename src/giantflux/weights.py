@@ -31,6 +31,11 @@ __all__ = [
 _PROB_SUM_TOL = 1e-12
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _frozen(values: Sequence[float]) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).copy()
     arr.setflags(write=False)
@@ -91,22 +96,32 @@ class WeightModel:
 
     @classmethod
     def from_config(cls, config: dict) -> "WeightModel":
-        """Parse the JSON wire form used in experiment configs."""
+        """Parse the JSON wire form of experiment configs; a bool or a string is no number."""
         if not isinstance(config, dict) or "type" not in config:
             raise ValueError("weight model config must be an object with a 'type' field")
         kind = config["type"]
         if kind == "constant":
             if "c" not in config:
                 raise ValueError("constant weight model config needs field 'c'")
+            if not _is_number(config["c"]):
+                raise ValueError("constant weight 'c' must be a number")
             return cls.constant(config["c"])
         if kind == "discrete":
             if "atoms" not in config:
                 raise ValueError("discrete weight model config needs field 'atoms'")
-            return cls.discrete([(a[0], a[1]) for a in config["atoms"]])
+            atoms = config["atoms"]
+            if not isinstance(atoms, list) or not all(
+                isinstance(a, list) and len(a) == 2 and all(map(_is_number, a)) for a in atoms
+            ):
+                raise ValueError("discrete model 'atoms' must be a list of [w, p] number pairs")
+            return cls.discrete(atoms)
         if kind == "empirical":
             if "weights" not in config:
                 raise ValueError("empirical weight model config needs field 'weights'")
-            return cls.empirical(config["weights"])
+            weights = config["weights"]
+            if not isinstance(weights, list) or not all(map(_is_number, weights)):
+                raise ValueError("empirical model 'weights' must be a list of numbers")
+            return cls.empirical(weights)
         raise ValueError(f"unknown weight model type {kind!r}")
 
     def to_config(self) -> dict:

@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, file schemas, byte-level determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from giantflux.cli import dispatch
 from giantflux.theory import supercritical_curves, x_cov
@@ -208,11 +214,143 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert f"[giantflux] error: field '{field}" in err and "integer" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("margin", True),
+            ("margin", "0.01"),
+            ("tolerance_multiplier", float("nan")),
+            ("gn_threshold", True),
+            ("gn_threshold", float("inf")),
+            ("lambda_grid", ["2.0"]),
+            ("lambda_grid", [1.5, True]),
+            ("lambda_grid", {"min": "1.5", "max": 2.0, "points": 2}),
+            ("lambda_grid", {"min": 1.5, "max": True, "points": 2}),
+        ],
+    )
+    def test_float_fields_are_strict(self, tmp_path, capsys, field, value):
+        cfg = _write_config(tmp_path, **{field: value})
+        assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"[giantflux] error: field '{field}" in err and "finite number" in err
+
+    @pytest.mark.parametrize("multiplier", [-1, 0])
+    def test_nonpositive_multiplier_is_config_error(self, tmp_path, capsys, multiplier):
+        cfg = _write_config(tmp_path, tolerance_multiplier=multiplier, replicates=5, n=40)
+        out = tmp_path / "x.csv"
+        assert _run("fclt", "--config", str(cfg), "--out", str(out), "--threads", "1") == 2
+        self._assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"type": "discrete", "atoms": [[1.0]]},
+            {"type": "discrete", "atoms": 5},
+            {"type": "discrete", "atoms": [[1.0, True]]},
+            {"type": "constant", "c": True},
+            {"type": "constant", "c": "1.0"},
+            {"type": "empirical", "weights": [1.0, True]},
+            {"type": "empirical", "weights": {"w": 1.0}},
+        ],
+    )
+    def test_malformed_model(self, tmp_path, capsys, model):
+        cfg = _write_config(tmp_path, model=model)
+        assert _run("theory", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        assert "[giantflux] error: field 'model':" in err and "number" in err
+
+    @pytest.mark.parametrize(
+        "argv, env", [(["--threads", "0"], None), (["--threads", "-5"], None), ([], "0")]
+    )
+    def test_nonpositive_threads_rejected(self, tmp_path, monkeypatch, capsys, argv, env):
+        if env is not None:
+            monkeypatch.setenv("GIANTFLUX_THREADS", env)
+        cfg = _write_config(tmp_path, replicates=3)
+        assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *argv) == 2
+        err = capsys.readouterr().err
+        assert "[giantflux] error: threads must be >= 1" in err
+
     def test_integral_float_accepted(self, tmp_path):
         cfg = _write_config(tmp_path, n=40.0, replicates=3.0)
         out = tmp_path / "walk.csv"
         assert _run("walk", "--config", str(cfg), "--out", str(out), "--threads", "1") == 0
         assert len(out.read_text().splitlines()) == 1 + 3 * 2
+
+
+_HALF_HALF = {"type": "discrete", "atoms": [[1.0, 0.5], [2.0, 0.5]]}
+# valid configs at tiny sizes; the fuzz test mutates them
+_FUZZ_BASE = {
+    "theory": {"model": _HALF_HALF, "lambda_grid": {"min": 1.5, "max": 2.5, "points": 3}},
+    "walk": {"model": _HALF_HALF, "lambda_grid": [1.5, 2.0], "n": 20, "replicates": 2},
+    "graph": {"model": {"type": "constant", "c": 1.0}, "lambda_grid": [0.5, 2.0], "n": 20,
+              "replicates": 2},
+    "limit": {"model": _HALF_HALF, "lambda_grid": {"min": 1.5, "max": 2.5, "points": 3},
+              "draws": 2},
+}
+_FIELDS = [
+    "model", "n", "n_list", "lambda_grid", "replicates", "seed", "margin",
+    "tolerance_multiplier", "draws", "graph_cap", "gn_threshold", "cross_pairs", "kind", "bogus",
+]
+_PATHS = (
+    [(f,) for f in _FIELDS]
+    + [("model", k) for k in ("type", "c", "atoms", "weights")]
+    + [("lambda_grid", k) for k in ("min", "max", "points")]
+)
+_DELETE = "<delete>"
+# every integer and float drawn is small, so a mutation never makes a large run
+_SCALARS = st.one_of(
+    st.sampled_from([
+        True, False, None, float("nan"), float("inf"), -float("inf"), "1", "", {},
+        "walk", "oracle-compare", "discrete", "constant", "empirical",
+        {"type": "constant", "c": 1.0}, {"type": "empirical", "weights": [1.0, 2.0]},
+        {"min": 1.5, "max": 2.0, "points": 2},
+    ]),
+    st.integers(-3, 3),
+    st.floats(-3.0, 3.0),
+)
+_VALUES = st.one_of(
+    st.just(_DELETE),
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=2),
+)
+
+
+class TestConfigFuzz:
+    """Mutated configs never end in a traceback: exit 0, or exit 2 with one error line."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(sorted(_FUZZ_BASE)),
+        mutations=st.lists(st.tuples(st.sampled_from(_PATHS), _VALUES), min_size=1, max_size=3),
+    )
+    @example(command="theory", mutations=[(("model", "atoms"), [[1.0]])])
+    def test_mutated_config_exits_cleanly(self, command, mutations):
+        config = json.loads(json.dumps(_FUZZ_BASE[command]))
+        for path, value in mutations:
+            target = config
+            for key in path[:-1]:
+                target = target.get(key) if isinstance(target, dict) else None
+            if not isinstance(target, dict):
+                continue
+            if value == _DELETE:
+                target.pop(path[-1], None)
+            else:
+                target[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = dispatch(
+                    [command, "--config", str(cfg), "--out", str(Path(tmp) / "out.csv"),
+                     "--threads", "1"]
+                )
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("[giantflux] error:")]
+        assert code in (0, 2), (config, err.getvalue())
+        assert len(errors) == (1 if code == 2 else 0), (config, err.getvalue())
 
 
 class TestDeterminism:

@@ -45,6 +45,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="lambda_crit"):
             run_fclt(_config(lambdas=(0.9,)))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(kind="walk", n=None), "subcommand 'walk' requires config field 'n'"),
+            (dict(kind="graph", n=None), "subcommand 'graph' requires config field 'n'"),
+            (dict(kind="graph", n=2001), "n=2001 exceeds the graph simulation cap 2000"),
+            (dict(kind="limit", n=None, draws=0), "draws must be >= 1, got 0"),
+            (
+                dict(kind="convergence-study", n=None),
+                "subcommand 'converge' requires config field 'n_list'",
+            ),
+            (dict(kind="graph", lambdas=(-0.5, 1.0)), "lambda grid entries must be >= 0"),
+            (
+                dict(lambdas=(1.5, 2.0), cross_pairs=((0, 2),)),
+                "cross_pairs entry (0, 2) out of grid range",
+            ),
+        ],
+    )
+    def test_rejects_what_the_cli_rejects(self, overrides, message):
+        """Every check runs when the config is built, with the message the CLI prints."""
+        with pytest.raises(ValueError) as info:
+            _config(**overrides)
+        assert str(info.value) == message
+
 
 class TestFclt:
     def test_record_layout(self):
@@ -227,3 +251,5 @@ class TestReportEmission:
     def test_dispatcher_routes_by_kind(self):
         report = run_experiment(_config(replicates=10))
         assert report.kind == "fclt"
+        with pytest.raises(ValueError, match="not an experiment"):
+            run_experiment(_config(kind="theory"))
