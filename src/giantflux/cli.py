@@ -279,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     descriptions = {
         "theory": "tabulate supercritical curves and limit variances to CSV",
         "walk": "simulate via the breadth-first walk encoding",
-        "graph": "simulate the dynamic graph directly (small n oracle)",
+        "graph": "simulate the dynamic graph directly (sparse oracle, n <= graph_cap)",
         "limit": "sample the limit fluctuation process",
         "fclt": "Monte Carlo check of the fluctuation limit",
         "compare": "two-sample walk vs graph distributional check",

@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"subcommand '{command}' requires config field 'n_list'")
         if self.replicates < 2:
             raise ValueError("replicates must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for n in self.n_list if command == "converge" else (self.n,) if needs_n else ():
             if n < 1:
                 raise ValueError(f"n must be >= 1, got {n}")
@@ -280,7 +282,9 @@ def graph_replicates(
     grid = np.asarray(lambdas, dtype=np.float64)
 
     def one(rep: int):
-        r = simulate_dynamic_graph(w, _child_seed(base_seed, _TAG_GRAPH, rep), cap=cap)
+        r = simulate_dynamic_graph(
+            w, _child_seed(base_seed, _TAG_GRAPH, rep), float(grid[-1]), cap=cap
+        )
         return giant_path(r, grid)
 
     return _map_indexed(one, count, threads)

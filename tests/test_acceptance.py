@@ -215,7 +215,7 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
 
         # union-find conserves counts and volumes at every grid point
         v = sample_weight_vector(HALF_HALF, 80, "quantile", 0)
-        graph = simulate_dynamic_graph(v, 20250809)
+        graph = simulate_dynamic_graph(v, 20250809, lam_max=3.0)
         for lam in (0.0, 1.0, 3.0):
             comps = _components_at(graph, lam)
             assert sum(c for c, _ in comps) == 80

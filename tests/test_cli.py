@@ -175,6 +175,23 @@ class TestErrorContract:
         assert _run("theory", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
         self._assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["theory", "graph"])
+    def test_negative_seed_in_config(self, tmp_path, capsys, command):
+        cfg = _write_config(tmp_path, seed=-1)
+        assert _run(command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
+        assert len(lines) == 1 and "seed" in lines[0], err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        assert _run("graph", "--config", str(cfg), "--out", str(out), "--seed", "-3") == 2
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
+        assert len(lines) == 1 and "seed" in lines[0], err
+        assert not out.exists()
+
     def test_output_directory_missing(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         out = tmp_path / "missing" / "dir" / "x.csv"

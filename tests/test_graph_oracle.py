@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from giantflux.graph_oracle import (
     DynamicGraphRealization,
+    _bernoulli_indices,
     _components_at,
     giant_path,
     simulate_dynamic_graph,
@@ -21,26 +24,63 @@ def _vector(weights):
 
 class TestSimulate:
     def test_single_vertex_no_edges(self):
-        r = simulate_dynamic_graph(_vector([1.5]), 0)
+        r = simulate_dynamic_graph(_vector([1.5]), 0, 3.0)
         assert r.arrivals.size == 0
         snap = giant_path(r, [3.0])[0]
         assert snap.count == 1 and snap.volume == 1.5
 
+    def test_zero_horizon_no_edges(self):
+        r = simulate_dynamic_graph(_vector([1.0, 2.0, 3.0]), 0, 0.0)
+        assert r.arrivals.size == r.edge_i.size == r.edge_j.size == 0
+        snap = giant_path(r, [0.0])[0]
+        assert snap.count == 1 and snap.volume == 3.0
+
     def test_arrivals_sorted(self):
-        r = simulate_dynamic_graph(_vector(np.linspace(0.5, 2.0, 30)), 3)
-        assert r.arrivals.size == 30 * 29 // 2
+        r = simulate_dynamic_graph(_vector(np.linspace(0.5, 2.0, 30)), 3, 40.0)
+        assert 0 < r.arrivals.size < 30 * 29 // 2
         assert np.all(np.diff(r.arrivals) >= 0)
+        assert np.all(r.arrivals > 0.0) and np.all(r.arrivals <= 40.0 / 30)
+        assert np.all(r.edge_i < r.edge_j) and r.edge_i.min() >= 0 and r.edge_j.max() < 30
+
+    def test_huge_horizon_gives_every_pair(self):
+        # q = 1 - exp(-t w_max^2) rounds to 1, and so does every p_ij
+        r = simulate_dynamic_graph(_vector(np.linspace(0.5, 2.0, 30)), 3, 1e6)
+        pairs = sorted(zip(r.edge_i.tolist(), r.edge_j.tolist()))
+        assert pairs == [(i, j) for i in range(30) for j in range(i + 1, 30)]
+        assert np.all(np.diff(r.arrivals) >= 0) and np.all(r.arrivals > 0.0)
+
+    def test_geometric_skipping_spans_batches(self):
+        """Gaps of 1 need many batches and must select every index; gaps
+        beyond int64 must select none instead of wrapping the running sum."""
+
+        class Gaps:
+            def __init__(self, gap):
+                self.gap = gap
+
+            def geometric(self, q, size):
+                return np.full(size, self.gap, dtype=np.int64)
+
+        np.testing.assert_array_equal(_bernoulli_indices(Gaps(1), 1000, 0.01), np.arange(1000))
+        huge = np.iinfo(np.int64).max
+        assert _bernoulli_indices(Gaps(huge), 10**9, 1e-12).size == 0
 
     def test_deterministic(self):
         v = _vector(np.linspace(0.5, 2.0, 20))
-        a = simulate_dynamic_graph(v, 9)
-        b = simulate_dynamic_graph(v, 9)
+        a = simulate_dynamic_graph(v, 9, 10.0)
+        b = simulate_dynamic_graph(v, 9, 10.0)
+        assert a.arrivals.size > 0 and a.lam_max == b.lam_max == 10.0
         np.testing.assert_array_equal(a.arrivals, b.arrivals)
         np.testing.assert_array_equal(a.edge_i, b.edge_i)
+        np.testing.assert_array_equal(a.edge_j, b.edge_j)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
-            simulate_dynamic_graph(_vector(np.ones(11)), 0, cap=10)
+            simulate_dynamic_graph(_vector(np.ones(11)), 0, 1.0, cap=10)
+
+    @pytest.mark.parametrize("lam_max", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_horizon(self, lam_max):
+        with pytest.raises(ValueError, match="lam_max"):
+            simulate_dynamic_graph(_vector(np.ones(3)), 0, lam_max)
 
     def test_edge_probability(self):
         """n=2: the edge is present at lambda iff its Exp(w1 w2) arrival is
@@ -50,11 +90,43 @@ class TestSimulate:
         trials = 10**5
         present = 0
         for seed in range(trials):
-            r = simulate_dynamic_graph(v, seed)
-            present += r.arrivals[0] <= lam / 2
+            r = simulate_dynamic_graph(v, seed, lam)
+            present += r.arrivals.size == 1 and r.arrivals[0] <= lam / 2
         p = 1 - math.exp(-lam / 2)
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(present / trials - p) <= 3 * se
+
+    def test_exact_law_three_vertices(self):
+        """Each pair is present independently with probability
+        1 - exp(-t w_i w_j), t = lam_max / n, and its arrival given presence
+        is Exp(w_i w_j) truncated to (0, t]."""
+        w = (0.5, 1.0, 2.0)
+        lam_max, trials = 3.0, 20_000
+        t = lam_max / 3
+        v = _vector(w)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        present = np.zeros((trials, 3), dtype=bool)
+        arrival = np.zeros((trials, 3))
+        for seed in range(trials):
+            r = simulate_dynamic_graph(v, seed, lam_max)
+            for i, j, a in zip(r.edge_i.tolist(), r.edge_j.tolist(), r.arrivals.tolist()):
+                k = pairs.index((i, j))
+                present[seed, k] = True
+                arrival[seed, k] = a
+
+        def within_3se(freq, p):
+            return abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / trials)
+
+        prob = [-math.expm1(-t * w[i] * w[j]) for i, j in pairs]
+        for k, (i, j) in enumerate(pairs):
+            assert within_3se(present[:, k].mean(), prob[k]), (i, j)
+            rate = w[i] * w[j]
+            mean = 1 / rate - t * math.exp(-rate * t) / prob[k]
+            a = arrival[present[:, k], k]
+            assert abs(a.mean() - mean) <= 3 * a.std(ddof=1) / math.sqrt(a.size), (i, j)
+        for k, l in ((0, 1), (0, 2), (1, 2)):
+            both = (present[:, k] & present[:, l]).mean()
+            assert within_3se(both, prob[k] * prob[l]), (k, l)
 
 
 class TestInjectedArrivals:
@@ -95,29 +167,28 @@ class TestInjectedArrivals:
 
 class TestGiantPath:
     def test_lambda_zero_heaviest_vertex(self):
-        r = simulate_dynamic_graph(_vector([1.0, 4.0, 2.0]), 5)
+        r = simulate_dynamic_graph(_vector([1.0, 4.0, 2.0]), 5, 3.0)
         snap = giant_path(r, [0.0])[0]
         assert snap.count == 1 and snap.volume == 4.0
 
     def test_large_lambda_connects_everything(self):
         w = np.linspace(0.5, 2.5, 40)
-        r = simulate_dynamic_graph(_vector(w), 6)
-        lam = float(r.arrivals[-1] * 40 * 1.01)
-        snap = giant_path(r, [lam])[0]
+        r = simulate_dynamic_graph(_vector(w), 6, 1000.0)
+        snap = giant_path(r, [1000.0])[0]
         assert snap.count == 40
         assert snap.volume == pytest.approx(w.sum(), rel=1e-12)
 
     def test_volume_monotone_along_grid(self):
         rng = np.random.default_rng(30)
         w = rng.uniform(0.5, 3.0, size=80)
-        r = simulate_dynamic_graph(_vector(w), 7)
+        r = simulate_dynamic_graph(_vector(w), 7, 5.0)
         grid = np.linspace(0.0, 5.0, 21)
         snaps = giant_path(r, grid)
         volumes = [s.volume for s in snaps]
         assert all(b >= a for a, b in zip(volumes, volumes[1:]))
 
     def test_count_monotone_for_constant_weights(self):
-        r = simulate_dynamic_graph(_vector(np.ones(60)), 8)
+        r = simulate_dynamic_graph(_vector(np.ones(60)), 8, 4.0)
         snaps = giant_path(r, np.linspace(0.0, 4.0, 17))
         counts = [s.count for s in snaps]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -126,13 +197,99 @@ class TestGiantPath:
         """Component counts and volumes always partition the whole graph."""
         rng = np.random.default_rng(31)
         w = rng.uniform(0.5, 3.0, size=70)
-        r = simulate_dynamic_graph(_vector(w), 9)
+        r = simulate_dynamic_graph(_vector(w), 9, 10.0)
         for lam in (0.0, 0.5, 1.0, 2.0, 10.0):
             comps = _components_at(r, lam)
             assert sum(c for c, _ in comps) == 70
             assert math.fsum(v for _, v in comps) == pytest.approx(w.sum(), rel=1e-9)
 
     def test_rejects_descending_grid(self):
-        r = simulate_dynamic_graph(_vector(np.ones(5)), 10)
+        r = simulate_dynamic_graph(_vector(np.ones(5)), 10, 2.0)
         with pytest.raises(ValueError):
             giant_path(r, [2.0, 1.0])
+
+    def test_rejects_lambda_above_horizon(self):
+        r = simulate_dynamic_graph(_vector(np.ones(5)), 10, 2.0)
+        giant_path(r, [1.0, 2.0])
+        with pytest.raises(ValueError, match="horizon"):
+            giant_path(r, [1.0, 2.5])
+        with pytest.raises(ValueError, match="horizon"):
+            _components_at(r, 2.5)
+        with pytest.raises(ValueError, match="horizon"):
+            giant_path(r, [1.0, math.nan])
+
+
+def _brute_force(r, lam):
+    """(count, volume, smallest vertex) of every component at lam, by label
+    propagation over the edges arriving at or below lam / n."""
+    label = list(range(r.n))
+    edges = [
+        (i, j)
+        for i, j, a in zip(r.edge_i.tolist(), r.edge_j.tolist(), r.arrivals.tolist())
+        if a <= lam / r.n
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    comps = {}
+    for v, root in enumerate(label):
+        count, volume = comps.get(root, (0, 0.0))
+        comps[root] = (count + 1, volume + float(r.weights[v]))
+    return [(count, volume, root) for root, (count, volume) in comps.items()]
+
+
+# dyadic weights sum exactly in any order, so volume ties are real ties
+_DYADIC = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def _sampled_realizations(draw):
+    weights = draw(st.lists(_DYADIC, min_size=1, max_size=12))
+    lam_max = draw(st.floats(0.0, 30.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return simulate_dynamic_graph(_vector(weights), seed, lam_max)
+
+
+@st.composite
+def _injected_realizations(draw):
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=1, max_size=8))
+    n = len(weights)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    arrivals = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]),
+                             min_size=len(pairs), max_size=len(pairs)))
+    edges = [(i, j, a) for (i, j), a in zip(pairs, arrivals)]
+    return DynamicGraphRealization.from_arrivals(weights, edges)
+
+
+class TestIncrementalGiant:
+    """The giant tracked during the union pass equals the brute-force
+    max-volume component, ties to the one holding the smallest vertex."""
+
+    @staticmethod
+    def _check(r, fractions):
+        horizon = r.lam_max if math.isfinite(r.lam_max) else 1.2 * r.n
+        grid = sorted(horizon * f for f in fractions)
+        total = math.fsum(r.weights.tolist())
+        for lam, snap in zip(grid, giant_path(r, grid)):
+            comps = _brute_force(r, lam)
+            count, volume, _ = min(comps, key=lambda c: (-c[1], c[2]))
+            assert (snap.lam, snap.count, snap.volume) == (lam, count, volume)
+            uf_comps = _components_at(r, lam)
+            assert sorted(uf_comps) == sorted((c, v) for c, v, _ in comps)
+            assert sum(c for c, _ in uf_comps) == r.n
+            assert math.fsum(v for _, v in uf_comps) == total
+
+    @settings(database=None, derandomize=True, max_examples=150, deadline=None)
+    @given(_sampled_realizations(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_sampled(self, r, fractions):
+        self._check(r, fractions)
+
+    @settings(database=None, derandomize=True, max_examples=150, deadline=None)
+    @given(_injected_realizations(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_injected_with_ties(self, r, fractions):
+        self._check(r, fractions)

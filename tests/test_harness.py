@@ -1,6 +1,7 @@
 """Experiment harness: determinism, targets from theory, report plumbing."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -61,6 +62,7 @@ class TestConfigValidation:
                 dict(lambdas=(1.5, 2.0), cross_pairs=((0, 2),)),
                 "cross_pairs entry (0, 2) out of grid range",
             ),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
         ],
     )
     def test_rejects_what_the_cli_rejects(self, overrides, message):
@@ -148,6 +150,21 @@ class TestOracleCompare:
         by_stat = {r.stat: r for r in report.records}
         assert by_stat["mean_count"].empirical == by_stat["mean_volume"].empirical
         assert by_stat["mean_count"].target == by_stat["mean_volume"].target
+
+    def test_walk_matches_graph_at_scale(self):
+        """The sparse direct graph runs where the FCLT is tested: n = 10^4."""
+        start = time.perf_counter()
+        report = run_oracle_compare(
+            _config(
+                model=HALF_HALF, kind="oracle-compare", n=10_000, lambdas=(1.5, 2.0, 3.0),
+                replicates=200, seed=20250809, multiplier=3.0, graph_cap=10_000,
+            )
+        )
+        elapsed = time.perf_counter() - start
+        assert len(report.records) == 12
+        for record in report.records:
+            assert abs(record.z) <= 3.0, f"{record.stat} at lambda={record.lam}: z={record.z}"
+        assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
 
     def test_rejects_oversized_n(self):
         with pytest.raises(ValueError, match="cap"):
