@@ -33,6 +33,7 @@ __all__ = [
     "ExperimentReport",
     "ReportRecord",
     "COMMAND_KINDS",
+    "MAX_N",
     "run_fclt",
     "run_oracle_compare",
     "run_endpoint_check",
@@ -53,6 +54,11 @@ COMMAND_KINDS = {
     "compare": "oracle-compare", "endpoints": "endpoint-check", "converge": "convergence-study",
 }
 _COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
+
+# largest vertex count a config may ask for: the walk holds a few float64
+# arrays of length n per replicate, so 10**8 already needs gigabytes, and a
+# larger n would fail inside numpy with a message naming no field
+MAX_N = 10**8
 
 # stream tags keeping the RNG streams of the different samplers disjoint
 _TAG_CLOCKS = 1
@@ -116,9 +122,12 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 2")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        label = "n_list entries" if command == "converge" else "n"
         for n in self.n_list if command == "converge" else (self.n,) if needs_n else ():
             if n < 1:
                 raise ValueError(f"n must be >= 1, got {n}")
+            if n > MAX_N:
+                raise ValueError(f"{label} must be <= MAX_N = {MAX_N}, got {n}")
         if self.kind in ("graph", "oracle-compare") and self.n > self.graph_cap:
             raise ValueError(f"n={self.n} exceeds the graph simulation cap {self.graph_cap}")
         if self.kind == "oracle-compare" and self.model.kind == "empirical":

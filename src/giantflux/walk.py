@@ -16,6 +16,14 @@ per realization serves every lambda; the per-lambda scan is a handful of
 vectorized passes with all crossing times computed in closed form (the slope
 is exactly -1), so there is no time discretization anywhere.
 
+The excursion openings nest in lambda: a clock that opens an excursion at
+lambda' also opens one at every lambda < lambda'.  A grid is therefore
+scanned in ascending order, the smallest lambda over all n clocks and each
+later one only over the openings of the one before (under a slightly looser
+test that covers rounding), so a grid costs O(n) once plus O(earlier
+openings) per further lambda, with every result bit for bit that of a full
+scan.
+
 The giant's exact volume comes from its weight classes: a realization keeps
 each vertex's index into the distinct weights (``atoms``) in clock order, so
 counting the clock window gives the count of every atom present, and the
@@ -153,31 +161,73 @@ def sample_clocks(w: WeightVector, seed: int) -> WalkRealization:
     return _realize(w, rng.standard_exponential(w.n) / w.weights)
 
 
-def _scan(r: WalkRealization, lam: float):
+# Margin of the candidate test that carries a grid's openings to the next,
+# larger lambda: position k stays a candidate when
+#     value_before[k] <= run_min + _NEST_TOL * (1 + t[k]).
+# Claim: a position failing it at lam fails the opening test of _scan at
+# every lam' >= lam.  Write u = 2**-53, tol = _LEVEL_TOL, m for the running
+# minimum before k at lam, attained at i < k, primes for values at lam', and
+# B_j = S_{j-1} - xi_(j)/lam for the exact value that value_before rounds.
+# (1) B_k - B_i = (S_{k-1} - S_{i-1}) - (xi_(k) - xi_(i))/lam does not
+#     decrease in lam, since xi_(k) >= xi_(i).
+# (2) Rounding is monotone and S >= 0, so value_before'[j] >= -t'[j] >= -t[k]
+#     for j < k, and value_before'[0] <= 0: -t[k] <= m' <= 0.  If k opens at
+#     lam', then value_before'[k] <= m' + 1.01 tol (1 + t[k]), and m' is at
+#     most value_before'[i].
+# (3) value_before = fl(S - fl(xi/lam)) is within u xi/lam + u |S - fl(xi/lam)|
+#     of B.  Here S_{i-1} <= t[i] (as m <= 0) and S_{k-1} <= t[k] + 1.02 tol
+#     (1 + t[k]) (by (2), as m' <= 0), so each of the four values (i and k,
+#     at lam and lam') is off by less than 4u (1 + t[k]); the "1 +" also
+#     absorbs the absolute error, below 2**-1074, of a subnormal quotient.
+# (4) Chaining (3), (1), (2), (3): value_before[k] - m < (1.01 tol + 16u)
+#     (1 + t[k]) < 1.02 tol (1 + t[k]), while the float bound
+#     m + fl(2 tol fl(1 + t[k])) is at least m + 1.99 tol (1 + t[k]).
+# So k passes the test at lam, against the assumption.
+_NEST_TOL = 2 * _LEVEL_TOL
+
+
+def _scan(r: WalkRealization, lam: float, positions=None, candidates=False):
     """Decompose the walk at intensity lam into its excursions.
 
-    Returns arrays (g, d, start_idx, end_idx) over all excursions, in time
-    order.  The path value just before jump k is B_k = S_{k-1} - t_k with
-    S the jump-mass prefix and t_k = xi_(k)/lam; a jump opens a new excursion
-    exactly when the preceding descent reached the running infimum, i.e. when
-    B_k <= min(B_1..B_{k-1}) up to the near-tie tolerance.  Each excursion
-    ends where the slope -1 descent from its last jump re-hits its base
-    level, in closed form.
+    Returns (g, d, start_idx, end_idx, candidates): four arrays over all
+    excursions, in time order, then the candidates described below.  The
+    path value just before jump k is B_k = S_{k-1} - t_k with S the jump-mass prefix and
+    t_k = xi_(k)/lam; a jump opens a new excursion exactly when the preceding
+    descent reached the running infimum, i.e. when B_k <= min(B_1..B_{k-1})
+    up to the near-tie tolerance.  Each excursion ends where the slope -1
+    descent from its last jump re-hits its base level, in closed form.
+
+    ``positions`` (ascending clock positions, starting at 0) limits the test
+    to a superset of the openings, such as the candidates of a smaller
+    lambda.  A position outside it does not open, so it never lowered the
+    running minimum, and every result is bit for bit that of the full scan.
+    With ``candidates`` set, the last item holds the positions passing the
+    looser ``_NEST_TOL`` test, which contain the openings at every larger
+    lambda; otherwise it is None.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    t = r.sorted_clocks / lam
-    value_before = r.mass_before - t
+    if positions is None:
+        t = r.sorted_clocks / lam
+        value_before = r.mass_before - t
+    else:
+        t = r.sorted_clocks[positions] / lam
+        value_before = r.mass_before[positions] - t
     prev_min = np.minimum.accumulate(value_before)[:-1]
     opens = np.empty(t.size, dtype=bool)
     opens[0] = True
     opens[1:] = value_before[1:] <= prev_min + _LEVEL_TOL * (1.0 + np.abs(prev_min))
-    starts = np.flatnonzero(opens)
-    ends = np.concatenate((starts[1:] - 1, [t.size - 1]))
-    g = t[starts]
-    t_end = t[ends]
-    d = t_end + ((r.mass_prefix[ends] - t_end) - value_before[starts])
-    return g, d, starts, ends
+    local = np.flatnonzero(opens)
+    starts = local if positions is None else positions[local]
+    near = None
+    if candidates:
+        opens[1:] = value_before[1:] <= prev_min + _NEST_TOL * (1.0 + t[1:])
+        near = np.flatnonzero(opens)
+        if positions is not None:
+            near = positions[near]
+    ends = np.concatenate((starts[1:] - 1, [r.n - 1]))
+    g = t[local]
+    t_end = r.sorted_clocks[ends] / lam
+    d = t_end + ((r.mass_prefix[ends] - t_end) - value_before[local])
+    return g, d, starts, ends, near
 
 
 # Veltkamp's splitter for binary64: x * (2**27 + 1) splits x exactly into a
@@ -260,13 +310,20 @@ def _result(g: float, d: float, lo: int, hi: int, n: int, total_volume: float) -
     )
 
 
-def longest_excursion(r: WalkRealization, lam: float) -> ExcursionResult:
-    """First-longest excursion of the walk at intensity lam.
+def _check_lambdas(lambdas) -> np.ndarray:
+    grid = np.asarray(lambdas, dtype=np.float64)
+    bad = grid[~(np.isfinite(grid) & (grid > 0.0))]
+    if bad.size:
+        raise ValueError(f"lambda must be finite and > 0, got {bad[0]}")
+    return grid
 
-    Lengths within the near-tie tolerance of the maximum count as tied and
-    the earliest wins, so float noise cannot flip a real-arithmetic tie.
+
+def _first_longest(r: WalkRealization, g, d, starts, ends) -> ExcursionResult:
+    """The earliest of the excursions whose length ties the maximum.
+
+    Lengths within the near-tie tolerance of the maximum count as tied, so
+    float noise cannot flip a real-arithmetic tie.
     """
-    g, d, starts, ends = _scan(r, lam)
     lengths = d - g
     top = float(lengths.max())
     idx = int(np.flatnonzero(lengths >= top - _LEVEL_TOL * (1.0 + top))[0])
@@ -275,9 +332,15 @@ def longest_excursion(r: WalkRealization, lam: float) -> ExcursionResult:
     return _result(float(g[idx]), float(d[idx]), lo, hi, r.n, total_volume)
 
 
+def longest_excursion(r: WalkRealization, lam: float) -> ExcursionResult:
+    """First-longest excursion of the walk at intensity lam (the giant)."""
+    return giant_results(r, [lam])[0]
+
+
 def all_excursions(r: WalkRealization, lam: float) -> list[ExcursionResult]:
     """Every excursion at intensity lam, in time order."""
-    g, d, starts, ends = _scan(r, lam)
+    _check_lambdas(lam)
+    g, d, starts, ends, _ = _scan(r, lam)
     volumes = _window_volumes(r, np.append(starts, r.n))
     return [
         _result(gi, di, lo, hi, r.n, v)
@@ -286,8 +349,22 @@ def all_excursions(r: WalkRealization, lam: float) -> list[ExcursionResult]:
 
 
 def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
-    """The giant (first-longest excursion) at each lambda, from the one draw."""
-    return tuple(longest_excursion(r, lam) for lam in np.asarray(lambdas, dtype=np.float64))
+    """The giant (first-longest excursion) at each lambda, from the one draw.
+
+    Results are in the order of ``lambdas``, duplicates included.  The grid
+    is scanned in ascending order: the smallest lambda over every clock, each
+    later one over the candidates its predecessor left (see ``_scan``).
+    """
+    grid = _check_lambdas(lambdas)
+    order = np.argsort(grid, kind="stable").tolist()
+    results: list[ExcursionResult | None] = [None] * len(order)
+    positions = None
+    for step, i in enumerate(order):
+        g, d, starts, ends, positions = _scan(
+            r, grid[i], positions, candidates=step < len(order) - 1
+        )
+        results[i] = _first_longest(r, g, d, starts, ends)
+    return tuple(results)
 
 
 def sweep(r: WalkRealization, lambdas, curves_n: SupercriticalCurves) -> GiantPath:
@@ -318,8 +395,7 @@ def sweep(r: WalkRealization, lambdas, curves_n: SupercriticalCurves) -> GiantPa
 
 def walk_value(r: WalkRealization, lam: float, t: float) -> float:
     """Exact step-function evaluation of H(t) at intensity lam."""
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    _check_lambdas(lam)
     t = float(t)
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from giantflux.cli import dispatch
+from giantflux.harness import MAX_N
 from giantflux.theory import supercritical_curves, x_cov
 from giantflux.weights import WeightModel
 
@@ -190,6 +191,22 @@ class TestErrorContract:
         err = capsys.readouterr().err
         lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
         assert len(lines) == 1 and "seed" in lines[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [
+            ("walk", dict(n=1e30), "n"),
+            ("converge", dict(n=None, n_list=[200, MAX_N + 1]), "n_list"),
+        ],
+    )
+    def test_n_above_bound(self, tmp_path, capsys, command, overrides, field):
+        cfg = _write_config(tmp_path, **overrides)
+        out = tmp_path / "x.csv"
+        assert _run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
+        assert len(lines) == 1 and field in lines[0] and f"{MAX_N}" in lines[0], err
         assert not out.exists()
 
     def test_output_directory_missing(self, tmp_path, capsys):

@@ -63,6 +63,11 @@ class TestConfigValidation:
                 "cross_pairs entry (0, 2) out of grid range",
             ),
             (dict(seed=-1), "seed must be >= 0, got -1"),
+            (dict(n=10**8 + 1), "n must be <= MAX_N = 100000000, got 100000001"),
+            (
+                dict(kind="convergence-study", n=None, n_list=(100, 10**9)),
+                "n_list entries must be <= MAX_N = 100000000, got 1000000000",
+            ),
         ],
     )
     def test_rejects_what_the_cli_rejects(self, overrides, message):

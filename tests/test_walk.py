@@ -1,16 +1,19 @@
 """Breadth-first-walk encoding: excursion scan, coupling, determinism."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _brute_force_longest
 
 from giantflux.theory import supercritical_curves
 from giantflux.walk import (
     WalkRealization,
     all_excursions,
+    giant_results,
     longest_excursion,
     sample_clocks,
     sweep,
@@ -247,3 +250,110 @@ class TestClassVolume:
             lo = int(np.searchsorted(t, e.g))
             window = w[order[lo : lo + e.vertex_count]]
             assert e.total_volume == math.fsum(window.tolist())
+
+
+class TestLambdaValidation:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, lam: giant_results(r, [2.0, lam, 1.0]),
+            longest_excursion,
+            all_excursions,
+            lambda r, lam: walk_value(r, lam, 0.5),
+        ],
+        ids=["giant_results", "longest_excursion", "all_excursions", "walk_value"],
+    )
+    def test_rejects_non_finite_or_non_positive(self, call, lam):
+        r = WalkRealization.from_clocks([1.0, 2.0], [0.3, 0.1])
+        with pytest.raises(ValueError, match="lambda"):
+            call(r, lam)
+
+
+@st.composite
+def _grids(draw):
+    """1-25 lambdas, unsorted, with duplicates and ``nextafter`` neighbours."""
+    pool = []
+    for lam in draw(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=8)):
+        pool.append(lam)
+        for _ in range(draw(st.integers(0, 3))):
+            pool.append(float(np.nextafter(pool[-1], draw(st.sampled_from([0.0, np.inf])))))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+
+
+def _assert_grid_matches_single_scans(r, grid):
+    multi = giant_results(r, grid)
+    singles = [giant_results(r, [lam])[0] for lam in grid]
+    assert [astuple(res) for res in multi] == [astuple(res) for res in singles]
+
+
+class TestNestedGrid:
+    """A grid scanned over nested candidates equals one full scan per lambda."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        sizes=_sizes(),
+        log10_low=st.floats(-6.0, 6.0),
+        log10_span=st.floats(0.0, 12.0),
+        grid=_grids(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_single_lambda_scans(self, sizes, log10_low, log10_span, grid, seed):
+        """Bit for bit, for K = 1..n distinct weights with magnitudes 1e-6..1e6."""
+        n, k = sizes
+        rng = np.random.default_rng(seed)
+        log10_high = min(log10_low + log10_span, 6.0)
+        atoms = 10.0 ** rng.uniform(log10_low, log10_high, size=k)
+        w = atoms[rng.integers(0, k, size=n)]
+        r = WalkRealization.from_clocks(w, rng.standard_exponential(n) / w)
+        _assert_grid_matches_single_scans(r, grid)
+
+    def test_pareto_all_distinct_weights(self):
+        """K = n: quantile weights of a Pareto law with tail exponent 3.5, n = 2e4."""
+        n = 20_000
+        w = (1.0 - (np.arange(n) + 0.5) / n) ** (-1.0 / 2.5)
+        rng = np.random.default_rng(35)
+        r = WalkRealization.from_clocks(w, rng.standard_exponential(n) / w)
+        grid = list(rng.permutation(np.linspace(0.4, 3.0, 20)))
+        grid += [grid[3], float(np.nextafter(grid[5], 0.0)), float(np.nextafter(grid[5], 9.0))]
+        _assert_grid_matches_single_scans(r, grid)
+
+    def test_near_tie_decided_by_tolerance(self):
+        """The second clock lands 1e-12 before the first excursion ends.
+
+        Real arithmetic merges the two jumps into one excursion at lambda = 1;
+        only the near-tie tolerance opens a second one, and it does so at
+        every lambda in the grid.  A smaller lambda's candidates must keep
+        that position although it is not an exact opening there.
+        """
+        r = WalkRealization.from_clocks([1.0, 1.0], [0.2, 0.7 - 1e-12])
+        below, above = np.nextafter(1.0, 0.0) - 1e-13, np.nextafter(1.0, 2.0)
+        assert r.mass_before[1] - r.sorted_clocks[1] / below > -r.sorted_clocks[0] / below
+        for lam in (below, 1.0, above):
+            assert len(all_excursions(r, lam)) == 2
+        assert longest_excursion(r, 1.0).vertex_count == 1
+        _assert_grid_matches_single_scans(r, [above, 1.0, below, 1.0])
+
+
+class TestBruteForce:
+    """``longest_excursion`` and a multi-lambda ``giant_results`` against the
+    dense brute force of acceptance criterion 3."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 12),
+        grid=st.lists(st.floats(0.3, 3.0), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, n, grid, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.3, 3.0, size=n)
+        clocks = rng.standard_exponential(n) / weights
+        r = WalkRealization.from_clocks(weights, clocks)
+        for lam, res in zip(grid, giant_results(r, grid)):
+            g, d, volume, count = _brute_force_longest(weights.tolist(), clocks.tolist(), lam)
+            for e in (res, longest_excursion(r, lam)):
+                assert e.vertex_count == count
+                assert e.total_volume == volume
+                assert abs(e.g - g) <= 1e-10
+                assert abs(e.d - d) <= 1e-10
