@@ -10,13 +10,16 @@ def pairwise_cumsum(values: np.ndarray) -> np.ndarray:
 
     Every output entry is a balanced tree sum of depth <= ceil(log2 n), so the
     accumulated rounding stays near log2(n) ulps instead of the n ulps of a
-    naive running sum.
+    naive running sum.  The passes alternate between two buffers, so no
+    pass allocates.
     """
     out = np.array(values, dtype=np.float64, copy=True)
-    n = out.size
+    spare = np.empty_like(out)
     shift = 1
-    while shift < n:
-        out[shift:] = out[shift:] + out[:-shift]
+    while shift < out.size:
+        np.add(out[shift:], out[:-shift], out=spare[shift:])
+        spare[:shift] = out[:shift]
+        out, spare = spare, out
         shift *= 2
     return out
 

@@ -24,19 +24,19 @@ test that covers rounding), so a grid costs O(n) once plus O(earlier
 openings) per further lambda, with every result bit for bit that of a full
 scan.
 
-The giant's exact volume comes from its weight classes: a realization keeps
-each vertex's index into the distinct weights (``atoms``) in clock order, so
-counting the clock window gives the count of every atom present, and the
-exact real value of sum(count * atom) is rounded once.  That is bit for bit
-the correctly rounded sum of the window's weights, with one exact term per
-class present (at most min(window, K) for K distinct weights) rather than
-one Python float per vertex.
+The giant's exact volume comes from integer limbs: every distinct weight is
+an exact integer multiple of one power of two 2**e0, held as 31-bit int64
+limbs.  Prefix sums of the limbs in clock order are exact, so a window's
+weight sum is an exact Python int from a few differences, rounded once.
+All windows of a grid cost one pass over the span they cover.  The result
+is bit for bit the correctly rounded sum of the window's weights (``fsum``)
+for every finite positive weight law, subnormal weights included, while
+that sum is representable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
@@ -66,9 +66,10 @@ class WalkRealization:
     """One draw of clocks plus everything precomputed for per-lambda scans.
 
     In clock order a vertex is kept only through its weight class:
-    ``atoms[sorted_class[k]]`` is the weight of the k-th clock.  A giant's
-    ``total_volume`` is summed exactly from the class counts of its clock
-    window (``_window_volumes``).  The prefix sums of 1/n in clock order are
+    ``atoms[sorted_class[k]]`` is the weight of the k-th clock, and
+    ``limbs`` (``WeightVector.limbs``) holds the atoms as exact integer
+    limbs, from which a giant's ``total_volume`` is summed exactly
+    (``_window_volumes``).  The prefix sums of 1/n in clock order are
     k/n and stay implicit.
     """
 
@@ -79,6 +80,7 @@ class WalkRealization:
     sorted_class: np.ndarray  # index into atoms of each vertex, clock order
     mass_prefix: np.ndarray   # S_k: pairwise prefix sums of w/n in clock order
     mass_before: np.ndarray   # S_{k-1}, with S_0 = 0
+    limbs: tuple[int, np.ndarray]  # (e0, L x K limb table) of the atoms
 
     @property
     def n(self) -> int:
@@ -120,6 +122,7 @@ def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
         sorted_class=sorted_class,
         mass_prefix=prefix[1:],
         mass_before=prefix[:-1],
+        limbs=v.limbs,
     )
 
 
@@ -230,72 +233,34 @@ def _scan(r: WalkRealization, lam: float, positions=None, candidates=False):
     return g, d, starts, ends, near
 
 
-# Veltkamp's splitter for binary64: x * (2**27 + 1) splits x exactly into a
-# high and a low part of at most 26 significant bits each
-_SPLITTER = 134217729.0
+def _window_volumes(r: WalkRealization, lo: np.ndarray, hi: np.ndarray) -> list[float]:
+    """Correctly rounded weight sum of each clock window [lo[i], hi[i]).
 
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = x * _SPLITTER
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's error-free product: x * y == p + e exactly, p = fl(x * y)."""
-    p = x * y
-    x_hi, x_lo = _split(x)
-    y_hi, y_lo = _split(y)
-    return p, x_lo * y_lo - (((p - x_hi * y_hi) - x_lo * y_hi) - x_hi * y_lo)
-
-
-# counting by ``bincount`` is cheaper than sorting while the bins (windows
-# times classes) are within a few times the clock positions counted; past
-# that, sorting keeps the cost near-linear in the positions whatever K is
-_BINS_PER_POSITION = 8
-
-
-def _window_volumes(r: WalkRealization, bounds: np.ndarray) -> list[float]:
-    """Exact weight sum of each clock window [bounds[i], bounds[i+1]).
-
-    Each window is reduced to the count of every weight class present in
-    it, so it contributes one term per class present, at most min(window, K).
-    A class seen once contributes its atom; for a repeated class the
-    two-product writes count * atom exactly as p + e (e omitted when zero).
-    ``fsum`` rounds the exact total of a window's terms once, so each result
-    is bit for bit the ``fsum`` of the window's weights.  The products are
-    error-free while no atom lies outside about [1e-290, 1e290] (counts are
-    integers below 2**53).
+    Every window is cut at the sorted, distinct window bounds.  Per limb, the
+    limb values of the clocks between two consecutive bounds are summed, and
+    the segment sums' prefix C_l is exact in int64 (n < 2**32).  A window's
+    exact sum is the Python int sum_l (C_l[hi] - C_l[lo]) << 31 l in units
+    of 2**e0, and one correctly rounded int division makes it a float, bit
+    for bit the ``fsum`` of the window's weights (``OverflowError`` past
+    the float range, as ``fsum``).
     """
-    k = r.atoms.size
-    lengths = bounds[1:] - bounds[:-1]
-    m = lengths.size
-    keys = r.sorted_class[bounds[0] : bounds[-1]]
-    if m > 1:
-        # window i counts its classes in bins i*k .. i*k + k - 1
-        keys = keys + np.repeat(np.arange(m) * k, lengths)
-    if m * k <= _BINS_PER_POSITION * keys.size:
-        counts = np.bincount(keys, minlength=m * k)
-        keys = np.flatnonzero(counts > 0)
-        counts = counts[keys]
-    else:
-        keys = np.sort(keys)
-        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        counts = np.diff(np.append(first, keys.size))
-        keys = keys[first]
-    # the distinct keys ascend, so window i's classes are keys[edges[i]:edges[i+1]]
-    edges = np.searchsorted(keys, np.arange(m + 1) * k)
-    terms = r.atoms[keys - np.repeat(np.arange(m) * k, edges[1:] - edges[:-1])]
-    multi = np.flatnonzero(counts > 1)
-    p, e = _two_product(counts[multi].astype(np.float64), terms[multi])
-    terms[multi] = p
-    inexact = e != 0.0
-    e_edges = np.searchsorted(multi[inexact], edges).tolist()
-    edges, terms, errors = edges.tolist(), terms.tolist(), e[inexact].tolist()
-    return [
-        fsum(terms[edges[i] : edges[i + 1]] + errors[e_edges[i] : e_edges[i + 1]])
-        for i in range(m)
-    ]
+    e0, table = r.limbs
+    first = int(lo.min())
+    lo, hi = lo - first, hi - first
+    cut = np.zeros(int(hi.max()) + 1, dtype=bool)
+    cut[lo] = cut[hi] = True
+    bounds = np.flatnonzero(cut)
+    classes = r.sorted_class[first : first + bounds[-1]]
+    prefix = np.zeros((table.shape[0], bounds.size), dtype=np.int64)
+    for limb, values in zip(prefix, table):
+        np.cumsum(np.add.reduceat(values[classes], bounds[:-1]), out=limb[1:])
+    c_hi, c_lo = (prefix[:, np.searchsorted(bounds, ends)] for ends in (hi, lo))
+    rows = (c_hi - c_lo).tolist()
+    sums = rows.pop()
+    for row in reversed(rows):
+        sums = [(s << 31) + x for s, x in zip(sums, row)]
+    unit = 1 << -e0
+    return [s / unit for s in sums]
 
 
 def _result(g: float, d: float, lo: int, hi: int, n: int, total_volume: float) -> ExcursionResult:
@@ -310,16 +275,19 @@ def _result(g: float, d: float, lo: int, hi: int, n: int, total_volume: float) -
     )
 
 
-def _check_lambdas(lambdas) -> np.ndarray:
+def _check_lambdas(r: WalkRealization, lambdas) -> np.ndarray:
     grid = np.asarray(lambdas, dtype=np.float64)
     bad = grid[~(np.isfinite(grid) & (grid > 0.0))]
     if bad.size:
         raise ValueError(f"lambda must be finite and > 0, got {bad[0]}")
+    with np.errstate(over="ignore"):
+        if grid.size and not np.isfinite(r.sorted_clocks[-1] / grid.min()):
+            raise ValueError(f"lambda {grid.min()} too small: xi/lambda overflows")
     return grid
 
 
-def _first_longest(r: WalkRealization, g, d, starts, ends) -> ExcursionResult:
-    """The earliest of the excursions whose length ties the maximum.
+def _first_longest(g, d, starts, ends) -> tuple[float, float, int, int]:
+    """(g, d, first, last clock) of the earliest excursion tying the maximum length.
 
     Lengths within the near-tie tolerance of the maximum count as tied, so
     float noise cannot flip a real-arithmetic tie.
@@ -327,9 +295,7 @@ def _first_longest(r: WalkRealization, g, d, starts, ends) -> ExcursionResult:
     lengths = d - g
     top = float(lengths.max())
     idx = int(np.flatnonzero(lengths >= top - _LEVEL_TOL * (1.0 + top))[0])
-    lo, hi = int(starts[idx]), int(ends[idx])
-    (total_volume,) = _window_volumes(r, np.array([lo, hi + 1]))
-    return _result(float(g[idx]), float(d[idx]), lo, hi, r.n, total_volume)
+    return float(g[idx]), float(d[idx]), int(starts[idx]), int(ends[idx])
 
 
 def longest_excursion(r: WalkRealization, lam: float) -> ExcursionResult:
@@ -339,9 +305,9 @@ def longest_excursion(r: WalkRealization, lam: float) -> ExcursionResult:
 
 def all_excursions(r: WalkRealization, lam: float) -> list[ExcursionResult]:
     """Every excursion at intensity lam, in time order."""
-    _check_lambdas(lam)
+    _check_lambdas(r, lam)
     g, d, starts, ends, _ = _scan(r, lam)
-    volumes = _window_volumes(r, np.append(starts, r.n))
+    volumes = _window_volumes(r, starts, ends + 1)
     return [
         _result(gi, di, lo, hi, r.n, v)
         for gi, di, lo, hi, v in zip(g.tolist(), d.tolist(), starts.tolist(), ends.tolist(), volumes)
@@ -353,18 +319,23 @@ def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
 
     Results are in the order of ``lambdas``, duplicates included.  The grid
     is scanned in ascending order: the smallest lambda over every clock, each
-    later one over the candidates its predecessor left (see ``_scan``).
+    later one over the candidates its predecessor left (see ``_scan``).  The
+    volumes of all the giants' windows then come from one call.
     """
-    grid = _check_lambdas(lambdas)
+    grid = _check_lambdas(r, lambdas)
     order = np.argsort(grid, kind="stable").tolist()
-    results: list[ExcursionResult | None] = [None] * len(order)
+    picks: list = [None] * len(order)
     positions = None
     for step, i in enumerate(order):
         g, d, starts, ends, positions = _scan(
             r, grid[i], positions, candidates=step < len(order) - 1
         )
-        results[i] = _first_longest(r, g, d, starts, ends)
-    return tuple(results)
+        picks[i] = _first_longest(g, d, starts, ends)
+    if not picks:
+        return ()
+    lo, hi = np.array([pick[2:] for pick in picks]).T
+    volumes = _window_volumes(r, lo, hi + 1)
+    return tuple(_result(*pick, r.n, v) for pick, v in zip(picks, volumes))
 
 
 def sweep(r: WalkRealization, lambdas, curves_n: SupercriticalCurves) -> GiantPath:
@@ -395,9 +366,9 @@ def sweep(r: WalkRealization, lambdas, curves_n: SupercriticalCurves) -> GiantPa
 
 def walk_value(r: WalkRealization, lam: float, t: float) -> float:
     """Exact step-function evaluation of H(t) at intensity lam."""
-    _check_lambdas(lam)
+    _check_lambdas(r, lam)
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     pos = int(np.searchsorted(r.sorted_clocks, lam * t, side="right"))
     x1 = float(r.mass_prefix[pos - 1]) if pos > 0 else 0.0

@@ -168,6 +168,33 @@ class WeightVector:
         index.setflags(write=False)
         return atoms, index
 
+    @cached_property
+    def limbs(self) -> tuple[int, np.ndarray]:
+        """Every atom as an exact integer in 31-bit limbs: ``(e0, table)``.
+
+        ``atoms[k] == sum_l int(table[l, k]) << (31 * l)`` times ``2**e0``
+        exactly, with ``e0 <= 0`` the smallest exponent of a lowest set bit
+        among the atoms.  ``table`` is (L, K) int64 with L = ceil(bits / 31)
+        limbs for the atoms' bits in units of ``2**e0``; a sum of up to
+        2**32 limb values still fits in int64.  Computed once per vector.
+        """
+        atoms, _ = self.classes
+        frac, exp = np.frexp(atoms)
+        mant = (frac * 2.0**53).astype(np.uint64)  # 53-bit integers, exactly
+        low = np.frexp((mant & (~mant + np.uint64(1))).astype(np.float64))[1] - 1
+        mant >>= low.astype(np.uint64)
+        exp = exp.astype(np.int64) - 53 + low
+        e0 = min(int(exp.min()), 0)
+        shift = exp - e0
+        bits = int((shift + np.frexp(mant.astype(np.float64))[1]).max())
+        # bit 0 of limb l is bit (31 l - shift) of the mantissa
+        offset = 31 * np.arange(-(-bits // 31))[:, None] - shift
+        right = np.clip(offset, 0, 63).astype(np.uint64)
+        left = np.clip(-offset, 0, 63).astype(np.uint64)
+        table = (((mant >> right) << left) & np.uint64(2**31 - 1)).astype(np.int64)
+        table.setflags(write=False)
+        return e0, table
+
 
 @dataclass(frozen=True)
 class AssumptionDiagnostics:

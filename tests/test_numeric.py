@@ -34,6 +34,17 @@ class TestPairwiseCumsum:
     def test_empty(self):
         assert pairwise_cumsum(np.empty(0)).size == 0
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 1023, 1024, 1025])
+    def test_matches_in_place_doubling(self, n):
+        """The two-buffer passes do the arithmetic of one doubling loop in place."""
+        x = np.random.default_rng(n).uniform(-1.0, 3.0, size=n)
+        ref = x.copy()
+        shift = 1
+        while shift < n:
+            ref[shift:] = ref[shift:] + ref[:-shift]
+            shift *= 2
+        np.testing.assert_array_equal(pairwise_cumsum(x), ref)
+
 
 class TestCholWithJitter:
     def test_zero_matrix(self):

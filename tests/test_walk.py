@@ -1,5 +1,6 @@
 """Breadth-first-walk encoding: excursion scan, coupling, determinism."""
 
+import hashlib
 import math
 from dataclasses import astuple
 
@@ -12,6 +13,7 @@ from test_acceptance import _brute_force_longest
 from giantflux.theory import supercritical_curves
 from giantflux.walk import (
     WalkRealization,
+    _window_volumes,
     all_excursions,
     giant_results,
     longest_excursion,
@@ -269,6 +271,27 @@ class TestLambdaValidation:
         with pytest.raises(ValueError, match="lambda"):
             call(r, lam)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, lam: giant_results(r, [2.0, lam, 1.0]),
+            longest_excursion,
+            all_excursions,
+            lambda r, lam: walk_value(r, lam, 0.5),
+        ],
+        ids=["giant_results", "longest_excursion", "all_excursions", "walk_value"],
+    )
+    def test_rejects_lambda_overflowing_clocks(self, call):
+        """A finite lambda of 1e-310 makes xi/lambda overflow to inf."""
+        r = WalkRealization.from_clocks([1.0, 2.0], [0.3, 0.1])
+        with pytest.raises(ValueError, match="lambda 1e-310 too small: xi/lambda overflows"):
+            call(r, 1e-310)
+
+    def test_walk_value_rejects_nan_time(self):
+        r = WalkRealization.from_clocks([1.0, 2.0], [0.3, 0.1])
+        with pytest.raises(ValueError, match="t must be >= 0, got nan"):
+            walk_value(r, 1.0, math.nan)
+
 
 @st.composite
 def _grids(draw):
@@ -357,3 +380,129 @@ class TestBruteForce:
                 assert e.total_volume == volume
                 assert abs(e.g - g) <= 1e-10
                 assert abs(e.d - d) <= 1e-10
+
+
+def _fsum_windows(r, lo, hi):
+    w = r.atoms[r.sorted_class]
+    return [math.fsum(w[a:b].tolist()) for a, b in zip(lo, hi)]
+
+
+def _random_windows(rng, n, count):
+    lo = rng.integers(0, n, size=count)
+    return lo, lo + 1 + rng.integers(0, n - lo)
+
+
+class TestLimbVolume:
+    """``_window_volumes`` from integer limb prefix sums equals ``fsum`` bit for bit."""
+
+    def test_atoms_spanning_the_float_range(self):
+        rng = np.random.default_rng(50)
+        n = 3000
+        w = 10.0 ** rng.uniform(-300.0, 300.0, size=n)
+        r = WalkRealization.from_clocks(w, rng.standard_exponential(n))
+        assert r.limbs[1].shape == (66, n)
+        lo, hi = _random_windows(rng, n, 300)
+        assert _window_volumes(r, lo, hi) == _fsum_windows(r, lo, hi)
+
+    def test_subnormal_atoms(self):
+        rng = np.random.default_rng(51)
+        n = 2000
+        atoms = np.array([5e-324, 1.5e-323, 3.3e-318, 1e-310, 2.2250738585072014e-308, 1.0])
+        w = atoms[rng.integers(0, atoms.size, size=n)]
+        r = WalkRealization.from_clocks(w, rng.standard_exponential(n))
+        assert r.limbs[0] == -1074
+        lo, hi = _random_windows(rng, n, 300)
+        assert _window_volumes(r, lo, hi) == _fsum_windows(r, lo, hi)
+        only_tiny = WalkRealization.from_clocks(np.full(5, 5e-324), np.arange(1.0, 6.0))
+        lo, hi = np.array([0, 1]), np.array([5, 4])
+        assert _window_volumes(only_tiny, lo, hi) == [2.5e-323, 1.5e-323]
+
+    def test_atoms_sharing_a_power_of_two_above_one(self):
+        rng = np.random.default_rng(54)
+        n = 1000
+        atoms = np.array([2.0**60, 3 * 2.0**70, 2.0**1000])
+        w = atoms[rng.integers(0, atoms.size, size=n)]
+        r = WalkRealization.from_clocks(w, rng.standard_exponential(n))
+        lo, hi = _random_windows(rng, n, 100)
+        assert _window_volumes(r, lo, hi) == _fsum_windows(r, lo, hi)
+
+    def test_window_of_one_vertex(self):
+        rng = np.random.default_rng(52)
+        n = 500
+        w = 10.0 ** rng.uniform(-20.0, 20.0, size=n)
+        r = WalkRealization.from_clocks(w, rng.standard_exponential(n))
+        lo = np.arange(n)
+        assert _window_volumes(r, lo, lo + 1) == r.atoms[r.sorted_class].tolist()
+        single = WalkRealization.from_clocks([0.1], [0.3])
+        assert longest_excursion(single, 2.0).total_volume == 0.1
+
+    def test_overlapping_windows_of_a_grid(self):
+        """The giants of a 20-lambda grid share one call; each equals its own fsum."""
+        rng = np.random.default_rng(53)
+        n = 5000
+        w = rng.lognormal(0.0, 3.0, size=n)
+        r = WalkRealization.from_clocks(w, rng.standard_exponential(n) / w)
+        grid = rng.permutation(np.linspace(0.2, 3.0, 20))
+        results = giant_results(r, grid)
+        t = r.sorted_clocks
+        lo = np.array([np.searchsorted(t / lam, e.g) for lam, e in zip(grid, results)])
+        hi = lo + [e.vertex_count for e in results]
+        assert len(set(zip(lo.tolist(), hi.tolist()))) > 1
+        assert [e.total_volume for e in results] == _fsum_windows(r, lo, hi)
+
+    def test_sum_past_the_float_range_overflows(self):
+        r = WalkRealization.from_clocks([1e308, 1.5e308, 1.0], [0.1, 0.2, 0.3])
+        lo, hi = np.array([0, 2]), np.array([2, 3])
+        with pytest.raises(OverflowError):
+            math.fsum(r.atoms[r.sorted_class][:2].tolist())
+        with pytest.raises(OverflowError):
+            _window_volumes(r, lo, hi)
+
+
+def _giant_digest(v, seed, grid):
+    results = giant_results(sample_clocks(v, seed), grid)
+    rows = tuple((e.g, e.d, e.vertex_count, e.total_volume) for e in results)
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _pareto_vector(n):
+    w = (1.0 - (np.arange(n) + 0.5) / n) ** (-1.0 / 2.5)
+    return WeightVector(n=n, weights=w, provenance="explicit")
+
+
+def _lognormal_vector(n):
+    w = np.random.default_rng(3).lognormal(0.0, 3.0, size=n)
+    return WeightVector(n=n, weights=w, provenance="explicit")
+
+
+class TestGolden:
+    """``giant_results`` bytes on fixed vectors: g, d, count and volume, digested."""
+
+    @pytest.mark.parametrize(
+        "vector, seed, grid, digest",
+        [
+            (
+                lambda: sample_weight_vector(
+                    WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 20_000, "quantile", 0
+                ),
+                2024,
+                (1.5, 3.0),
+                "8f2377f89672802b877762b05eed5fbfff31a6c5c3c4cb3310823440d84dd4fc",
+            ),
+            (
+                lambda: _pareto_vector(5000),
+                2025,
+                (0.4, 3.0),
+                "0c435b017d977d046e2b2663b530ac0a0639c00f746ac32f9a5b15a0e9d01b14",
+            ),
+            (
+                lambda: _lognormal_vector(5000),
+                2026,
+                (0.1, 3.0),
+                "8e46198ae159dbab6acee36caf4e8000d471b34ddb095107acc6cc8292b62849",
+            ),
+        ],
+        ids=["half-half-n2e4", "pareto-k-eq-n", "lognormal-sigma3"],
+    )
+    def test_digest(self, vector, seed, grid, digest):
+        assert _giant_digest(vector(), seed, np.linspace(*grid, 20)) == digest

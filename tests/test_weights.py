@@ -1,6 +1,7 @@
 """Weight models: exact moments, sampling modes, diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,3 +297,24 @@ class TestWeightVector:
         np.testing.assert_array_equal(atoms, [1.0, 2.0])
         np.testing.assert_array_equal(atoms[index], v.weights)
         assert v.classes is v.classes
+
+    @pytest.mark.parametrize(
+        "weights, e0, n_limbs",
+        [
+            ([1.0, 2.0, 1.0], 0, 1),
+            ([0.5, 3.0, 1e-6, 1e6], -72, 3),
+            ([5e-324, 1.0], -1074, 35),
+            ([1e-300, 1e300, 3.7], -1049, 66),
+            ([2.0**100, 3 * 2.0**101], 0, 4),
+        ],
+    )
+    def test_limbs_reproduce_atoms_exactly(self, weights, e0, n_limbs):
+        """Each atom is sum_l table[l, k] << 31 l in units of 2**e0, limbs below 2**31."""
+        v = WeightVector(n=len(weights), weights=np.array(weights), provenance="explicit")
+        got_e0, table = v.limbs
+        assert (got_e0, table.shape[0]) == (e0, n_limbs)
+        assert table.dtype == np.int64 and table.min() >= 0 and table.max() < 2**31
+        for k, atom in enumerate(v.classes[0].tolist()):
+            exact = sum(int(limb) << (31 * l) for l, limb in enumerate(table[:, k]))
+            assert Fraction(exact) * Fraction(2) ** e0 == Fraction(atom)
+        assert v.limbs is v.limbs
