@@ -23,7 +23,6 @@ from .harness import (
 )
 from .limit_sampler import (
     LimitPathSample,
-    er_brownian_path,
     psi_cov_matrix,
     sample_psi_pair,
     sample_x_path,
@@ -44,13 +43,11 @@ from .theory import (
 )
 from .walk import (
     ExcursionResult,
-    GiantPath,
     WalkRealization,
     all_excursions,
     giant_results,
     longest_excursion,
     sample_clocks,
-    sweep,
     walk_value,
 )
 from .weights import (

@@ -13,7 +13,7 @@ boolean or a string is never read as a number.  It then builds one
 default and every range and consistency check.  Data goes only to the output
 files; progress goes to stderr.  Exit codes: 0 success (and all checks passed
 where applicable), 1 a verification check failed, 2 config or validation
-error.
+error, or a run too large to allocate.
 """
 
 from __future__ import annotations
@@ -199,29 +199,26 @@ def _cmd_theory(config: ExperimentConfig, out: Path) -> int:
 
 def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
     _log(f"running {config.replicates} walk replicates at n={config.n}")
-    _, paths = harness.walk_paths(config, config.n)
+    w, stats = harness.replicate_stats(config, config.n, "walk")
+    _, fluc_count, fluc_volume = harness._fluctuations(config, w, stats)
     lines = ["replicate,lambda,g,d,volume,count,flucL,flucV"]
-    for rep, path in enumerate(paths):
-        for i, lam in enumerate(config.lambdas):
-            res = path.results[i]
+    for rep, rows in enumerate(stats.tolist()):
+        for i, (lam, (count, volume, g, d)) in enumerate(zip(config.lambdas, rows)):
             lines.append(
-                f"{rep},{_fmt(lam)},{_fmt(res.g)},{_fmt(res.d)},{_fmt(res.total_volume)},"
-                f"{res.vertex_count},{_fmt(path.fluc_count[i])},{_fmt(path.fluc_volume[i])}"
+                f"{rep},{_fmt(lam)},{_fmt(g)},{_fmt(d)},{_fmt(volume)},"
+                f"{int(count)},{_fmt(fluc_count[rep, i])},{_fmt(fluc_volume[rep, i])}"
             )
     _write_lines(out, lines)
     return 0
 
 
 def _cmd_graph(config: ExperimentConfig, out: Path) -> int:
-    w = harness.weight_vector_for(config, config.n)
     _log(f"running {config.replicates} graph replicates at n={config.n}")
-    paths = harness.graph_replicates(
-        w, config.grid(), config.replicates, config.seed, config.threads, cap=config.graph_cap
-    )
+    _, stats = harness.replicate_stats(config, config.n, "graph")
     lines = ["replicate,lambda,L,V"]
-    for rep, path in enumerate(paths):
-        for snap in path:
-            lines.append(f"{rep},{_fmt(snap.lam)},{snap.count},{_fmt(snap.volume)}")
+    for rep, rows in enumerate(stats.tolist()):
+        for lam, (count, volume) in zip(config.lambdas, rows):
+            lines.append(f"{rep},{_fmt(lam)},{int(count)},{_fmt(volume)}")
     _write_lines(out, lines)
     return 0
 
@@ -311,8 +308,9 @@ def dispatch(argv: list[str]) -> int:
     try:
         config = _load_config(args)
         return _COMMAND_HANDLERS[args.command](config, Path(args.out))
-    # ConfigError and numpy's LinAlgError are ValueErrors
-    except (ValueError, ConvergenceError, OSError) as exc:
+    # ConfigError and numpy's LinAlgError are ValueErrors; numpy raises
+    # MemoryError for an array too large to allocate
+    except (ValueError, ConvergenceError, OSError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 2
 

@@ -1,12 +1,15 @@
 """Monte Carlo experiments that check the simulators against the theory.
 
-Each experiment compares empirical moments of simulated fluctuations with
-targets computed by the theory module (never hardcoded numbers), using
-z-scores at a configurable multiple of the standard error.  Reports are
-deterministic functions of the configuration, including the base seed:
-replicate seeds are derived from (base seed, stream tag, replicate index),
-and aggregation is a reduction in replicate-index order, so threading cannot
-change any result.
+One runner, ``replicate_stats``, serves every experiment and the CLI's
+``walk`` and ``graph``: it runs R replicates of the walk or of the direct
+graph on the config's lambda grid and returns the giant's statistics as one
+(R, m, k) float64 array.  The experiments centre and reduce that array
+themselves, comparing empirical moments with targets computed by the theory
+module (never hardcoded numbers), using z-scores at a configurable multiple
+of the standard error.  Reports are deterministic functions of the
+configuration, including the base seed: replicate seeds are derived from
+(base seed, stream tag, replicate index), and aggregation is a reduction in
+replicate-index order, so threading cannot change any result.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .theory import (
     DEFAULT_MARGIN, SupercriticalCurves, psi_cov, require_supercritical, supercritical_curves,
     x_cov,
 )
-from .walk import GiantPath, giant_results, sample_clocks, sweep
+from .walk import giant_results, sample_clocks
 from .weights import WeightModel, WeightVector, sample_weight_vector
 
 __all__ = [
@@ -40,9 +43,7 @@ __all__ = [
     "run_convergence_study",
     "run_experiment",
     "weight_vector_for",
-    "walk_paths",
-    "walk_replicates",
-    "graph_replicates",
+    "replicate_stats",
     "write_report_csv",
     "write_report_json",
     "write_text_atomic",
@@ -262,43 +263,6 @@ def _map_indexed(fn, count: int, threads: int) -> list:
     return [fn(i) for i in range(count)]
 
 
-def walk_replicates(
-    w: WeightVector,
-    curves_n: SupercriticalCurves,
-    count: int,
-    base_seed: int,
-    threads: int = 1,
-    seed_path: tuple[int, ...] = (),
-) -> list[GiantPath]:
-    """``count`` independent walk sweeps of the same weight vector."""
-
-    def one(rep: int) -> GiantPath:
-        r = sample_clocks(w, _child_seed(base_seed, _TAG_CLOCKS, *seed_path, rep))
-        return sweep(r, curves_n.lambdas, curves_n)
-
-    return _map_indexed(one, count, threads)
-
-
-def graph_replicates(
-    w: WeightVector,
-    lambdas,
-    count: int,
-    base_seed: int,
-    threads: int = 1,
-    cap: int = DEFAULT_CAP,
-) -> list[list]:
-    """``count`` independent direct-graph giant paths of the same vector."""
-    grid = np.asarray(lambdas, dtype=np.float64)
-
-    def one(rep: int):
-        r = simulate_dynamic_graph(
-            w, _child_seed(base_seed, _TAG_GRAPH, rep), float(grid[-1]), cap=cap
-        )
-        return giant_path(r, grid)
-
-    return _map_indexed(one, count, threads)
-
-
 def weight_vector_for(config: ExperimentConfig, n: int) -> WeightVector:
     """Deterministic weight vector policy.
 
@@ -309,31 +273,50 @@ def weight_vector_for(config: ExperimentConfig, n: int) -> WeightVector:
     model = config.model
     if model.kind == "empirical":
         if n == model.source.size:
-            return WeightVector(n=n, weights=model.source, provenance="explicit")
+            return WeightVector(n=n, weights=model.source)
         return sample_weight_vector(model, n, "iid", _child_seed(config.seed, _TAG_WEIGHTS, n))
     return sample_weight_vector(model, n, "quantile", 0)
 
 
-def walk_paths(
-    config: ExperimentConfig, n: int, seed_path: tuple[int, ...] = ()
-) -> tuple[SupercriticalCurves, list[GiantPath]]:
-    """``config.replicates`` walk sweeps at size n, and the curves that centre them.
+def replicate_stats(
+    config: ExperimentConfig, n: int, simulator: str, seed_path: tuple[int, ...] = ()
+) -> tuple[WeightVector, np.ndarray]:
+    """``config.replicates`` runs of one simulator at size n on the config's grid.
 
-    The curves are those of the empirical law of the weight vector in use,
-    so each fluctuation is centred on its own finite-n law.
+    Returns the weight vector and a float64 array of shape (R, m, k): entry
+    [rep, i] holds the giant at lambda_i of replicate rep, as
+    (count, volume, g, d) for ``"walk"`` and (count, volume) for ``"graph"``.
+    Replicate rep draws from ``_child_seed(config.seed, tag, *seed_path, rep)``.
     """
     w = weight_vector_for(config, n)
+    grid = config.grid()
+    if simulator == "walk":
+        def one(rep: int) -> list:
+            r = sample_clocks(w, _child_seed(config.seed, _TAG_CLOCKS, *seed_path, rep))
+            return [(e.vertex_count, e.total_volume, e.g, e.d) for e in giant_results(r, grid)]
+    elif simulator == "graph":
+        def one(rep: int) -> list:
+            seed = _child_seed(config.seed, _TAG_GRAPH, *seed_path, rep)
+            r = simulate_dynamic_graph(w, seed, float(grid[-1]), cap=config.graph_cap)
+            return [(s.count, s.volume) for s in giant_path(r, grid)]
+    else:
+        raise ValueError(f"unknown simulator {simulator!r}; expected 'walk' or 'graph'")
+    return w, np.array(_map_indexed(one, config.replicates, config.threads), dtype=np.float64)
+
+
+def _fluctuations(
+    config: ExperimentConfig, w: WeightVector, stats: np.ndarray
+) -> tuple[SupercriticalCurves, np.ndarray, np.ndarray]:
+    """The curves of w's own law and the (R, m) count and volume fluctuations.
+
+    Each fluctuation is centred on the finite-n law of the vector in use:
+    (L - rho_n n)/sqrt(n) and (V - theta_n n)/sqrt(n).
+    """
     curves_n = supercritical_curves(WeightModel.empirical(w.weights), config.grid(), config.margin)
-    paths = walk_replicates(
-        w, curves_n, config.replicates, config.seed, config.threads, seed_path=seed_path
-    )
-    return curves_n, paths
-
-
-def _fluc_matrices(paths: list[GiantPath]) -> tuple[np.ndarray, np.ndarray]:
-    fluc_count = np.array([p.fluc_count for p in paths])
-    fluc_volume = np.array([p.fluc_volume for p in paths])
-    return fluc_count, fluc_volume
+    sqrt_n = np.sqrt(w.n)
+    fluc_count = (stats[..., 0] - curves_n.rho * w.n) / sqrt_n
+    fluc_volume = (stats[..., 1] - curves_n.theta * w.n) / sqrt_n
+    return curves_n, fluc_count, fluc_volume
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +334,7 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"run_fclt needs kind='fclt', got {config.kind!r}")
     grid = config.grid()
     cov = x_cov(supercritical_curves(config.model, grid, config.margin))
-    _, paths = walk_paths(config, config.n)
-    fluc_count, fluc_volume = _fluc_matrices(paths)
+    _, fluc_count, fluc_volume = _fluctuations(config, *replicate_stats(config, config.n, "walk"))
 
     mult = config.multiplier
     records = []
@@ -398,19 +380,8 @@ def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
     if config.kind != "oracle-compare":
         raise ValueError(f"run_oracle_compare needs kind='oracle-compare', got {config.kind!r}")
     grid = config.grid()
-    w = weight_vector_for(config, config.n)
-
-    def walk_one(rep: int):
-        r = sample_clocks(w, _child_seed(config.seed, _TAG_CLOCKS, rep))
-        return [(res.vertex_count, res.total_volume) for res in giant_results(r, grid)]
-
-    walk_stats = np.array(_map_indexed(walk_one, config.replicates, config.threads))
-    graph_paths = graph_replicates(
-        w, grid, config.replicates, config.seed, config.threads, cap=config.graph_cap
-    )
-    graph_stats = np.array(
-        [[[snap.count, snap.volume] for snap in path] for path in graph_paths]
-    )
+    _, walk_stats = replicate_stats(config, config.n, "walk")
+    _, graph_stats = replicate_stats(config, config.n, "graph")
 
     mult = config.multiplier
     records = []
@@ -443,14 +414,14 @@ def run_endpoint_check(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"run_endpoint_check needs kind='endpoint-check', got {config.kind!r}")
     grid = config.grid()
     target_curves = supercritical_curves(config.model, grid, config.margin)
-    curves_n, paths = walk_paths(config, config.n)
+    w, stats = replicate_stats(config, config.n, "walk")
+    curves_n, _, _ = _fluctuations(config, w, stats)
 
     sqrt_n = sqrt(config.n)
     mult = config.multiplier
     records = []
     for i, lam in enumerate(grid):
-        d = np.array([p.results[i].d for p in paths])
-        g = np.array([p.results[i].g for p in paths])
+        g, d = stats[:, i, 2], stats[:, i, 3]
         x = sqrt_n * (d - curves_n.theta[i])
         time_i = lam * target_curves.theta[i]
         target = psi_cov(config.model, 1, 1, time_i, time_i) / target_curves.beta[i] ** 2
@@ -491,8 +462,8 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
     cov = x_cov(supercritical_curves(config.model, grid, config.margin))
     records = []
     for n_idx, n in enumerate(config.n_list):
-        _, paths = walk_paths(config, n, seed_path=(n_idx,))
-        fluc_count, fluc_volume = _fluc_matrices(paths)
+        stats = replicate_stats(config, n, "walk", seed_path=(n_idx,))
+        _, fluc_count, fluc_volume = _fluctuations(config, *stats)
         for i, lam in enumerate(grid):
             var_c, _ = _var_se(fluc_count[:, i])
             var_v, _ = _var_se(fluc_volume[:, i])

@@ -1,9 +1,8 @@
 """Sampling of the limit Gaussian objects for distribution-level comparison.
 
-Three samplers: the joint kernel pair (order-0 and order-1 weighted empirical
-fluctuations) on a finite time set, the limit fluctuation pair of the giant
-over a lambda grid, and the Brownian time-change representation available in
-the constant-weight-1 case.  All draws are centered Gaussians; reproducibility
+Two samplers: the joint kernel pair (order-0 and order-1 weighted empirical
+fluctuations) on a finite time set, and the limit fluctuation pair of the
+giant over a lambda grid.  All draws are centered Gaussians; reproducibility
 is per seed within this artifact, and checks against them are statistical.
 """
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import chol_with_jitter
-from .theory import SupercriticalCurves, er_closed_forms, psi_kernel, x_cov
+from .theory import SupercriticalCurves, psi_kernel, x_cov
 from .weights import WeightModel
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "psi_cov_matrix",
     "sample_psi_pair",
     "sample_x_path",
-    "er_brownian_path",
 ]
 
 
@@ -30,14 +28,12 @@ __all__ = [
 class LimitPathSample:
     """One draw of the limit fluctuation pair on a lambda grid.
 
-    ``x0`` is the count-fluctuation coordinate, ``x1`` the volume one
-    (``None`` for the Brownian representation, which only covers counts).
+    ``x0`` is the count-fluctuation coordinate, ``x1`` the volume one.
     """
 
     lambdas: np.ndarray
     x0: np.ndarray
-    x1: np.ndarray | None
-    seed: int
+    x1: np.ndarray
 
 
 def psi_cov_matrix(model: WeightModel, times) -> np.ndarray:
@@ -112,39 +108,5 @@ def sample_x_path(curves: SupercriticalCurves, count: int, seed: int) -> list[Li
     x0 = draws[:, 0, :] + cov.coeff[None, :] * draws[:, 1, :]
     x1 = draws[:, 1, :] * cov.inv_beta[None, :]
     return [
-        LimitPathSample(lambdas=curves.lambdas, x0=x0[k], x1=x1[k], seed=seed)
-        for k in range(count)
-    ]
-
-
-def er_brownian_path(lambdas, count: int, seed: int) -> list[LimitPathSample]:
-    """Count-fluctuation draws for constant weight 1 via Brownian time change.
-
-    Samples B(v(lambda)) / u(lambda) with independent Gaussian increments
-    over the increasing times v(lambda); the grid is rejected if the computed
-    v fails to be non-decreasing, since that would falsify the increment
-    scheme.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    grid = np.asarray(lambdas, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("lambda grid must be a non-empty 1-d sequence")
-    forms = [er_closed_forms(lam) for lam in grid]
-    v = np.array([f.v for f in forms])
-    u = np.array([f.u for f in forms])
-    dv = np.diff(np.concatenate(([0.0], v)))
-    if np.any(dv < 0.0):
-        raise ValueError(
-            "Brownian time change requires non-decreasing v(lambda) along the grid"
-        )
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, grid.size))
-    brownian = np.cumsum(np.sqrt(dv)[None, :] * z, axis=1)
-    x0 = brownian / u[None, :]
-    lams = grid.copy()
-    lams.setflags(write=False)
-    return [
-        LimitPathSample(lambdas=lams, x0=x0[k], x1=None, seed=seed)
-        for k in range(count)
+        LimitPathSample(lambdas=curves.lambdas, x0=x0[k], x1=x1[k]) for k in range(count)
     ]

@@ -41,18 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import pairwise_cumsum
-from .theory import SupercriticalCurves
 from .weights import WeightVector
 
 __all__ = [
     "WalkRealization",
     "ExcursionResult",
-    "GiantPath",
     "sample_clocks",
     "longest_excursion",
     "all_excursions",
     "giant_results",
-    "sweep",
     "walk_value",
 ]
 
@@ -73,8 +70,6 @@ class WalkRealization:
     k/n and stay implicit.
     """
 
-    weights: np.ndarray       # original vertex order
-    clocks: np.ndarray        # xi_j, original vertex order
     atoms: np.ndarray         # distinct weights, ascending
     sorted_clocks: np.ndarray
     sorted_class: np.ndarray  # index into atoms of each vertex, clock order
@@ -84,7 +79,7 @@ class WalkRealization:
 
     @property
     def n(self) -> int:
-        return self.weights.size
+        return self.sorted_clocks.size
 
     @property
     def total_mass(self) -> float:
@@ -95,12 +90,11 @@ class WalkRealization:
     def from_clocks(cls, weights, clocks) -> "WalkRealization":
         """Build from explicit clocks (used by tests to inject hand values)."""
         w = np.asarray(weights, dtype=np.float64)
-        v = WeightVector(n=w.size, weights=w, provenance="explicit")
-        return _realize(v, np.array(clocks, dtype=np.float64))
+        return _realize(WeightVector(n=w.size, weights=w), np.array(clocks, dtype=np.float64))
 
 
 def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
-    """The realization of ``v`` with clocks ``xi`` (vertex order); freezes ``xi`` in place."""
+    """The realization of ``v`` with clocks ``xi`` (vertex order)."""
     if xi.shape != v.weights.shape:
         raise ValueError("weights and clocks must be equal-length non-empty 1-d arrays")
     if not np.all(xi > 0.0):
@@ -112,11 +106,9 @@ def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
     prefix = np.empty(v.n + 1)
     prefix[0] = 0.0
     prefix[1:] = pairwise_cumsum(atoms[sorted_class] / v.n)
-    for arr in (xi, sorted_clocks, sorted_class, prefix):
+    for arr in (sorted_clocks, sorted_class, prefix):
         arr.setflags(write=False)
     return WalkRealization(
-        weights=v.weights,
-        clocks=xi,
         atoms=atoms,
         sorted_clocks=sorted_clocks,
         sorted_class=sorted_class,
@@ -130,32 +122,15 @@ def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
 class ExcursionResult:
     """The excursion picked as the giant at one lambda.
 
-    ``volume`` is the scaled volume d - g (the giant volume over n);
-    ``total_volume`` is the correctly rounded weight sum over the clock
-    window and agrees with n * (d - g) up to accumulated rounding.
+    d - g is the scaled volume (the giant volume over n); ``total_volume``
+    is the correctly rounded weight sum over the clock window and agrees
+    with n * (d - g) up to accumulated rounding.
     """
 
     g: float
     d: float
-    volume: float
-    count_fraction: float
     vertex_count: int
     total_volume: float
-
-
-@dataclass(frozen=True)
-class GiantPath:
-    """Per-lambda giant statistics for one realization, coupled by one draw.
-
-    Fluctuations are centered with the curves of the realization's own weight
-    vector: fluc_count = (L - rho_n * n)/sqrt(n), fluc_volume =
-    (V - theta_n * n)/sqrt(n).
-    """
-
-    lambdas: np.ndarray
-    results: tuple[ExcursionResult, ...]
-    fluc_count: np.ndarray
-    fluc_volume: np.ndarray
 
 
 def sample_clocks(w: WeightVector, seed: int) -> WalkRealization:
@@ -263,18 +238,6 @@ def _window_volumes(r: WalkRealization, lo: np.ndarray, hi: np.ndarray) -> list[
     return [s / unit for s in sums]
 
 
-def _result(g: float, d: float, lo: int, hi: int, n: int, total_volume: float) -> ExcursionResult:
-    count = hi - lo + 1
-    return ExcursionResult(
-        g=g,
-        d=d,
-        volume=d - g,
-        count_fraction=count / n,
-        vertex_count=count,
-        total_volume=total_volume,
-    )
-
-
 def _check_lambdas(r: WalkRealization, lambdas) -> np.ndarray:
     grid = np.asarray(lambdas, dtype=np.float64)
     bad = grid[~(np.isfinite(grid) & (grid > 0.0))]
@@ -308,10 +271,8 @@ def all_excursions(r: WalkRealization, lam: float) -> list[ExcursionResult]:
     _check_lambdas(r, lam)
     g, d, starts, ends, _ = _scan(r, lam)
     volumes = _window_volumes(r, starts, ends + 1)
-    return [
-        _result(gi, di, lo, hi, r.n, v)
-        for gi, di, lo, hi, v in zip(g.tolist(), d.tolist(), starts.tolist(), ends.tolist(), volumes)
-    ]
+    counts = (ends - starts + 1).tolist()
+    return [ExcursionResult(*row) for row in zip(g.tolist(), d.tolist(), counts, volumes)]
 
 
 def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
@@ -335,32 +296,8 @@ def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
         return ()
     lo, hi = np.array([pick[2:] for pick in picks]).T
     volumes = _window_volumes(r, lo, hi + 1)
-    return tuple(_result(*pick, r.n, v) for pick, v in zip(picks, volumes))
-
-
-def sweep(r: WalkRealization, lambdas, curves_n: SupercriticalCurves) -> GiantPath:
-    """Giant statistics across a lambda grid from the one realization.
-
-    ``curves_n`` must be the curves of this realization's weight vector on
-    exactly the requested grid; they provide the finite-n centering.
-    """
-    grid = np.asarray(lambdas, dtype=np.float64)
-    if not np.array_equal(grid, curves_n.lambdas):
-        raise ValueError("lambda grid does not match the grid of curves_n")
-    results = giant_results(r, grid)
-    n = r.n
-    sqrt_n = np.sqrt(n)
-    count = np.array([res.vertex_count for res in results], dtype=np.float64)
-    volume = np.array([res.total_volume for res in results])
-    fluc_count = (count - curves_n.rho * n) / sqrt_n
-    fluc_volume = (volume - curves_n.theta * n) / sqrt_n
-    fluc_count.setflags(write=False)
-    fluc_volume.setflags(write=False)
-    return GiantPath(
-        lambdas=curves_n.lambdas,
-        results=results,
-        fluc_count=fluc_count,
-        fluc_volume=fluc_volume,
+    return tuple(
+        ExcursionResult(g, d, hi - lo + 1, v) for (g, d, lo, hi), v in zip(picks, volumes)
     )
 
 

@@ -137,7 +137,7 @@ class WeightModel:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A concrete length-n weight vector together with its provenance.
+    """A concrete length-n weight vector.
 
     ``weights`` is always a read-only float64 array (a writable input is
     copied once), so everything derived from it can be cached.
@@ -145,7 +145,6 @@ class WeightVector:
 
     n: int
     weights: np.ndarray
-    provenance: str
 
     def __post_init__(self) -> None:
         w = self.weights
@@ -274,14 +273,14 @@ def sample_weight_vector(model: WeightModel, n: int, mode: str, seed: int) -> We
     if mode == "quantile":
         if model.kind == "empirical":
             raise ValueError("quantile mode is not defined for empirical models")
-        return WeightVector(n=n, weights=_quantile_vector(model, n), provenance="quantile")
+        return WeightVector(n=n, weights=_quantile_vector(model, n))
     if mode == "iid":
         rng = np.random.default_rng(seed)
         if model.kind == "empirical":
             w = model.source[rng.integers(0, model.source.size, size=n)]
         else:
             w = rng.choice(model.values, size=n, p=model.probs)
-        return WeightVector(n=n, weights=w, provenance=f"iid-sample(seed={seed})")
+        return WeightVector(n=n, weights=w)
     raise ValueError(f"unknown sampling mode {mode!r}; expected 'iid' or 'quantile'")
 
 

@@ -31,7 +31,9 @@ from giantflux.theory import (
     theta,
     x_cov,
 )
-from giantflux.walk import WalkRealization, all_excursions, longest_excursion, sample_clocks, sweep
+from giantflux.walk import (
+    WalkRealization, all_excursions, giant_results, longest_excursion, sample_clocks,
+)
 from giantflux.weights import WeightModel, sample_weight_vector
 
 ER = WeightModel.constant(1.0)
@@ -223,13 +225,11 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
                 float(np.sum(v.weights)), rel=1e-9
             )
 
-        # bit-identical reruns: sweep results and report files
+        # bit-identical reruns: grid giants and report files
         v = sample_weight_vector(HALF_HALF, 400, "quantile", 0)
-        curves = supercritical_curves(WeightModel.empirical(v.weights), [2.0, 3.0])
-        path_a = sweep(sample_clocks(v, 31), [2.0, 3.0], curves)
-        path_b = sweep(sample_clocks(v, 31), [2.0, 3.0], curves)
-        assert path_a.results == path_b.results
-        np.testing.assert_array_equal(path_a.fluc_count, path_b.fluc_count)
+        giants_a = giant_results(sample_clocks(v, 31), [2.0, 3.0])
+        giants_b = giant_results(sample_clocks(v, 31), [2.0, 3.0])
+        assert giants_a == giants_b
 
         config = ExperimentConfig(
             model=HALF_HALF, lambdas=(2.0,), replicates=40, seed=5,

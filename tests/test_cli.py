@@ -215,6 +215,23 @@ class TestErrorContract:
         assert _run("theory", "--config", str(cfg), "--out", str(out)) == 2
         self._assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("theory", dict(lambda_grid={"min": 1.5, "max": 3.0, "points": 10**15})),
+            ("limit", dict(draws=10**15)),
+        ],
+    )
+    def test_array_too_large_to_allocate(self, tmp_path, capsys, command, overrides):
+        """Petabyte arrays: every allocator refuses them before touching memory."""
+        cfg = _write_config(tmp_path, **overrides)
+        out = tmp_path / "x.csv"
+        assert _run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
+        assert len(lines) == 1 and "Unable to allocate" in lines[0], err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "model",
@@ -397,6 +414,11 @@ class TestDeterminism:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize("name", ["walk", "graph", "compare", "endpoints", "converge"])
+    def test_byte_identical_across_workers(self, tmp_path, name):
+        """Every simulator, through every subcommand that runs one: CSV and JSON bytes."""
+        assert _golden_run(tmp_path, name, threads=2) == _golden_run(tmp_path, name, threads=1)
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = _write_config(tmp_path, replicates=10, n=40)
         out_a = tmp_path / "a.csv"
@@ -422,3 +444,72 @@ class TestDeterminism:
         cfg = _write_config(tmp_path)
         assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
         assert "GIANTFLUX_THREADS" in capsys.readouterr().err
+
+
+def _pareto_weights(n):
+    """Quantile weights of a Pareto law with tail exponent 3.5: K = n distinct atoms."""
+    return ((1.0 - (np.arange(n) + 0.5) / n) ** (-1.0 / 2.5)).tolist()
+
+
+# one small fixed config per subcommand, plus a K = n empirical fclt
+_GOLDEN = {
+    "theory": ("theory", {"lambda_grid": {"min": 1.5, "max": 3.0, "points": 5}}),
+    "walk": ("walk", {"lambda_grid": [1.5, 2.0, 3.0], "n": 300, "replicates": 20}),
+    "graph": ("graph", {"lambda_grid": [0.5, 1.5, 3.0], "n": 300, "replicates": 20}),
+    "limit": ("limit", {"lambda_grid": {"min": 1.0, "max": 4.0, "points": 6}, "draws": 30}),
+    "fclt": ("fclt", {"lambda_grid": [1.5, 2.0, 3.0], "n": 500, "replicates": 40}),
+    "fclt-pareto": ("fclt", {"model": {"type": "empirical", "weights": _pareto_weights(400)},
+                             "lambda_grid": [1.0, 2.0], "n": 400, "replicates": 40}),
+    "compare": ("compare", {"lambda_grid": [1.5, 2.0, 3.0], "n": 200, "replicates": 40}),
+    "endpoints": ("endpoints", {"lambda_grid": [2.0, 3.0], "n": 500, "replicates": 40}),
+    "converge": ("converge", {"lambda_grid": [2.0, 3.0], "n_list": [200, 500],
+                              "replicates": 40}),
+}
+
+
+def _golden_run(tmp_path, name, threads=1):
+    """Exit code and the sha256 of the CSV and (for experiments) the JSON of one run."""
+    import hashlib
+
+    command, fields = _GOLDEN[name]
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"model": _HALF_HALF, "seed": 7, **fields}))
+    out = tmp_path / f"{name}-threads{threads}.csv"
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch([command, "--config", str(cfg), "--out", str(out),
+                         "--threads", str(threads)])
+    report = out.with_suffix(".json")
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None
+               for p in (out, report)]
+    return code, *digests
+
+
+# (exit code, sha256 of the CSV, sha256 of the report JSON) of each config above
+_DIGESTS = {
+    "theory": (0, "f20992d6d5199ec566a863e950b395bfb10fd7fb47e773eb790bf61ea274233f", None),
+    "walk": (0, "c82f38c8b42550c6ab3c7b4a75cc188d48460f8fa37bbce86faa7fcf24553cac", None),
+    "graph": (0, "8aef27a83697a759b357af00d0eacec0f5e54a34c1748dcfdbe26a2e0349867f", None),
+    "limit": (0, "ee63f492f947f986130c69cf248ed9eec017cdf44efd5271bb782d9682784263", None),
+    "fclt": (1, "385c87f5615bf4d4012b67f4866204c783091508d8e58ddff5030068996c55ea",
+             "9daaf92e8d049d011d97562ff129d23284b466d5f2986d4c1f71aff44f3ff461"),
+    "fclt-pareto": (1, "10eba3dad7d54e41c945b855fa71cf238bbd4167a0ab779ae718629259b8f8a0",
+                    "1dc5cdb6f7d70f0ed134571b3c02b318493f018141f22aa66178982a8b4c73ed"),
+    "compare": (0, "39981788128764078a6ea9ec4a8931bd06eaa726bd81f8dbbceb7c3f0a2c95f5",
+                "ba2f28c075a31e22dd3ad9dd26f7baa7f4d30ae8ff3dde15dadfd4f64865eaa3"),
+    "endpoints": (0, "c61d36b11b7cd925f65d1c550e0ae29647e12757822fe035a36f842a568582ec",
+                  "3fc9b1db7eca6f7bebd00e3a3ea679fd46f916eb920996eadc5cb7d33c0a508b"),
+    "converge": (0, "5923b27bb52bd1661d0c03a96c4011957fad9b87f9bb96cd596a39b8294c4aea",
+                 "d9a7cb62f846cf34fb7426ba69efa4bc57473a5cfca3e8347979b59c42cbc2aa"),
+}
+
+
+class TestGolden:
+    """CLI output bytes on the fixed configs above, at seed 7 and one worker.
+
+    The exit code is part of the record: at 40 replicates the variance checks
+    of the two ``fclt`` runs fail on chance alone, and they exit 1.
+    """
+
+    @pytest.mark.parametrize("name", list(_DIGESTS))
+    def test_digest(self, tmp_path, name):
+        assert _golden_run(tmp_path, name) == _DIGESTS[name]

@@ -19,7 +19,7 @@ from giantflux.weights import WeightVector
 
 def _vector(weights):
     w = np.asarray(weights, dtype=np.float64)
-    return WeightVector(n=w.size, weights=w, provenance="explicit")
+    return WeightVector(n=w.size, weights=w)
 
 
 class TestSimulate:

@@ -10,6 +10,7 @@ from giantflux import harness
 from giantflux.harness import (
     ExperimentConfig,
     _child_seed,
+    replicate_stats,
     run_convergence_study,
     run_endpoint_check,
     run_experiment,
@@ -193,14 +194,12 @@ class TestEndpointCheck:
 
     def test_excursion_inside_total_mass(self):
         """d always lies in (g, g + total mass] for every replicate."""
-        from giantflux.harness import walk_replicates
-
-        v = sample_weight_vector(HALF_HALF, 500, "quantile", 0)
-        curves = supercritical_curves(WeightModel.empirical(v.weights), [1.5, 3.0])
-        for path in walk_replicates(v, curves, 40, 99, threads=1):
-            total_mass = float(np.sum(v.weights)) / 500
-            for res in path.results:
-                assert res.g < res.d <= res.g + total_mass + 1e-12
+        config = _config(model=HALF_HALF, kind="endpoint-check", n=500, lambdas=(1.5, 3.0))
+        v, stats = replicate_stats(config, 500, "walk")
+        total_mass = float(np.sum(v.weights)) / 500
+        g, d = stats[..., 2], stats[..., 3]
+        assert stats.shape == (40, 2, 4)
+        assert np.all((g < d) & (d <= g + total_mass + 1e-12))
 
 
 class TestConvergenceStudy:

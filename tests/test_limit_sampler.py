@@ -1,4 +1,4 @@
-"""Limit process samplers: kernel pair, fluctuation pair, Brownian form."""
+"""Limit process samplers: kernel pair, fluctuation pair; the Brownian identity."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from giantflux.limit_sampler import (
     _draw_pair,
-    er_brownian_path,
     psi_cov_matrix,
     sample_psi_pair,
     sample_x_path,
@@ -112,24 +111,10 @@ class TestXPath:
 
 
 class TestBrownianRepresentation:
-    def test_single_lambda_variance(self):
-        lam = 2.0
-        forms = er_closed_forms(lam)
-        count = 10**5
-        samples = er_brownian_path([lam], count, seed=10)
-        x0 = np.array([s.x0[0] for s in samples])
-        v, se = _cov_se(x0, x0)
-        assert abs(v - forms.v / forms.u**2) <= 3 * se
-        assert all(s.x1 is None for s in samples[:5])
+    """For constant weight 1 the count fluctuation is B(v(lambda)) / u(lambda).
 
-    def test_two_point_covariance(self):
-        f1, f2 = er_closed_forms(1.5), er_closed_forms(2.0)
-        expected = min(f1.v, f2.v) / (f1.u * f2.u)
-        count = 10**5
-        samples = er_brownian_path([1.5, 2.0], count, seed=11)
-        x = np.array([s.x0 for s in samples])
-        c, se = _cov_se(x[:, 0], x[:, 1])
-        assert abs(c - expected) <= 3 * se
+    No sampler draws it; the closed forms (u, v) carry the identity.
+    """
 
     def test_cross_representation_identity(self):
         """The Brownian two-point covariance equals the kernel-based
@@ -139,18 +124,8 @@ class TestBrownianRepresentation:
         kernel = x_cov(supercritical_curves(ER, [1.5, 2.0])).matrix[0, 2]
         assert abs(brownian - kernel) <= 1e-10
 
-    def test_mean_zero(self):
-        count = 10**5
-        samples = er_brownian_path([1.5, 2.5], count, seed=12)
-        x = np.array([s.x0 for s in samples])
-        for col in x.T:
-            assert abs(col.mean()) <= 3 * col.std(ddof=1) / math.sqrt(count)
-
     def test_rejects_lambda_at_or_below_one(self):
-        with pytest.raises(ValueError):
-            er_brownian_path([1.0, 2.0], 10, seed=13)
-
-    def test_rejects_decreasing_time_change(self):
-        # a descending grid makes v decrease, falsifying the increment scheme
-        with pytest.raises(ValueError, match="non-decreasing"):
-            er_brownian_path([2.0, 1.5], 10, seed=14)
+        """The time change (u, v) exists only in the supercritical regime."""
+        for lam in (1.0, 0.5):
+            with pytest.raises(ValueError, match="lambda > 1"):
+                er_closed_forms(lam)

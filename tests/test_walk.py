@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _brute_force_longest
 
-from giantflux.theory import supercritical_curves
 from giantflux.walk import (
     WalkRealization,
     _window_volumes,
@@ -18,7 +17,6 @@ from giantflux.walk import (
     giant_results,
     longest_excursion,
     sample_clocks,
-    sweep,
     walk_value,
 )
 from giantflux.weights import WeightModel, WeightVector, sample_weight_vector
@@ -62,27 +60,29 @@ class TestHandComputedPaths:
 
 class TestSampleClocks:
     def test_standard_exponential_mean(self):
-        v = WeightVector(n=10**6, weights=np.ones(10**6), provenance="explicit")
+        v = WeightVector(n=10**6, weights=np.ones(10**6))
         r = sample_clocks(v, 17)
         se = 1.0 / math.sqrt(10**6)
-        assert abs(np.mean(r.clocks) - 1.0) <= 3 * se
+        assert abs(np.mean(r.sorted_clocks) - 1.0) <= 3 * se
 
     def test_rate_two_mean(self):
         # mean of an Exp(2) clock is 1/2; check both as a vector and as
         # repeated single-vertex realizations
-        v = WeightVector(n=10**6, weights=np.full(10**6, 2.0), provenance="explicit")
+        v = WeightVector(n=10**6, weights=np.full(10**6, 2.0))
         r = sample_clocks(v, 18)
         se = 0.5 / math.sqrt(10**6)
-        assert abs(np.mean(r.clocks) - 0.5) <= 3 * se
-        single = WeightVector(n=1, weights=np.array([2.0]), provenance="explicit")
-        draws = np.array([sample_clocks(single, 1000 + k).clocks[0] for k in range(1000)])
+        assert abs(np.mean(r.sorted_clocks) - 0.5) <= 3 * se
+        single = WeightVector(n=1, weights=np.array([2.0]))
+        draws = np.array([sample_clocks(single, 1000 + k).sorted_clocks[0] for k in range(1000)])
         assert abs(np.mean(draws) - 0.5) <= 3 * 0.5 / math.sqrt(1000)
 
     def test_deterministic(self):
-        v = WeightVector(n=50, weights=np.linspace(0.5, 2.0, 50), provenance="explicit")
+        """The rerun pairs every clock with the same weight: clocks and their order agree."""
+        v = WeightVector(n=50, weights=np.linspace(0.5, 2.0, 50))
         a = sample_clocks(v, 42)
         b = sample_clocks(v, 42)
-        np.testing.assert_array_equal(a.clocks, b.clocks)
+        np.testing.assert_array_equal(a.sorted_clocks, b.sorted_clocks)
+        np.testing.assert_array_equal(a.atoms[a.sorted_class], b.atoms[b.sorted_class])
         np.testing.assert_array_equal(a.mass_prefix, b.mass_prefix)
 
 
@@ -144,8 +144,6 @@ class TestExcursionStructure:
         r = _random_realization(rng, 1000)
         e = longest_excursion(r, 2.0)
         assert e.total_volume == pytest.approx(r.n * (e.d - e.g), rel=1e-9)
-        assert e.volume == pytest.approx(e.d - e.g, abs=0)
-        assert e.count_fraction == e.vertex_count / r.n
 
 
 class TestWalkValue:
@@ -165,37 +163,30 @@ class TestWalkValue:
         rng = np.random.default_rng(18)
         r = _random_realization(rng, 500)
         lam = 0.9
+        w = r.atoms[r.sorted_class]
         for t in rng.uniform(0.0, 4.0, size=1000):
-            naive = np.sum(r.weights[r.clocks <= lam * t]) / r.n - t
+            naive = np.sum(w[r.sorted_clocks <= lam * t]) / r.n - t
             assert walk_value(r, lam, t) == pytest.approx(naive, abs=1e-12)
 
 
 class TestSweep:
+    """The giants of a whole lambda grid from one realization (``giant_results``)."""
+
     def test_single_point_matches_longest_excursion(self):
         v = sample_weight_vector(WeightModel.constant(1.0), 500, "quantile", 0)
         r = sample_clocks(v, 5)
-        curves = supercritical_curves(WeightModel.empirical(v.weights), [2.0])
-        path = sweep(r, [2.0], curves)
-        direct = longest_excursion(r, 2.0)
-        assert path.results[0] == direct
-
-    def test_grid_mismatch_rejected(self):
-        v = sample_weight_vector(WeightModel.constant(1.0), 100, "quantile", 0)
-        r = sample_clocks(v, 5)
-        curves = supercritical_curves(WeightModel.empirical(v.weights), [2.0])
-        with pytest.raises(ValueError):
-            sweep(r, [2.5], curves)
+        grid = giant_results(r, [1.5, 2.0, 3.0])
+        assert grid[1] == longest_excursion(r, 2.0)
 
     def test_er_law_of_large_numbers(self):
         """Scaled giant volume concentrates near the limiting fraction."""
         n = 10**5
         v = sample_weight_vector(WeightModel.constant(1.0), n, "quantile", 0)
-        curves = supercritical_curves(WeightModel.empirical(v.weights), [2.0])
         rho_target = 0.79681213002002005
         hits = 0
         for k in range(100):
             r = sample_clocks(v, 9000 + k)
-            res = sweep(r, [2.0], curves).results[0]
+            res = giant_results(r, [2.0])[0]
             if abs(res.total_volume / n - rho_target) < 0.02:
                 hits += 1
         assert hits >= 95
@@ -204,19 +195,14 @@ class TestSweep:
         """With unit weights a component's volume is its cardinality."""
         v = sample_weight_vector(WeightModel.constant(1.0), 2000, "quantile", 0)
         r = sample_clocks(v, 21)
-        curves = supercritical_curves(WeightModel.empirical(v.weights), [1.5, 2.0, 3.0])
-        path = sweep(r, [1.5, 2.0, 3.0], curves)
-        for res in path.results:
+        for res in giant_results(r, [1.5, 2.0, 3.0]):
             assert res.total_volume == res.vertex_count
 
     def test_bit_identical_rerun(self):
         v = sample_weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 500, "quantile", 0)
-        curves = supercritical_curves(WeightModel.empirical(v.weights), [2.0, 3.0])
-        a = sweep(sample_clocks(v, 77), [2.0, 3.0], curves)
-        b = sweep(sample_clocks(v, 77), [2.0, 3.0], curves)
-        np.testing.assert_array_equal(a.fluc_count, b.fluc_count)
-        np.testing.assert_array_equal(a.fluc_volume, b.fluc_volume)
-        assert a.results == b.results
+        a = giant_results(sample_clocks(v, 77), [2.0, 3.0])
+        b = giant_results(sample_clocks(v, 77), [2.0, 3.0])
+        assert a == b
 
 
 @st.composite
@@ -467,12 +453,12 @@ def _giant_digest(v, seed, grid):
 
 def _pareto_vector(n):
     w = (1.0 - (np.arange(n) + 0.5) / n) ** (-1.0 / 2.5)
-    return WeightVector(n=n, weights=w, provenance="explicit")
+    return WeightVector(n=n, weights=w)
 
 
 def _lognormal_vector(n):
     w = np.random.default_rng(3).lognormal(0.0, 3.0, size=n)
-    return WeightVector(n=n, weights=w, provenance="explicit")
+    return WeightVector(n=n, weights=w)
 
 
 class TestGolden:

@@ -158,7 +158,6 @@ class TestSampleWeightVector:
     def test_constant_quantile(self):
         v = sample_weight_vector(WeightModel.constant(1.0), 5, "quantile", 0)
         np.testing.assert_array_equal(v.weights, np.ones(5))
-        assert v.provenance == "quantile"
 
     def test_discrete_quantile_midpoints(self):
         v = sample_weight_vector(HALF_HALF, 4, "quantile", 0)
@@ -199,7 +198,7 @@ class TestSampleWeightVector:
 
 class TestDiagnostics:
     def test_constant_boundary_not_warned(self):
-        v = WeightVector(n=100, weights=np.ones(100), provenance="explicit")
+        v = WeightVector(n=100, weights=np.ones(100))
         d = assumption_diagnostics(v)
         assert d.max_weight_sq_over_n == 0.01
         assert d.warning is False  # threshold is strict
@@ -207,12 +206,12 @@ class TestDiagnostics:
     def test_heavy_vertex_warns(self):
         w = np.ones(100)
         w[0] = 10.0
-        d = assumption_diagnostics(WeightVector(n=100, weights=w, provenance="explicit"))
+        d = assumption_diagnostics(WeightVector(n=100, weights=w))
         assert d.max_weight_sq_over_n == 1.0
         assert d.warning is True
 
     def test_second_moment(self):
-        v = WeightVector(n=4, weights=np.array([1.0, 1.0, 2.0, 2.0]), provenance="explicit")
+        v = WeightVector(n=4, weights=np.array([1.0, 1.0, 2.0, 2.0]))
         assert assumption_diagnostics(v).second_moment == pytest.approx(2.5, abs=0)
 
 
@@ -282,11 +281,11 @@ class TestWeightVector:
     def test_rejects_non_finite_weights(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                WeightVector(n=2, weights=np.array([1.0, bad]), provenance="explicit")
+                WeightVector(n=2, weights=np.array([1.0, bad]))
 
     def test_owns_a_read_only_copy(self):
         w = np.array([2.0, 1.0, 2.0])
-        v = WeightVector(n=3, weights=w, provenance="explicit")
+        v = WeightVector(n=3, weights=w)
         w[0] = 5.0
         assert not v.weights.flags.writeable
         np.testing.assert_array_equal(v.weights, [2.0, 1.0, 2.0])
@@ -310,7 +309,7 @@ class TestWeightVector:
     )
     def test_limbs_reproduce_atoms_exactly(self, weights, e0, n_limbs):
         """Each atom is sum_l table[l, k] << 31 l in units of 2**e0, limbs below 2**31."""
-        v = WeightVector(n=len(weights), weights=np.array(weights), provenance="explicit")
+        v = WeightVector(n=len(weights), weights=np.array(weights))
         got_e0, table = v.limbs
         assert (got_e0, table.shape[0]) == (e0, n_limbs)
         assert table.dtype == np.int64 and table.min() >= 0 and table.max() < 2**31
