@@ -22,7 +22,6 @@ from .harness import (
     run_oracle_compare,
 )
 from .limit_sampler import (
-    LimitPathSample,
     psi_cov_matrix,
     sample_psi_pair,
     sample_x_path,

@@ -75,13 +75,6 @@ def _n_list_field(name: str, value) -> tuple[int, ...]:
     return tuple(_int_field(name, x) for x in _list_field(name, value))
 
 
-def _pairs_field(name: str, value) -> tuple[tuple[int, int], ...]:
-    pairs = _list_field(name, value)
-    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-        raise ConfigError(f"field '{name}' entries must be [i, j] pairs")
-    return tuple(tuple(_int_field(name, x) for x in pair) for pair in pairs)
-
-
 def _parse_grid(raw) -> tuple[float, ...]:
     if isinstance(raw, dict):
         for key in ("min", "max", "points"):
@@ -108,14 +101,11 @@ def _optional(convert):
 _FIELDS = {
     "seed": ("seed", _int_field),
     "margin": ("margin", _float_field),
-    "cross_pairs": ("cross_pairs", _optional(_pairs_field)),
     "n": ("n", _optional(_int_field)),
     "n_list": ("n_list", _optional(_n_list_field)),
     "replicates": ("replicates", _int_field),
     "tolerance_multiplier": ("multiplier", _float_field),
     "draws": ("draws", _int_field),
-    "graph_cap": ("graph_cap", _int_field),
-    "gn_threshold": ("gn_threshold", _float_field),
 }
 _KNOWN_FIELDS = {"model", "lambda_grid", "kind", *_FIELDS}
 
@@ -226,11 +216,12 @@ def _cmd_graph(config: ExperimentConfig, out: Path) -> int:
 def _cmd_limit(config: ExperimentConfig, out: Path) -> int:
     curves = supercritical_curves(config.model, config.grid(), config.margin)
     _log(f"sampling {config.draws} limit draws on {len(curves)} grid points")
-    samples = sample_x_path(curves, config.draws, config.seed)
+    x0, x1 = sample_x_path(curves, config.draws, config.seed)
+    lambdas = curves.lambdas.tolist()
     lines = ["draw,lambda,x0,x1"]
-    for k, sample in enumerate(samples):
-        for i, lam in enumerate(sample.lambdas):
-            lines.append(f"{k},{_fmt(lam)},{_fmt(sample.x0[i])},{_fmt(sample.x1[i])}")
+    for k, (row0, row1) in enumerate(zip(x0, x1)):
+        for lam, a, b in zip(lambdas, row0.tolist(), row1.tolist()):
+            lines.append(f"{k},{_fmt(lam)},{_fmt(a)},{_fmt(b)}")
     _write_lines(out, lines)
     return 0
 
@@ -276,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     descriptions = {
         "theory": "tabulate supercritical curves and limit variances to CSV",
         "walk": "simulate via the breadth-first walk encoding",
-        "graph": "simulate the dynamic graph directly (sparse oracle, n <= graph_cap)",
+        "graph": "simulate the dynamic graph directly (sparse oracle, <= 1e8 expected candidates)",
         "limit": "sample the limit fluctuation process",
         "fclt": "Monte Carlo check of the fluctuation limit",
         "compare": "two-sample walk vs graph distributional check",

@@ -26,13 +26,10 @@ from .weights import WeightVector
 __all__ = [
     "DynamicGraphRealization",
     "GiantSnapshot",
-    "DEFAULT_CAP",
+    "candidate_probability",
     "simulate_dynamic_graph",
     "giant_path",
 ]
-
-DEFAULT_CAP = 2000
-
 
 @dataclass(frozen=True)
 class DynamicGraphRealization:
@@ -121,21 +118,24 @@ def _bernoulli_indices(rng: np.random.Generator, size: int, q: float) -> np.ndar
         last = int(idx[-1])
 
 
-def simulate_dynamic_graph(
-    w: WeightVector, seed: int, lam_max: float, cap: int = DEFAULT_CAP
-) -> DynamicGraphRealization:
+def candidate_probability(n: int, lam_max: float, w_max: float) -> float:
+    """q = 1 - exp(-(lam_max / n) w_max^2): the chance that a pair whose
+    weights are at most w_max arrives by lam_max / n, so q n (n - 1) / 2 is
+    the sampler's expected candidate count."""
+    return -expm1(-(lam_max / n) * w_max**2)
+
+
+def simulate_dynamic_graph(w: WeightVector, seed: int, lam_max: float) -> DynamicGraphRealization:
     """Sample every edge arrival at or below ``lam_max / n``.
 
     On [0, lam_max] the result has exactly the law of the full graph process.
     """
     n = w.n
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the direct-graph simulation cap {cap}")
     if not (isfinite(lam_max) and lam_max >= 0.0):
         raise ValueError(f"lam_max must be finite and >= 0, got {lam_max}")
     weights = w.weights
     t = lam_max / n
-    q = -expm1(-t * float(weights.max()) ** 2)
+    q = candidate_probability(n, lam_max, float(weights.max()))
     rng = np.random.default_rng(seed)
     if q == 0.0:  # Geometric(0) is undefined; no pair can arrive by t
         empty = np.empty(0, dtype=np.int64)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph_oracle import DEFAULT_CAP, giant_path, simulate_dynamic_graph
+from .graph_oracle import candidate_probability, giant_path, simulate_dynamic_graph
 from .theory import (
     DEFAULT_MARGIN, SupercriticalCurves, psi_cov, require_supercritical, supercritical_curves,
     x_cov,
@@ -56,10 +56,16 @@ COMMAND_KINDS = {
 }
 _COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 
-# largest vertex count a config may ask for: the walk holds a few float64
-# arrays of length n per replicate, so 10**8 already needs gigabytes, and a
-# larger n would fail inside numpy with a message naming no field
+# largest vertex count a config may ask for, and largest expected candidate
+# count of one direct-graph replicate: the walk holds a few float64 arrays of
+# length n per replicate and the graph a few of length candidates, so 10**8
+# already needs gigabytes, and more would fail inside numpy with a message
+# naming no field
 MAX_N = 10**8
+
+# endpoint-check bound on the 95th percentile of sqrt(n) * g, a heuristic:
+# the left edge has no limiting scale
+GN_THRESHOLD = 0.5
 
 # stream tags keeping the RNG streams of the different samplers disjoint
 _TAG_CLOCKS = 1
@@ -90,9 +96,6 @@ class ExperimentConfig:
     multiplier: float = 3.0
     margin: float = DEFAULT_MARGIN
     threads: int = 1
-    graph_cap: int = DEFAULT_CAP
-    gn_threshold: float = 0.5
-    cross_pairs: tuple[tuple[int, int], ...] | None = None
     draws: int = 1000
 
     def __post_init__(self) -> None:
@@ -106,9 +109,6 @@ class ExperimentConfig:
             raise ValueError("lambda_grid entries must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("lambda_grid must be strictly ascending")
-        for a, b in self.cross_pairs or ():
-            if not (0 <= a < grid.size and 0 <= b < grid.size):
-                raise ValueError(f"cross_pairs entry ({a}, {b}) out of grid range")
         if self.kind == "graph":
             if np.any(grid < 0.0):
                 raise ValueError("lambda grid entries must be >= 0")
@@ -129,12 +129,15 @@ class ExperimentConfig:
                 raise ValueError(f"n must be >= 1, got {n}")
             if n > MAX_N:
                 raise ValueError(f"{label} must be <= MAX_N = {MAX_N}, got {n}")
-        if self.kind in ("graph", "oracle-compare") and self.n > self.graph_cap:
-            raise ValueError(f"n={self.n} exceeds the graph simulation cap {self.graph_cap}")
-        if self.kind == "oracle-compare" and self.model.kind == "empirical":
-            raise ValueError(
-                "oracle comparison uses quantile weights; empirical models not supported"
-            )
+        if command in ("graph", "compare"):
+            # model.values[-1] bounds every weight weight_vector_for can produce
+            q = candidate_probability(self.n, float(grid[-1]), float(self.model.values[-1]))
+            candidates = q * (self.n * (self.n - 1) / 2)
+            if candidates > MAX_N:
+                raise ValueError(
+                    f"n={self.n} and lambda_grid up to {grid[-1]:g} expect {candidates:.3g} "
+                    f"graph candidates per replicate, more than MAX_N = {MAX_N}"
+                )
         if self.draws < 1:
             raise ValueError(f"draws must be >= 1, got {self.draws}")
         if self.threads < 1:
@@ -158,7 +161,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "multiplier": self.multiplier,
             "margin": self.margin,
-            "gn_threshold": self.gn_threshold,
+            "gn_threshold": GN_THRESHOLD,
         }
 
 
@@ -297,7 +300,7 @@ def replicate_stats(
     elif simulator == "graph":
         def one(rep: int) -> list:
             seed = _child_seed(config.seed, _TAG_GRAPH, *seed_path, rep)
-            r = simulate_dynamic_graph(w, seed, float(grid[-1]), cap=config.graph_cap)
+            r = simulate_dynamic_graph(w, seed, float(grid[-1]))
             return [(s.count, s.volume) for s in giant_path(r, grid)]
     else:
         raise ValueError(f"unknown simulator {simulator!r}; expected 'walk' or 'graph'")
@@ -327,8 +330,8 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
 
     R walk replicates at size n; per lambda the empirical mean (target 0),
     the two variances and the cross covariance are compared against the
-    kernel-derived limit covariance; designated lambda pairs (consecutive by
-    default) check the cross-lambda covariance of the coupled path.
+    kernel-derived limit covariance; each consecutive lambda pair checks the
+    cross-lambda covariance of the coupled path.
     """
     if config.kind != "fclt":
         raise ValueError(f"run_fclt needs kind='fclt', got {config.kind!r}")
@@ -344,28 +347,23 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
         mean_v, se = _mean_se(fluc_volume[:, i])
         records.append(_record(lam, "mean_fluc_volume", mean_v, 0.0, se, mult))
         var_c, se = _var_se(fluc_count[:, i])
-        records.append(_record(lam, "var_fluc_count", var_c, cov.matrix[2 * i, 2 * i], se, mult))
+        records.append(_record(lam, "var_fluc_count", var_c, cov.var_count[i], se, mult))
         var_v, se = _var_se(fluc_volume[:, i])
-        records.append(
-            _record(lam, "var_fluc_volume", var_v, cov.matrix[2 * i + 1, 2 * i + 1], se, mult)
-        )
+        records.append(_record(lam, "var_fluc_volume", var_v, cov.var_volume[i], se, mult))
         cov_cv, se = _cov_se(fluc_count[:, i], fluc_volume[:, i])
         records.append(
-            _record(lam, "cov_fluc_count_volume", cov_cv, cov.matrix[2 * i, 2 * i + 1], se, mult)
+            _record(lam, "cov_fluc_count_volume", cov_cv, cov.cov_count_volume[i], se, mult)
         )
-    pairs = config.cross_pairs
-    if pairs is None:
-        pairs = tuple((i, i + 1) for i in range(grid.size - 1))
-    for i, j in pairs:
+    for i in range(grid.size - 1):
+        j = i + 1
+        (count_ij, _), (_, volume_ij) = cov.block(i, j)
         c, se = _cov_se(fluc_count[:, i], fluc_count[:, j])
         records.append(
-            _record(grid[i], f"crosscov_count@lambda={grid[j]:g}", c,
-                    cov.matrix[2 * i, 2 * j], se, mult)
+            _record(grid[i], f"crosscov_count@lambda={grid[j]:g}", c, count_ij, se, mult)
         )
         c, se = _cov_se(fluc_volume[:, i], fluc_volume[:, j])
         records.append(
-            _record(grid[i], f"crosscov_volume@lambda={grid[j]:g}", c,
-                    cov.matrix[2 * i + 1, 2 * j + 1], se, mult)
+            _record(grid[i], f"crosscov_volume@lambda={grid[j]:g}", c, volume_ij, se, mult)
         )
     return ExperimentReport(kind=config.kind, meta=config.meta(), records=tuple(records))
 
@@ -373,9 +371,9 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
 def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
     """Two-sample comparison of (count, volume) between the two simulators.
 
-    The same quantile weight vector feeds both, with independent seeds; the
-    encoded walk and the direct graph must agree in law, so every mean and
-    variance z-score localizes a bug when it blows up.
+    The same weight vector from ``weight_vector_for`` feeds both, with
+    independent seeds; the encoded walk and the direct graph must agree in
+    law, so every mean and variance z-score localizes a bug when it blows up.
     """
     if config.kind != "oracle-compare":
         raise ValueError(f"run_oracle_compare needs kind='oracle-compare', got {config.kind!r}")
@@ -441,8 +439,7 @@ def run_endpoint_check(config: ExperimentConfig) -> ExperimentReport:
         records.append(
             ReportRecord(
                 lam=float(lam), stat="gn_p95", empirical=p95,
-                target=config.gn_threshold, se=nan, z=nan,
-                passed=bool(p95 < config.gn_threshold),
+                target=GN_THRESHOLD, se=nan, z=nan, passed=bool(p95 < GN_THRESHOLD),
             )
         )
     return ExperimentReport(kind=config.kind, meta=config.meta(), records=tuple(records))
@@ -470,14 +467,14 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
             records.append(
                 ReportRecord(
                     lam=float(lam), stat=f"abs_var_err_count[n={n}]",
-                    empirical=abs(var_c - cov.matrix[2 * i, 2 * i]),
+                    empirical=abs(var_c - cov.var_count[i]),
                     target=0.0, se=nan, z=nan, passed=None,
                 )
             )
             records.append(
                 ReportRecord(
                     lam=float(lam), stat=f"abs_var_err_volume[n={n}]",
-                    empirical=abs(var_v - cov.matrix[2 * i + 1, 2 * i + 1]),
+                    empirical=abs(var_v - cov.var_volume[i]),
                     target=0.0, se=nan, z=nan, passed=None,
                 )
             )

@@ -8,8 +8,6 @@ is per seed within this artifact, and checks against them are statistical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._numeric import chol_with_jitter
@@ -17,23 +15,10 @@ from .theory import SupercriticalCurves, psi_kernel, x_cov
 from .weights import WeightModel
 
 __all__ = [
-    "LimitPathSample",
     "psi_cov_matrix",
     "sample_psi_pair",
     "sample_x_path",
 ]
-
-
-@dataclass(frozen=True)
-class LimitPathSample:
-    """One draw of the limit fluctuation pair on a lambda grid.
-
-    ``x0`` is the count-fluctuation coordinate, ``x1`` the volume one.
-    """
-
-    lambdas: np.ndarray
-    x0: np.ndarray
-    x1: np.ndarray
 
 
 def psi_cov_matrix(model: WeightModel, times) -> np.ndarray:
@@ -93,11 +78,15 @@ def sample_psi_pair(model: WeightModel, times, count: int, seed: int) -> np.ndar
     return _draw_pair(psi_cov_matrix(model, times), count, seed)
 
 
-def sample_x_path(curves: SupercriticalCurves, count: int, seed: int) -> list[LimitPathSample]:
-    """Joint draws of the limit fluctuation pair over the curve grid.
+def sample_x_path(
+    curves: SupercriticalCurves, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` joint draws of the limit fluctuation pair over the curve grid.
 
-    The kernel pair is evaluated at the times lambda_i * theta_i (an
-    arbitrary finite set, no monotonicity assumed; equal times get one
+    Returns ``(x0, x1)``, each of shape (count, m): ``x0[k, i]`` is the
+    count-fluctuation coordinate of draw k at lambda_i, ``x1[k, i]`` the
+    volume one.  The kernel pair is evaluated at the times lambda_i * theta_i
+    (an arbitrary finite set, no monotonicity assumed; equal times get one
     shared draw) and assembled with the coefficient table of the limit
     covariance.
     """
@@ -107,6 +96,4 @@ def sample_x_path(curves: SupercriticalCurves, count: int, seed: int) -> list[Li
     draws = _draw_pair(psi_cov_matrix(curves.model, curves.lambdas * curves.theta), count, seed)
     x0 = draws[:, 0, :] + cov.coeff[None, :] * draws[:, 1, :]
     x1 = draws[:, 1, :] * cov.inv_beta[None, :]
-    return [
-        LimitPathSample(lambdas=curves.lambdas, x0=x0[k], x1=x1[k]) for k in range(count)
-    ]
+    return x0, x1

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from giantflux import cli, harness
 from giantflux.cli import dispatch
 from giantflux.harness import MAX_N
-from giantflux.theory import supercritical_curves, x_cov
+from giantflux.theory import lambda_crit, supercritical_curves, x_cov
 from giantflux.weights import WeightModel
 
 
@@ -254,8 +256,8 @@ class TestErrorContract:
             ("n_list", [100, 200.5]),
             ("draws", False),
             ("seed", 1.5),
-            ("graph_cap", "2000"),
-            ("cross_pairs", [[0, 1.5]]),
+            ("replicates", None),
+            ("draws", "2"),
             ("lambda_grid", {"min": 1.5, "max": 2.0, "points": 2.5}),
         ],
     )
@@ -271,8 +273,8 @@ class TestErrorContract:
             ("margin", True),
             ("margin", "0.01"),
             ("tolerance_multiplier", float("nan")),
-            ("gn_threshold", True),
-            ("gn_threshold", float("inf")),
+            ("tolerance_multiplier", True),
+            ("margin", float("inf")),
             ("lambda_grid", ["2.0"]),
             ("lambda_grid", [1.5, True]),
             ("lambda_grid", {"min": "1.5", "max": 2.0, "points": 2}),
@@ -284,6 +286,36 @@ class TestErrorContract:
         assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
         err = capsys.readouterr().err
         assert f"[giantflux] error: field '{field}" in err and "finite number" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("graph_cap", 2000), ("gn_threshold", 0.5), ("cross_pairs", [[0, 1]])]
+    )
+    def test_removed_fields_are_unknown(self, tmp_path, capsys, field, value):
+        cfg = _write_config(tmp_path, **{field: value})
+        out = tmp_path / "x.csv"
+        assert _run("walk", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"[giantflux] error: unknown config field(s): {field}" in err
+        assert not out.exists()
+
+    def test_graph_candidate_bound(self, tmp_path, capsys, monkeypatch):
+        """A heavy-tailed vector at n = 1e5 and 4 lambda_crit expects about
+        6.9e8 graph candidates per replicate: one error line, before any
+        replicate runs and without an output file."""
+        weights = _pareto_weights(10**5)
+        lam = 4.0 * lambda_crit(WeightModel.empirical(np.array(weights)))
+        cfg = _write_config(
+            tmp_path, model={"type": "empirical", "weights": weights},
+            lambda_grid=[lam], n=10**5, replicates=2,
+        )
+        # a replicate would call None and escape dispatch with a TypeError
+        monkeypatch.setattr(harness, "replicate_stats", None)
+        out = tmp_path / "x.csv"
+        assert _run("compare", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[giantflux] error: n=100000 and lambda_grid" in err
+        assert "expect 6.93e+08 graph candidates" in err
+        assert not out.exists() and not out.with_suffix(".json").exists()
 
     @pytest.mark.parametrize("multiplier", [-1, 0])
     def test_nonpositive_multiplier_is_config_error(self, tmp_path, capsys, multiplier):
@@ -513,3 +545,14 @@ class TestGolden:
     @pytest.mark.parametrize("name", list(_DIGESTS))
     def test_digest(self, tmp_path, name):
         assert _golden_run(tmp_path, name) == _DIGESTS[name]
+
+
+def test_readme_documents_every_config_field():
+    """The bullets and the table of README's "Config format" name exactly the
+    fields a config file may set."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config format\n", 1)[1].split("\n### ", 1)[0]
+    bullets = re.findall(r"`(\w+)` —", section)
+    rows = re.findall(r"^ *\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert len(bullets + rows) == len(set(bullets + rows))
+    assert set(bullets + rows) == cli._KNOWN_FIELDS

@@ -73,10 +73,6 @@ class TestSimulate:
         np.testing.assert_array_equal(a.edge_i, b.edge_i)
         np.testing.assert_array_equal(a.edge_j, b.edge_j)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            simulate_dynamic_graph(_vector(np.ones(11)), 0, 1.0, cap=10)
-
     @pytest.mark.parametrize("lam_max", [-1.0, math.inf, math.nan])
     def test_rejects_bad_horizon(self, lam_max):
         with pytest.raises(ValueError, match="lam_max"):

@@ -2,11 +2,13 @@
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from giantflux import harness
+from giantflux.graph_oracle import candidate_probability
 from giantflux.harness import (
     ExperimentConfig,
     _child_seed,
@@ -52,7 +54,11 @@ class TestConfigValidation:
         [
             (dict(kind="walk", n=None), "subcommand 'walk' requires config field 'n'"),
             (dict(kind="graph", n=None), "subcommand 'graph' requires config field 'n'"),
-            (dict(kind="graph", n=2001), "n=2001 exceeds the graph simulation cap 2000"),
+            (
+                dict(kind="graph", n=10**8, lambdas=(3.0,)),
+                "n=100000000 and lambda_grid up to 3 expect 1.5e+08 graph candidates per "
+                "replicate, more than MAX_N = 100000000",
+            ),
             (dict(kind="limit", n=None, draws=0), "draws must be >= 1, got 0"),
             (
                 dict(kind="convergence-study", n=None),
@@ -60,8 +66,9 @@ class TestConfigValidation:
             ),
             (dict(kind="graph", lambdas=(-0.5, 1.0)), "lambda grid entries must be >= 0"),
             (
-                dict(lambdas=(1.5, 2.0), cross_pairs=((0, 2),)),
-                "cross_pairs entry (0, 2) out of grid range",
+                dict(kind="oracle-compare", n=10**8, lambdas=(2.0, 3.0)),
+                "n=100000000 and lambda_grid up to 3 expect 1.5e+08 graph candidates per "
+                "replicate, more than MAX_N = 100000000",
             ),
             (dict(seed=-1), "seed must be >= 0, got -1"),
             (dict(n=10**8 + 1), "n must be <= MAX_N = 100000000, got 100000001"),
@@ -163,7 +170,7 @@ class TestOracleCompare:
         report = run_oracle_compare(
             _config(
                 model=HALF_HALF, kind="oracle-compare", n=10_000, lambdas=(1.5, 2.0, 3.0),
-                replicates=200, seed=20250809, multiplier=3.0, graph_cap=10_000,
+                replicates=200, seed=20250809, multiplier=3.0,
             )
         )
         elapsed = time.perf_counter() - start
@@ -173,13 +180,29 @@ class TestOracleCompare:
         assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
 
     def test_rejects_oversized_n(self):
-        with pytest.raises(ValueError, match="cap"):
-            run_oracle_compare(_config(kind="oracle-compare", n=5000, replicates=10))
+        """The graph's bound is its expected candidate count q n (n - 1) / 2,
+        with q from the largest weight and lambda, not a cap on n."""
+        _config(model=HALF_HALF, kind="graph", n=10**5, lambdas=(0.5, 3.0))
+        q = candidate_probability(10**5, 3.0, 2.0)
+        assert q * (10**5 * (10**5 - 1) / 2) == pytest.approx(6.0e5, rel=1e-3)
+        with pytest.raises(ValueError, match="graph candidates per replicate"):
+            _config(model=HALF_HALF, kind="oracle-compare", n=10**5, lambdas=(1.5, 700.0))
 
-    def test_rejects_empirical_model(self):
-        emp = WeightModel.empirical(np.ones(30))
-        with pytest.raises(ValueError, match="quantile"):
-            run_oracle_compare(_config(model=emp, kind="oracle-compare", n=30, replicates=10))
+    def test_compare_accepts_empirical_model(self):
+        """Both simulators get the vector of weight_vector_for, so an empirical
+        model compares like any other, iid resampled vectors included."""
+        tail = 4.5
+        weights = (1.0 - (np.arange(400) + 0.5) / 400) ** (-1.0 / (tail - 1.0))
+        config = _config(
+            model=WeightModel.empirical(weights), kind="oracle-compare", n=400,
+            lambdas=(1.0, 2.0), replicates=400, seed=20250809,
+        )
+        report = run_oracle_compare(config)
+        assert len(report.records) == 8 and report.all_passed
+        for n in (400, 300):
+            w_walk, _ = replicate_stats(replace(config, replicates=2), n, "walk")
+            w_graph, _ = replicate_stats(replace(config, replicates=2), n, "graph")
+            np.testing.assert_array_equal(w_walk.weights, w_graph.weights)
 
 
 class TestEndpointCheck:

@@ -85,10 +85,9 @@ class TestXPath:
         curves = supercritical_curves(HALF_HALF, [1.5])
         cov = x_cov(curves)
         count = 10**5
-        samples = sample_x_path(curves, count, seed=7)
-        x0 = np.array([s.x0[0] for s in samples])
-        x1 = np.array([s.x1[0] for s in samples])
-        for series, target in ((x0, cov.matrix[0, 0]), (x1, cov.matrix[1, 1])):
+        x0, x1 = sample_x_path(curves, count, seed=7)
+        assert x0.shape == x1.shape == (count, 1)
+        for series, target in ((x0[:, 0], cov.var_count[0]), (x1[:, 0], cov.var_volume[0])):
             v, se = _cov_se(series, series)
             assert abs(v - target) <= 3 * se
 
@@ -96,18 +95,17 @@ class TestXPath:
         for lam in (2.0, 5.0):
             curves = supercritical_curves(ER, [lam])
             count = 10**5
-            samples = sample_x_path(curves, count, seed=8)
-            x0 = np.array([s.x0[0] for s in samples])
-            v, se = _cov_se(x0, x0)
+            x0, _ = sample_x_path(curves, count, seed=8)
+            v, se = _cov_se(x0[:, 0], x0[:, 0])
             assert abs(v - er_closed_forms(lam).sigma_sq) <= 3 * se
 
     def test_reproducible(self):
         curves = supercritical_curves(HALF_HALF, [1.0, 2.0])
         a = sample_x_path(curves, 50, seed=9)
         b = sample_x_path(curves, 50, seed=9)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.x0, sb.x0)
-            np.testing.assert_array_equal(sa.x1, sb.x1)
+        for xa, xb in zip(a, b):
+            assert xa.shape == (50, 2)
+            np.testing.assert_array_equal(xa, xb)
 
 
 class TestBrownianRepresentation:
