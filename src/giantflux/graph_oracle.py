@@ -8,10 +8,11 @@ or below t = lam_max / n, which is the whole law of the graph process on
 q = 1 - exp(-t w_max^2) over the pairs by geometric skipping, thins each to
 its own p_ij = 1 - exp(-t w_i w_j) and draws the kept arrival from Exp(w_i w_j)
 truncated to (0, t], so it costs O(n + edges) time and memory, with
-E[edges] <= lam_max w_max^2 (n - 1) / 2.  One Kruskal-style union-find pass
-over the sorted arrivals tracks component counts, volumes and the giant, so
-one realization yields the giant pathwise-coupled across a whole ascending
-lambda grid up to the horizon.
+E[edges] <= lam_max w_max^2 (n - 1) / 2.  Every vertex is labelled with the
+smallest vertex of its component; numpy hook-and-shortcut passes merge the
+edges arriving between consecutive lambdas of an ascending grid, so one
+realization yields the giant pathwise-coupled across the grid.  Volumes are
+exact integer-limb sums, compared exactly and rounded once, as ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -52,37 +53,28 @@ class DynamicGraphRealization:
 
     @classmethod
     def from_arrivals(cls, weights, edges) -> "DynamicGraphRealization":
-        """Build from an explicit (i, j, arrival) list; deterministic tests only.
+        """Build from explicit (i, j, arrival) rows; deterministic tests only.
 
-        The list must contain every unordered pair exactly once, so the
+        The rows must hold every unordered pair exactly once, so the
         realization holds every arrival and its horizon is infinite.
         """
         w = np.asarray(weights, dtype=np.float64).copy()
         n = w.size
-        seen = set()
-        ii, jj, aa = [], [], []
-        for i, j, arrival in edges:
-            i, j = (int(i), int(j)) if i < j else (int(j), int(i))
-            if not (0 <= i < j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            if arrival <= 0.0:
-                raise ValueError(f"arrival for edge ({i}, {j}) must be > 0")
-            seen.add((i, j))
-            ii.append(i)
-            jj.append(j)
-            aa.append(float(arrival))
-        if len(seen) != n * (n - 1) // 2:
-            raise ValueError(
-                f"expected {n * (n - 1) // 2} edges for n={n}, got {len(seen)}"
-            )
-        return cls._sorted(w, np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64),
-                           np.array(aa, dtype=np.float64), inf)
+        rows = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+        ei, ej = np.sort(rows[:, :2], axis=1).astype(np.int64).T
+        bad = np.flatnonzero((ei < 0) | (ej >= n) | (ei == ej) | ~(rows[:, 2] > 0.0))
+        if bad.size:
+            raise ValueError(f"edge ({ei[bad[0]]}, {ej[bad[0]]}) must join two of the "
+                             f"n={n} vertices and arrive at a time > 0")
+        pairs = np.count_nonzero(np.diff(np.sort(ei * n + ej), prepend=-1))  # distinct
+        if pairs != ei.size or pairs != n * (n - 1) // 2:
+            raise ValueError(f"expected {n * (n - 1) // 2} edges for n={n}, one per pair; got "
+                             f"{ei.size}, {ei.size - pairs} of them duplicate")
+        return cls._sorted(w, ei, ej, rows[:, 2], inf)
 
     @classmethod
     def _sorted(cls, w, ei, ej, arrivals, lam_max) -> "DynamicGraphRealization":
-        order = np.argsort(arrivals)
+        order = arrivals.argsort()
         ei, ej, arrivals = ei[order], ej[order], arrivals[order]
         for arr in (w, ei, ej, arrivals):
             arr.setflags(write=False)
@@ -110,11 +102,11 @@ def _bernoulli_indices(rng: np.random.Generator, size: int, q: float) -> np.ndar
     chunks = []
     last = -1
     while True:
-        idx = last + np.cumsum(np.minimum(rng.geometric(q, size=batch), size + 1))
-        inside = idx[idx < size]
-        chunks.append(inside)
-        if inside.size < idx.size:
-            return np.concatenate(chunks)
+        idx = np.minimum(rng.geometric(q, size=batch), size + 1).cumsum() + last
+        inside = idx.searchsorted(size)  # idx ascends
+        chunks.append(idx[:inside])
+        if inside < batch:
+            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         last = int(idx[-1])
 
 
@@ -137,68 +129,73 @@ def simulate_dynamic_graph(w: WeightVector, seed: int, lam_max: float) -> Dynami
     t = lam_max / n
     q = candidate_probability(n, lam_max, float(weights.max()))
     rng = np.random.default_rng(seed)
-    if q == 0.0:  # Geometric(0) is undefined; no pair can arrive by t
-        empty = np.empty(0, dtype=np.int64)
-        return DynamicGraphRealization._sorted(weights, empty, empty, np.empty(0), lam_max)
+    # Geometric(0) is undefined; with q = 0 no pair can arrive by t
+    k = _bernoulli_indices(rng, n * (n - 1) // 2, q) if q > 0.0 else np.empty(0, dtype=np.int64)
+    if not k.size:
+        return DynamicGraphRealization._sorted(weights, k, k, np.empty(0), lam_max)
     # pair {i < j} has linear index row_start[i] + (j - i - 1)
     rows = np.arange(n, dtype=np.int64)
-    row_start = rows * (2 * n - rows - 1) // 2
-    k = _bernoulli_indices(rng, n * (n - 1) // 2, q)
-    ei = np.searchsorted(row_start, k, side="right") - 1
+    row_start = rows * (2 * n - 1 - rows) // 2
+    ei = row_start[1:].searchsorted(k, side="right")
     ej = k - row_start[ei] + ei + 1
     rate = weights[ei] * weights[ej]
     p = -np.expm1(-t * rate)
-    keep = rng.random(k.size) < p / q
-    ei, ej, rate, p = ei[keep], ej[keep], rate[keep], p[keep]
-    # inverse CDF of Exp(rate) truncated to (0, t], with V = 1 - U in (0, 1]
-    v = 1.0 - rng.random(ei.size)
-    arrivals = np.minimum(-np.log1p(-v * p) / rate, t)
+    kept = (rng.random(k.size) < p / q).nonzero()[0]
+    ei, ej, rate, p = ei[kept], ej[kept], rate[kept], p[kept]
+    # inverse CDF of Exp(rate) truncated to (0, t], with -V = U - 1 in [-1, 0)
+    arrivals = np.minimum(-np.log1p((rng.random(kept.size) - 1.0) * p) / rate, t)
     return DynamicGraphRealization._sorted(weights, ei, ej, arrivals, lam_max)
 
 
-class _UnionFind:
-    """Union by size with path halving over Python lists.
+def _merge(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The labels after adding the edges (u[k], v[k]); ``labels`` may be overwritten.
 
-    Roots carry their component's count, volume and smallest vertex (``low``).
-    ``best`` is the root of the max-volume component, ties going to the one
-    holding the smallest vertex, and is kept up to date by every union.
+    A label is the smallest vertex of its component.  Min-label
+    hook-and-shortcut: each edge whose ends carry different labels hooks the
+    larger label onto the smaller, and pointer jumping flattens the trees
+    back to stars, until every edge joins equal labels.  No label exceeds its
+    vertex, so the trees stay acyclic.
     """
+    while True:
+        lu, lv = labels[u], labels[v]
+        apart = lu != lv
+        if not np.count_nonzero(apart):
+            return labels
+        u, v = u[apart], v[apart]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        jumped = labels[labels]
+        while np.count_nonzero(jumped != labels):
+            labels, jumped = jumped, jumped[jumped]
 
-    def __init__(self, weights: np.ndarray):
-        n = weights.size
-        self.parent = list(range(n))
-        self.count = [1] * n
-        self.volume = weights.tolist()
-        self.low = list(range(n))
-        self.best = int(np.argmax(weights))
 
-    def union_all(self, ei: list, ej: list) -> None:
-        """Union the edges ``(ei[k], ej[k])`` in order."""
-        parent, count, volume, low = self.parent, self.count, self.volume, self.low
-        best = self.best
-        for a, b in zip(ei, ej):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a == b:
-                continue
-            if count[a] < count[b]:
-                a, b = b, a
-            parent[b] = a
-            count[a] += count[b]
-            volume[a] += volume[b]
-            if low[b] < low[a]:
-                low[a] = low[b]
-            # a merge with the best component is the new best: its volume
-            # cannot fall and its smallest vertex cannot rise
-            if b == best or volume[a] > volume[best] or (
-                volume[a] == volume[best] and low[a] < low[best]
-            ):
-                best = a
-        self.best = best
+# (weights, e0, per-vertex limb table) of the last weight array labelled
+_last_limbs: tuple = (None, 0, None)
+
+
+def _label_volumes(labels: np.ndarray, weights: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(e0, sums)``: each label's exact volume sum_l sums[l, label] << 31 l
+    in units of 2**e0, from the ``WeightVector.limbs`` of its vertices.  The
+    int64 sums are exact up to 2**32 vertices; each carry is moved up a limb,
+    so rows l < L - 1 lie in [0, 2**31) and labels compare limb by limb."""
+    global _last_limbs
+    key, e0, table = _last_limbs  # one read: another thread may replace it
+    if key is not weights:  # the replicates of a run share one read-only array
+        v = WeightVector(n=weights.size, weights=weights)
+        e0, table = v.limbs[0], v.limbs[1][:, v.classes[1]]
+        _last_limbs = (weights, e0, table)
+    sums = np.zeros(table.shape, dtype=np.int64)
+    for total, limb in zip(sums, table):
+        np.add.at(total, labels, limb)
+    for low, high in zip(sums[:-1], sums[1:]):
+        high += low >> 31
+        low &= (1 << 31) - 1
+    return e0, sums
+
+
+def _volume(e0: int, sums: np.ndarray, label: int) -> float:
+    """The label's exact volume, rounded once (``math.fsum`` of its weights)."""
+    exact = sum(limb << 31 * l for l, limb in enumerate(sums[:, label].tolist()))
+    return exact / (1 << -e0)
 
 
 def _prefix_ends(r: DynamicGraphRealization, lambdas: np.ndarray) -> list[int]:
@@ -212,28 +209,32 @@ def _prefix_ends(r: DynamicGraphRealization, lambdas: np.ndarray) -> list[int]:
 
 
 def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
-    """Giant snapshots over an ascending lambda grid, one Kruskal pass."""
+    """Giant snapshots over an ascending lambda grid, labels warm-started."""
     grid = np.asarray(lambdas, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("lambda grid must be a non-empty 1-d sequence")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("lambda grid must be ascending")
     ends = _prefix_ends(r, grid)
-    ei = r.edge_i[: ends[-1]].tolist()
-    ej = r.edge_j[: ends[-1]].tolist()
-    uf = _UnionFind(r.weights)
+    labels = np.arange(r.n)
     snapshots = []
-    start = 0
-    for lam, stop in zip(grid.tolist(), ends):
-        uf.union_all(ei[start:stop], ej[start:stop])
-        start = stop
-        snapshots.append(GiantSnapshot(lam=lam, count=uf.count[uf.best], volume=uf.volume[uf.best]))
+    for lam, start, stop in zip(grid.tolist(), [0] + ends, ends):
+        labels = _merge(labels, r.edge_i[start:stop], r.edge_j[start:stop])
+        e0, sums = _label_volumes(labels, r.weights)
+        # the max exact volume, ties to the smallest label
+        tied = (sums[-1] == sums[-1].max()).nonzero()[0]
+        for limb in sums[-2::-1]:
+            tied = tied[limb[tied] == limb[tied].max()]
+        best = int(tied[0])
+        count = int(np.count_nonzero(labels == best))
+        snapshots.append(GiantSnapshot(lam=lam, count=count, volume=_volume(e0, sums, best)))
     return snapshots
 
 
 def _components_at(r: DynamicGraphRealization, lam: float) -> list[tuple[int, float]]:
     """(count, volume) for every component at one lambda; test helper."""
     (stop,) = _prefix_ends(r, np.array([lam], dtype=np.float64))
-    uf = _UnionFind(r.weights)
-    uf.union_all(r.edge_i[:stop].tolist(), r.edge_j[:stop].tolist())
-    return [(uf.count[v], uf.volume[v]) for v in range(r.n) if uf.parent[v] == v]
+    labels = _merge(np.arange(r.n), r.edge_i[:stop], r.edge_j[:stop])
+    e0, sums = _label_volumes(labels, r.weights)
+    roots, counts = np.unique(labels, return_counts=True)
+    return [(c, _volume(e0, sums, v)) for v, c in zip(roots.tolist(), counts.tolist())]

@@ -1,6 +1,7 @@
-"""Direct dynamic-graph simulation and its union-find component tracking."""
+"""Direct dynamic-graph simulation and its component labels."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +148,51 @@ class TestInjectedArrivals:
                 [1.0, 1.0], [(0, 1, 0.1), (1, 0, 0.2)]
             )
 
+    @pytest.mark.parametrize("edge", [(0, 2, 0.1), (1, 1, 0.1), (-1, 0, 0.1), (0, 1, 0.0),
+                                      (0, 1, math.nan)])
+    def test_rejects_bad_edge(self, edge):
+        with pytest.raises(ValueError, match="must join two of the n=2 vertices"):
+            DynamicGraphRealization.from_arrivals([1.0, 1.0], [edge])
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_exact_tie_of_non_dyadic_weights(self, order):
+        """0.2 is exactly 2 * 0.1 as a double, so {0.1, 0.1, 0.1} and {0.1, 0.2}
+        have the same exact volume, which is not that of 0.3: the component
+        holding vertex 0 wins, whichever of the two it is."""
+        w = [0.1, 0.1, 0.1, 0.1, 0.2][::order]
+        joined = [(0, 1), (1, 2), (3, 4)] if order == 1 else [(0, 1), (2, 3), (3, 4)]
+        edges = [(i, j, 0.1 if (i, j) in joined else 9.0) for i in range(5) for j in range(i + 1, 5)]
+        snap = giant_path(DynamicGraphRealization.from_arrivals(w, edges), [5 * 0.5])[0]
+        assert snap.count == (3 if order == 1 else 2)
+        assert snap.volume == math.fsum([0.1, 0.2]) == math.fsum([0.1] * 3) != 0.3
+
+    def test_exact_volumes_break_rounded_ties(self):
+        """{1, 2**-60} outweighs {1} although both volumes round to 1.0."""
+        w = [1.0, 1.0, 2.0**-60]
+        edges = [(1, 2, 0.1), (0, 1, 9.0), (0, 2, 9.0)]
+        snap = giant_path(DynamicGraphRealization.from_arrivals(w, edges), [3 * 0.5])[0]
+        assert (snap.count, snap.volume) == (2, 1.0)
+
+    def test_reversed_long_path(self):
+        """The path 0-1-...-(n-1) with its edges arriving last to first hooks
+        every vertex onto its left neighbour: the deepest chain of labels."""
+        n = 2000
+        w = np.ones(n)
+        w[::3] = 0.1
+        i, j = np.triu_indices(n, k=1)
+        arrival = np.where(j == i + 1, (n - i) / n, 2.0)
+        r = DynamicGraphRealization.from_arrivals(w, np.column_stack([i, j, arrival]))
+        # at lam the edges (i, i + 1) with i >= n - lam are present
+        grid = [1.5, 2.0, 700.0, 1999.0, 2000.0]
+        snaps = giant_path(r, grid)
+        for lam, snap in zip(grid, snaps):
+            first = n - math.floor(lam)
+            assert snap.count == n - first
+            assert snap.volume == math.fsum(w[first:].tolist())
+        assert giant_path(r, [2000.0]) == snaps[-1:]
+        comps = _components_at(r, 2000.0)
+        assert comps == [(n, math.fsum(w.tolist()))]
+
     def test_volume_tie_goes_to_smallest_vertex(self):
         # two components of equal volume; the one containing vertex 0 wins
         r = DynamicGraphRealization.from_arrivals(
@@ -199,6 +245,16 @@ class TestGiantPath:
             assert sum(c for c, _ in comps) == 70
             assert math.fsum(v for _, v in comps) == pytest.approx(w.sum(), rel=1e-9)
 
+    def test_alternating_weight_vectors(self):
+        """Each realization's volumes come from its own weights, whichever
+        vector the previous call labelled."""
+        a = simulate_dynamic_graph(_vector([0.1, 0.2, 0.3, 0.4]), 11, 1e6)
+        b = simulate_dynamic_graph(_vector([1e6, 2.0, 1e-6]), 11, 1e6)
+        first = [giant_path(r, [1e6]) for r in (a, b)]
+        assert [giant_path(r, [1e6]) for r in (a, b)] == first
+        # every pair arrives by lambda = 1e6
+        assert [(s.count, s.volume) for (s,) in first] == [(4, 1.0), (3, 1000002.000001)]
+
     def test_rejects_descending_grid(self):
         r = simulate_dynamic_graph(_vector(np.ones(5)), 10, 2.0)
         with pytest.raises(ValueError):
@@ -216,8 +272,10 @@ class TestGiantPath:
 
 
 def _brute_force(r, lam):
-    """(count, volume, smallest vertex) of every component at lam, by label
-    propagation over the edges arriving at or below lam / n."""
+    """(count, volume, smallest vertex, exact volume) of every component at
+    lam, by label propagation over the edges arriving at or below lam / n;
+    the volume is the ``math.fsum`` of the weights, the exact volume their
+    ``Fraction`` sum."""
     label = list(range(r.n))
     edges = [
         (i, j)
@@ -234,26 +292,28 @@ def _brute_force(r, lam):
                 changed = True
     comps = {}
     for v, root in enumerate(label):
-        count, volume = comps.get(root, (0, 0.0))
-        comps[root] = (count + 1, volume + float(r.weights[v]))
-    return [(count, volume, root) for root, (count, volume) in comps.items()]
+        comps.setdefault(root, []).append(float(r.weights[v]))
+    return [(len(ws), math.fsum(ws), root, sum(map(Fraction, ws))) for root, ws in comps.items()]
 
 
 # dyadic weights sum exactly in any order, so volume ties are real ties
 _DYADIC = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+# sums of these need 3 or 4 31-bit limbs and depend on the order of float
+# additions; 0.2 == 2 * 0.1 exactly, so some exact ties remain
+_NON_DYADIC = st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7, 1e-6, 3e-6, 1e6, 2.5e5 + 0.1])
 
 
 @st.composite
-def _sampled_realizations(draw):
-    weights = draw(st.lists(_DYADIC, min_size=1, max_size=12))
+def _sampled_realizations(draw, weight=_DYADIC):
+    weights = draw(st.lists(weight, min_size=1, max_size=12))
     lam_max = draw(st.floats(0.0, 30.0))
     seed = draw(st.integers(0, 2**32 - 1))
     return simulate_dynamic_graph(_vector(weights), seed, lam_max)
 
 
 @st.composite
-def _injected_realizations(draw):
-    weights = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=1, max_size=8))
+def _injected_realizations(draw, weight=st.sampled_from([1.0, 2.0])):
+    weights = draw(st.lists(weight, min_size=1, max_size=8))
     n = len(weights)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     arrivals = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]),
@@ -263,22 +323,23 @@ def _injected_realizations(draw):
 
 
 class TestIncrementalGiant:
-    """The giant tracked during the union pass equals the brute-force
-    max-volume component, ties to the one holding the smallest vertex."""
+    """The giant of the warm-started labels equals the brute-force component
+    of maximal exact volume, ties to the one holding the smallest vertex, and
+    its volume is the ``math.fsum`` of its weights."""
 
     @staticmethod
     def _check(r, fractions):
         horizon = r.lam_max if math.isfinite(r.lam_max) else 1.2 * r.n
         grid = sorted(horizon * f for f in fractions)
-        total = math.fsum(r.weights.tolist())
         for lam, snap in zip(grid, giant_path(r, grid)):
             comps = _brute_force(r, lam)
-            count, volume, _ = min(comps, key=lambda c: (-c[1], c[2]))
+            count, volume, _, _ = min(comps, key=lambda c: (-c[3], c[2]))
             assert (snap.lam, snap.count, snap.volume) == (lam, count, volume)
-            uf_comps = _components_at(r, lam)
-            assert sorted(uf_comps) == sorted((c, v) for c, v, _ in comps)
-            assert sum(c for c, _ in uf_comps) == r.n
-            assert math.fsum(v for _, v in uf_comps) == total
+            labelled = _components_at(r, lam)
+            assert sorted(labelled) == sorted((c, v) for c, v, _, _ in comps)
+            assert sum(c for c, _ in labelled) == r.n
+            if all(Fraction(v) == exact for _, v, _, exact in comps):  # no volume rounded
+                assert math.fsum(v for _, v in labelled) == math.fsum(r.weights.tolist())
 
     @settings(database=None, derandomize=True, max_examples=150, deadline=None)
     @given(_sampled_realizations(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
@@ -288,4 +349,16 @@ class TestIncrementalGiant:
     @settings(database=None, derandomize=True, max_examples=150, deadline=None)
     @given(_injected_realizations(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
     def test_injected_with_ties(self, r, fractions):
+        self._check(r, fractions)
+
+    @settings(database=None, derandomize=True, max_examples=150, deadline=None)
+    @given(_sampled_realizations(_NON_DYADIC),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_sampled_non_dyadic(self, r, fractions):
+        self._check(r, fractions)
+
+    @settings(database=None, derandomize=True, max_examples=150, deadline=None)
+    @given(_injected_realizations(_NON_DYADIC),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_injected_non_dyadic(self, r, fractions):
         self._check(r, fractions)
