@@ -93,6 +93,31 @@ class WalkRealization:
         return _realize(WeightVector(n=w.size, weights=w), np.array(clocks, dtype=np.float64))
 
 
+def _clock_order(xi: np.ndarray, index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The clocks ``xi`` in ascending order, and the class ``index`` of each.
+
+    Positive doubles order like their bit patterns, so one sort of the keys
+    (bits(xi) - bits(min xi)) << b | index, with b = (k - 1).bit_length(),
+    orders the clocks and carries their classes; both unpack bit for bit.
+    Equal clocks come out by class.  When the clock span needs more than
+    64 - b bits (many classes), an argsort orders them instead.
+    """
+    bits = xi.view(np.uint64)
+    low = bits.min()
+    b = (k - 1).bit_length()
+    if int(bits.max() - low) >> (64 - b):
+        order = np.argsort(xi)
+        return xi[order], index[order]
+    key = bits - low
+    key <<= np.uint64(b)
+    key |= index.view(np.uint64)
+    key.sort()
+    sorted_class = (key & np.uint64((1 << b) - 1)).view(np.intp)
+    key >>= np.uint64(b)
+    key += low
+    return key.view(np.float64), sorted_class
+
+
 def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
     """The realization of ``v`` with clocks ``xi`` (vertex order)."""
     if xi.shape != v.weights.shape:
@@ -100,9 +125,7 @@ def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
     if not np.all(xi > 0.0):
         raise ValueError("clocks must be strictly positive")
     atoms, index = v.classes
-    order = np.argsort(xi)
-    sorted_clocks = xi[order]
-    sorted_class = index[order]
+    sorted_clocks, sorted_class = _clock_order(xi, index, atoms.size)
     prefix = np.empty(v.n + 1)
     prefix[0] = 0.0
     prefix[1:] = pairwise_cumsum(atoms[sorted_class] / v.n)

@@ -12,6 +12,7 @@ from test_acceptance import _brute_force_longest
 
 from giantflux.walk import (
     WalkRealization,
+    _clock_order,
     _window_volumes,
     all_excursions,
     giant_results,
@@ -84,6 +85,76 @@ class TestSampleClocks:
         np.testing.assert_array_equal(a.sorted_clocks, b.sorted_clocks)
         np.testing.assert_array_equal(a.atoms[a.sorted_class], b.atoms[b.sorted_class])
         np.testing.assert_array_equal(a.mass_prefix, b.mass_prefix)
+
+
+def _tied_clocks(rng, n, k, ties=0, inf=False):
+    """Clocks of n vertices over k classes (each used), ``ties`` of them
+    copied onto other vertices, and optionally one +inf clock."""
+    index = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)]))
+    atoms = np.linspace(0.5, 3.0, k)
+    xi = rng.standard_exponential(n) / atoms[index]
+    xi[rng.integers(0, n, size=ties)] = xi[rng.integers(0, n, size=ties)]
+    if inf:
+        xi[rng.integers(0, n)] = np.inf
+    return xi, index
+
+
+class TestClockOrder:
+    """``_clock_order`` against an argsort reference: the clocks bit for bit,
+    the classes up to the order of equal clocks."""
+
+    @pytest.mark.parametrize(
+        "n, k, inf, packed",
+        [
+            (500, 1, False, True),
+            (500, 1, True, True),
+            (500, 2, True, True),
+            (500, 3, False, True),
+            (500, 3, True, False),    # +inf clock: the span needs 63 bits, b = 2
+            (500, 64, False, True),
+            (500, 64, True, False),
+            (500, 500, False, False),  # K = n: 9 class bits leave too few for the span
+        ],
+    )
+    def test_matches_argsort(self, monkeypatch, n, k, inf, packed):
+        rng = np.random.default_rng(70 + k)
+        xi, index = _tied_clocks(rng, n, k, ties=40, inf=inf)
+        assert np.count_nonzero(np.diff(np.sort(xi)) == 0.0) > 0
+        argsorts = []
+        real_argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a: argsorts.append(a) or real_argsort(a))
+        clocks, classes = _clock_order(xi, index, k)
+        monkeypatch.undo()
+        assert len(argsorts) == (0 if packed else 1)
+        ref = real_argsort(xi, kind="stable")
+        np.testing.assert_array_equal(clocks.view(np.uint64), xi[ref].view(np.uint64))
+        assert classes.dtype == index.dtype
+        by_class = np.lexsort((index, xi))
+        np.testing.assert_array_equal(classes[np.lexsort((classes, clocks))], index[by_class])
+        if packed:
+            np.testing.assert_array_equal(classes, index[by_class])
+
+    def test_ties_across_classes_match_brute_force(self):
+        """Equal clocks in different classes: the giants do not depend on their order."""
+        rng = np.random.default_rng(71)
+        grid = [0.5, 1.0, 2.0, 3.0]
+        cross_ties = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            xi, index = _tied_clocks(rng, n, min(n, 3), ties=n // 2)
+            weights = np.linspace(0.5, 3.0, min(n, 3))[index]
+            r = WalkRealization.from_clocks(weights, xi)
+            np.testing.assert_array_equal(r.sorted_clocks, np.sort(xi))
+            cross_ties += np.count_nonzero(
+                (np.diff(r.sorted_clocks) == 0.0) & (np.diff(r.sorted_class) != 0)
+            )
+            for lam, res in zip(grid, giant_results(r, grid)):
+                g, d, volume, count = _brute_force_longest(weights.tolist(), xi.tolist(), lam)
+                assert res.vertex_count == count
+                assert res.total_volume == volume
+                assert abs(res.g - g) <= 1e-10
+                assert abs(res.d - d) <= 1e-10
+        assert cross_ties > 100
 
 
 class TestExcursionStructure:
