@@ -5,25 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def pairwise_cumsum(values: np.ndarray) -> np.ndarray:
-    """Inclusive prefix sums via a doubling scheme.
-
-    Every output entry is a balanced tree sum of depth <= ceil(log2 n), so the
-    accumulated rounding stays near log2(n) ulps instead of the n ulps of a
-    naive running sum.  The passes alternate between two buffers, so no
-    pass allocates.
-    """
-    out = np.array(values, dtype=np.float64, copy=True)
-    spare = np.empty_like(out)
-    shift = 1
-    while shift < out.size:
-        np.add(out[shift:], out[:-shift], out=spare[shift:])
-        spare[:shift] = out[:shift]
-        out, spare = spare, out
-        shift *= 2
-    return out
-
-
 def chol_with_jitter(
     matrix: np.ndarray,
     eps_start: float = 1e-12,
@@ -52,17 +33,12 @@ def chol_with_jitter(
                 "matrix has an all-zero diagonal but nonzero off-diagonal entries"
             )
         return np.zeros_like(mat), 0.0
-    try:
-        return np.linalg.cholesky(mat), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    eye = np.eye(mat.shape[0])
-    eps = eps_start
+    eps = 0.0
     while eps <= eps_max * (1.0 + 1e-12):
         try:
-            return np.linalg.cholesky(mat + (eps * scale) * eye), eps
+            return np.linalg.cholesky(mat + (eps * scale) * np.eye(len(mat)) if eps else mat), eps
         except np.linalg.LinAlgError:
-            eps *= 10.0
+            eps = 10.0 * eps if eps else eps_start
     raise np.linalg.LinAlgError(
         f"Cholesky failed up to jitter {eps_max:g} * max(diag); "
         "matrix is not positive semidefinite"

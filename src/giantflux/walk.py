@@ -11,27 +11,25 @@ the longest excursion (first one on ties) is the giant.  The excursion
 interval (g, d) gives the scaled volume d - g, and the vertices of the giant
 are exactly the clocks landing in the closed window [lambda g, lambda d].
 
-Because rescaling time by 1/lambda does not change the clock order, one sort
-per realization serves every lambda; the per-lambda scan is a handful of
-vectorized passes with all crossing times computed in closed form (the slope
-is exactly -1), so there is no time discretization anywhere.
+Rescaling time by 1/lambda keeps the clock order, so one sort of packed
+integer keys (clock bits above weight class) serves every lambda; the scan
+at a lambda is a handful of vectorized passes with all crossing times in
+closed form (the slope is exactly -1): no time discretization anywhere.
 
 The excursion openings nest in lambda: a clock that opens an excursion at
-lambda' also opens one at every lambda < lambda'.  A grid is therefore
-scanned in ascending order, the smallest lambda over all n clocks and each
-later one only over the openings of the one before (under a slightly looser
-test that covers rounding), so a grid costs O(n) once plus O(earlier
-openings) per further lambda, with every result bit for bit that of a full
-scan.
+lambda' opens one at every lambda < lambda'.  So a grid is scanned in
+ascending order, the smallest lambda over all n clocks and each later one
+over the openings of the one before (under a looser test that covers
+rounding): O(n) once plus O(earlier openings) per further lambda, each
+result bit for bit that of a full scan.
 
-The giant's exact volume comes from integer limbs: every distinct weight is
-an exact integer multiple of one power of two 2**e0, held as 31-bit int64
-limbs.  Prefix sums of the limbs in clock order are exact, so a window's
-weight sum is an exact Python int from a few differences, rounded once.
-All windows of a grid cost one pass over the span they cover.  The result
-is bit for bit the correctly rounded sum of the window's weights (``fsum``)
-for every finite positive weight law, subnormal weights included, while
-that sum is representable.
+Every distinct weight is an exact integer multiple of one power of two
+2**e0, held as 31-bit int64 limbs, whose prefix sums in clock order are
+exact.  They give the jump-mass prefix, with one rounding per limb, and the
+giant's volume: a window's weight sum is an exact Python int, rounded once,
+bit for bit the correctly rounded sum of its weights (``fsum``) for every
+finite positive weight law, subnormals included, while that sum is
+representable.  All windows of a grid cost one pass over the span they cover.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import pairwise_cumsum
 from .weights import WeightVector
 
 __all__ = [
@@ -63,17 +60,15 @@ class WalkRealization:
     """One draw of clocks plus everything precomputed for per-lambda scans.
 
     In clock order a vertex is kept only through its weight class:
-    ``atoms[sorted_class[k]]`` is the weight of the k-th clock, and
-    ``limbs`` (``WeightVector.limbs``) holds the atoms as exact integer
-    limbs, from which a giant's ``total_volume`` is summed exactly
-    (``_window_volumes``).  The prefix sums of 1/n in clock order are
-    k/n and stay implicit.
+    ``atoms[sorted_class[k]]`` is the weight of the k-th clock.  ``limbs``
+    (``WeightVector.limbs``) holds the atoms as exact integer limbs, from
+    which ``mass_prefix`` and each giant's ``total_volume`` are summed.
     """
 
     atoms: np.ndarray         # distinct weights, ascending
     sorted_clocks: np.ndarray
     sorted_class: np.ndarray  # index into atoms of each vertex, clock order
-    mass_prefix: np.ndarray   # S_k: pairwise prefix sums of w/n in clock order
+    mass_prefix: np.ndarray   # S_k: sum of w/n over the first k clocks (_mass_prefix)
     mass_before: np.ndarray   # S_{k-1}, with S_0 = 0
     limbs: tuple[int, np.ndarray]  # (e0, L x K limb table) of the atoms
 
@@ -94,13 +89,12 @@ class WalkRealization:
 
 
 def _clock_order(xi: np.ndarray, index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The clocks ``xi`` in ascending order, and the class ``index`` of each.
+    """The clocks ``xi`` sorted, and the class ``index`` of each, of k classes.
 
-    Positive doubles order like their bit patterns, so one sort of the keys
-    (bits(xi) - bits(min xi)) << b | index, with b = (k - 1).bit_length(),
-    orders the clocks and carries their classes; both unpack bit for bit.
-    Equal clocks come out by class.  When the clock span needs more than
-    64 - b bits (many classes), an argsort orders them instead.
+    Positive doubles order like their bit patterns, so sorting the keys
+    (bits(xi) - bits(min xi)) << b | index, b = (k - 1).bit_length(), sorts
+    the clocks, equal clocks by class; both unpack bit for bit.  A clock
+    span wider than 64 - b bits (many classes) takes an argsort instead.
     """
     bits = xi.view(np.uint64)
     low = bits.min()
@@ -108,14 +102,32 @@ def _clock_order(xi: np.ndarray, index: np.ndarray, k: int) -> tuple[np.ndarray,
     if int(bits.max() - low) >> (64 - b):
         order = np.argsort(xi)
         return xi[order], index[order]
-    key = bits - low
-    key <<= np.uint64(b)
-    key |= index.view(np.uint64)
+    key = (bits - low) << np.uint64(b) | index.view(np.uint64)
     key.sort()
     sorted_class = (key & np.uint64((1 << b) - 1)).view(np.intp)
     key >>= np.uint64(b)
     key += low
     return key.view(np.float64), sorted_class
+
+
+def _mass_prefix(limbs: tuple[int, np.ndarray], sorted_class: np.ndarray, n: int) -> np.ndarray:
+    """S_0 = 0, then S_k: the first k weights in clock order, summed, over n.
+
+    Per limb l, the prefix sums C_l of the limb values are exact in int64,
+    and the term fl(fl(C_l) / n) * 2**(e0 + 31 l) is added, lowest limb
+    first.  Dividing before scaling keeps each term finite where S_k is.
+    S_k is within (L + 2) u S_k + L 2**-1074 of the exact sum (u = 2**-53),
+    and correctly rounded when L = 1, C_k < 2**53 and S_k is normal.
+    """
+    e0, table = limbs
+    prefix = np.zeros(n + 1)
+    term = np.empty(n)
+    for l, limb in enumerate(table):
+        part = limb.take(sorted_class)
+        np.cumsum(part, out=part)
+        np.divide(part, n, out=term)
+        prefix[1:] += np.ldexp(term, e0 + 31 * l, out=term)
+    return prefix
 
 
 def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
@@ -126,19 +138,10 @@ def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
         raise ValueError("clocks must be strictly positive")
     atoms, index = v.classes
     sorted_clocks, sorted_class = _clock_order(xi, index, atoms.size)
-    prefix = np.empty(v.n + 1)
-    prefix[0] = 0.0
-    prefix[1:] = pairwise_cumsum(atoms[sorted_class] / v.n)
+    prefix = _mass_prefix(v.limbs, sorted_class, v.n)
     for arr in (sorted_clocks, sorted_class, prefix):
         arr.setflags(write=False)
-    return WalkRealization(
-        atoms=atoms,
-        sorted_clocks=sorted_clocks,
-        sorted_class=sorted_class,
-        mass_prefix=prefix[1:],
-        mass_before=prefix[:-1],
-        limbs=v.limbs,
-    )
+    return WalkRealization(atoms, sorted_clocks, sorted_class, prefix[1:], prefix[:-1], v.limbs)
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,7 @@ class ExcursionResult:
 
 def sample_clocks(w: WeightVector, seed: int) -> WalkRealization:
     """Draw the exponential clocks xi_j ~ Exp(w_j) for a weight vector."""
-    rng = np.random.default_rng(seed)
-    return _realize(w, rng.standard_exponential(w.n) / w.weights)
+    return _realize(w, np.random.default_rng(seed).standard_exponential(w.n) / w.weights)
 
 
 # Margin of the candidate test that carries a grid's openings to the next,
@@ -191,20 +193,19 @@ def _scan(r: WalkRealization, lam: float, positions=None, candidates=False):
     """Decompose the walk at intensity lam into its excursions.
 
     Returns (g, d, start_idx, end_idx, candidates): four arrays over all
-    excursions, in time order, then the candidates described below.  The
-    path value just before jump k is B_k = S_{k-1} - t_k with S the jump-mass prefix and
-    t_k = xi_(k)/lam; a jump opens a new excursion exactly when the preceding
-    descent reached the running infimum, i.e. when B_k <= min(B_1..B_{k-1})
-    up to the near-tie tolerance.  Each excursion ends where the slope -1
+    excursions in time order, then the candidates below.  With t_k =
+    xi_(k)/lam, the path just before jump k is B_k = S_{k-1} - t_k (S the
+    jump-mass prefix); jump k opens an excursion when B_k <= min(B_1..B_{k-1})
+    up to the near-tie tolerance, and the excursion ends where the slope -1
     descent from its last jump re-hits its base level, in closed form.
 
-    ``positions`` (ascending clock positions, starting at 0) limits the test
-    to a superset of the openings, such as the candidates of a smaller
-    lambda.  A position outside it does not open, so it never lowered the
-    running minimum, and every result is bit for bit that of the full scan.
-    With ``candidates`` set, the last item holds the positions passing the
-    looser ``_NEST_TOL`` test, which contain the openings at every larger
-    lambda; otherwise it is None.
+    ``positions`` (ascending clock positions from 0) limits the test to a
+    superset of the openings, such as a smaller lambda's candidates: a
+    position outside it does not open and never lowered the running minimum,
+    so every result is bit for bit that of the full scan.  With
+    ``candidates`` set, the last item holds the positions passing the looser
+    ``_NEST_TOL`` test, a superset of the openings at every larger lambda;
+    otherwise it is None.
     """
     if positions is None:
         t = r.sorted_clocks / lam

@@ -519,7 +519,7 @@ def _golden_run(tmp_path, name, threads=1):
 # (exit code, sha256 of the CSV, sha256 of the report JSON) of each config above
 _DIGESTS = {
     "theory": (0, "f20992d6d5199ec566a863e950b395bfb10fd7fb47e773eb790bf61ea274233f", None),
-    "walk": (0, "c82f38c8b42550c6ab3c7b4a75cc188d48460f8fa37bbce86faa7fcf24553cac", None),
+    "walk": (0, "25c8982feefa1d40ad04b362a1fea8c7f39119bba1b96c9a425e0033049af48b", None),
     "graph": (0, "8aef27a83697a759b357af00d0eacec0f5e54a34c1748dcfdbe26a2e0349867f", None),
     "limit": (0, "ee63f492f947f986130c69cf248ed9eec017cdf44efd5271bb782d9682784263", None),
     "fclt": (1, "385c87f5615bf4d4012b67f4866204c783091508d8e58ddff5030068996c55ea",
@@ -528,8 +528,8 @@ _DIGESTS = {
                     "1dc5cdb6f7d70f0ed134571b3c02b318493f018141f22aa66178982a8b4c73ed"),
     "compare": (0, "39981788128764078a6ea9ec4a8931bd06eaa726bd81f8dbbceb7c3f0a2c95f5",
                 "ba2f28c075a31e22dd3ad9dd26f7baa7f4d30ae8ff3dde15dadfd4f64865eaa3"),
-    "endpoints": (0, "c61d36b11b7cd925f65d1c550e0ae29647e12757822fe035a36f842a568582ec",
-                  "3fc9b1db7eca6f7bebd00e3a3ea679fd46f916eb920996eadc5cb7d33c0a508b"),
+    "endpoints": (0, "4a7b958044d805b566b1c3e3f1f1d7081e8efeab5ecd1c541c573b149680fac4",
+                  "11c245b0b20a7302fadab6c2b6cac96f12664ae392b4c6aec246f9f6a559ac05"),
     "converge": (0, "5923b27bb52bd1661d0c03a96c4011957fad9b87f9bb96cd596a39b8294c4aea",
                  "d9a7cb62f846cf34fb7426ba69efa4bc57473a5cfca3e8347979b59c42cbc2aa"),
 }

@@ -1,49 +1,9 @@
 """Numerical primitives shared across modules."""
 
-import math
-
 import numpy as np
 import pytest
 
-from giantflux._numeric import chol_with_jitter, pairwise_cumsum
-
-
-class TestPairwiseCumsum:
-    def test_matches_exact_prefix_sums(self):
-        # positive inputs, the only case the package uses: error stays within
-        # a few ulps of the accumulated magnitude
-        rng = np.random.default_rng(40)
-        for n in (1, 2, 3, 17, 1000):
-            x = rng.uniform(0.1, 2.0, size=n)
-            got = pairwise_cumsum(x)
-            exact = np.array([math.fsum(x[: k + 1]) for k in range(n)])
-            np.testing.assert_allclose(got, exact, rtol=1e-14)
-
-    def test_mixed_sign_error_scales_with_magnitude(self):
-        rng = np.random.default_rng(41)
-        x = rng.uniform(-1.0, 1.0, size=1000)
-        got = pairwise_cumsum(x)
-        exact = np.array([math.fsum(x[: k + 1]) for k in range(1000)])
-        bound = np.sum(np.abs(x)) * np.log2(1000) * np.finfo(np.float64).eps
-        assert np.max(np.abs(got - exact)) <= bound
-
-    def test_integer_values_exact(self):
-        got = pairwise_cumsum(np.ones(1000))
-        np.testing.assert_array_equal(got, np.arange(1, 1001, dtype=np.float64))
-
-    def test_empty(self):
-        assert pairwise_cumsum(np.empty(0)).size == 0
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 1023, 1024, 1025])
-    def test_matches_in_place_doubling(self, n):
-        """The two-buffer passes do the arithmetic of one doubling loop in place."""
-        x = np.random.default_rng(n).uniform(-1.0, 3.0, size=n)
-        ref = x.copy()
-        shift = 1
-        while shift < n:
-            ref[shift:] = ref[shift:] + ref[:-shift]
-            shift *= 2
-        np.testing.assert_array_equal(pairwise_cumsum(x), ref)
+from giantflux._numeric import chol_with_jitter
 
 
 class TestCholWithJitter:

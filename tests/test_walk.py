@@ -3,6 +3,8 @@
 import hashlib
 import math
 from dataclasses import astuple
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -516,6 +518,73 @@ class TestLimbVolume:
             _window_volumes(r, lo, hi)
 
 
+def _exact_mass_prefix(r):
+    """S_1..S_n as exact rationals: the weights in clock order, summed, over n."""
+    weights = map(Fraction, r.atoms[r.sorted_class].tolist())
+    return [total / r.n for total in accumulate(weights)]
+
+
+class TestMassPrefix:
+    """``mass_prefix`` from exact limb prefix sums: one rounding for one limb,
+    and within (L + 2) u S_k + L 2**-1074 of the exact sum for L limbs."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            lambda rng, n: np.ones(n),
+            lambda rng, n: rng.choice([1.0, 2.0], size=n),
+            lambda rng, n: rng.choice([0.5, 1.25, 3.0, 7.75], size=n),
+            lambda rng, n: rng.integers(1, 2**31, size=n).astype(np.float64),
+            lambda rng, n: rng.integers(1, 2**31, size=n) * 2.0**-40,
+        ],
+        ids=["constant", "half-half", "four-dyadic", "31-bit-integers", "31-bit-dyadic"],
+    )
+    def test_one_limb_is_correctly_rounded(self, weights):
+        rng = np.random.default_rng(80)
+        for n in (1, 2, 3, 7, 1000, 3000):
+            w = weights(rng, n)
+            r = WalkRealization.from_clocks(w, rng.standard_exponential(n) / w)
+            assert r.limbs[1].shape[0] == 1
+            assert r.mass_before[0] == 0.0
+            assert r.mass_prefix.tolist() == [float(s) for s in _exact_mass_prefix(r)]
+
+    @pytest.mark.parametrize(
+        "weights, limbs",
+        [
+            (lambda rng, n: (1.0 - (np.arange(n) + 0.5) / n) ** (-1.0 / 2.5), 2),
+            (lambda rng, n: rng.lognormal(0.0, 3.0, size=n), 3),
+            (lambda rng, n: 10.0 ** rng.uniform(-300.0, 300.0, size=n), 66),
+            (
+                lambda rng, n: rng.choice(
+                    [5e-324, 1.5e-323, 3.3e-318, 1e-310, 2.2250738585072014e-308, 1.0], size=n
+                ),
+                35,
+            ),
+            (lambda rng, n: np.full(n, 5e-324), 1),
+        ],
+        ids=["pareto-k-eq-n", "lognormal-sigma3", "float-range", "subnormal", "only-tiny"],
+    )
+    def test_limbs_within_the_bound(self, weights, limbs):
+        rng = np.random.default_rng(81)
+        n = 3000
+        w = weights(rng, n)
+        r = WalkRealization.from_clocks(w, rng.standard_exponential(n))
+        assert r.limbs[1].shape[0] == limbs
+        assert np.all(np.isfinite(r.mass_prefix)) and np.all(np.diff(r.mass_prefix) >= 0.0)
+        u, tiny = Fraction(1, 2**53), Fraction(1, 2**1074)
+        for got, exact in zip(r.mass_prefix.tolist(), _exact_mass_prefix(r)):
+            assert abs(Fraction(got) - exact) <= (limbs + 2) * u * exact + limbs * tiny
+
+    def test_largest_weights_stay_finite(self):
+        """Each limb is divided by n before it is scaled: S_k is finite where
+        the window sums past the float range."""
+        w = np.array([1.7e308, 1.5e308, 1.6e308])
+        r = WalkRealization.from_clocks(w, [0.1, 0.2, 0.3])
+        exact = _exact_mass_prefix(r)
+        assert r.mass_prefix.tolist() == pytest.approx([float(s) for s in exact], rel=1e-15)
+        assert np.all(np.isfinite(r.mass_prefix))
+
+
 def _giant_digest(v, seed, grid):
     results = giant_results(sample_clocks(v, seed), grid)
     rows = tuple((e.g, e.d, e.vertex_count, e.total_volume) for e in results)
@@ -544,19 +613,19 @@ class TestGolden:
                 ),
                 2024,
                 (1.5, 3.0),
-                "8f2377f89672802b877762b05eed5fbfff31a6c5c3c4cb3310823440d84dd4fc",
+                "ee357a04b99dde5f68704edc119f49d16b002784f3cce91fa2d952f07592290d",
             ),
             (
                 lambda: _pareto_vector(5000),
                 2025,
                 (0.4, 3.0),
-                "0c435b017d977d046e2b2663b530ac0a0639c00f746ac32f9a5b15a0e9d01b14",
+                "18b3703558395c38d3c863f2cef2ef7da4923303eba2ead650245b6a67da3790",
             ),
             (
                 lambda: _lognormal_vector(5000),
                 2026,
                 (0.1, 3.0),
-                "8e46198ae159dbab6acee36caf4e8000d471b34ddb095107acc6cc8292b62849",
+                "e23d718210716545f97816e1afe11d4acd006e57cff1de14a000cb1eb2604be3",
             ),
         ],
         ids=["half-half-n2e4", "pareto-k-eq-n", "lognormal-sigma3"],
