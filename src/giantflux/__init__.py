@@ -31,11 +31,8 @@ from .theory import (
     ErClosedForms,
     LimitCovariance,
     SupercriticalCurves,
-    beta,
     er_closed_forms,
     lambda_crit,
-    psi_cov,
-    rho,
     supercritical_curves,
     theta,
     x_cov,
@@ -45,7 +42,6 @@ from .walk import (
     WalkRealization,
     all_excursions,
     giant_results,
-    longest_excursion,
     sample_clocks,
     walk_value,
 )

@@ -36,12 +36,13 @@ __all__ = [
 class DynamicGraphRealization:
     """The edge arrivals at or below ``lam_max / n`` of one realization.
 
-    ``edge_i[k] < edge_j[k]`` are the endpoints of the edge arriving at
-    ``arrivals[k]``, sorted ascending.  ``lam_max`` is the horizon: at any
-    lambda above it the realization lacks edges, so it answers no query there.
+    ``w`` is the weight vector it was sampled from.  ``edge_i[k] < edge_j[k]``
+    are the endpoints of the edge arriving at ``arrivals[k]``, sorted
+    ascending.  ``lam_max`` is the horizon: at any lambda above it the
+    realization lacks edges, so it answers no query there.
     """
 
-    weights: np.ndarray
+    w: WeightVector
     edge_i: np.ndarray
     edge_j: np.ndarray
     arrivals: np.ndarray
@@ -49,17 +50,18 @@ class DynamicGraphRealization:
 
     @property
     def n(self) -> int:
-        return self.weights.size
+        return self.w.n
 
     @classmethod
     def from_arrivals(cls, weights, edges) -> "DynamicGraphRealization":
         """Build from explicit (i, j, arrival) rows; deterministic tests only.
 
         The rows must hold every unordered pair exactly once, so the
-        realization holds every arrival and its horizon is infinite.
+        realization holds every arrival and its horizon is infinite.  The
+        weights must be finite and > 0, as for any ``WeightVector``.
         """
-        w = np.asarray(weights, dtype=np.float64).copy()
-        n = w.size
+        w = WeightVector(n=np.size(weights), weights=weights)
+        n = w.n
         rows = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
         ei, ej = np.sort(rows[:, :2], axis=1).astype(np.int64).T
         bad = np.flatnonzero((ei < 0) | (ej >= n) | (ei == ej) | ~(rows[:, 2] > 0.0))
@@ -76,9 +78,9 @@ class DynamicGraphRealization:
     def _sorted(cls, w, ei, ej, arrivals, lam_max) -> "DynamicGraphRealization":
         order = arrivals.argsort()
         ei, ej, arrivals = ei[order], ej[order], arrivals[order]
-        for arr in (w, ei, ej, arrivals):
+        for arr in (ei, ej, arrivals):
             arr.setflags(write=False)
-        return cls(weights=w, edge_i=ei, edge_j=ej, arrivals=arrivals, lam_max=lam_max)
+        return cls(w=w, edge_i=ei, edge_j=ej, arrivals=arrivals, lam_max=lam_max)
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def simulate_dynamic_graph(w: WeightVector, seed: int, lam_max: float) -> Dynami
     # Geometric(0) is undefined; with q = 0 no pair can arrive by t
     k = _bernoulli_indices(rng, n * (n - 1) // 2, q) if q > 0.0 else np.empty(0, dtype=np.int64)
     if not k.size:
-        return DynamicGraphRealization._sorted(weights, k, k, np.empty(0), lam_max)
+        return DynamicGraphRealization._sorted(w, k, k, np.empty(0), lam_max)
     # pair {i < j} has linear index row_start[i] + (j - i - 1)
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - 1 - rows) // 2
@@ -144,7 +146,7 @@ def simulate_dynamic_graph(w: WeightVector, seed: int, lam_max: float) -> Dynami
     ei, ej, rate, p = ei[kept], ej[kept], rate[kept], p[kept]
     # inverse CDF of Exp(rate) truncated to (0, t], with -V = U - 1 in [-1, 0)
     arrivals = np.minimum(-np.log1p((rng.random(kept.size) - 1.0) * p) / rate, t)
-    return DynamicGraphRealization._sorted(weights, ei, ej, arrivals, lam_max)
+    return DynamicGraphRealization._sorted(w, ei, ej, arrivals, lam_max)
 
 
 def _merge(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -168,28 +170,18 @@ def _merge(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             labels, jumped = jumped, jumped[jumped]
 
 
-# (weights, e0, per-vertex limb table) of the last weight array labelled
-_last_limbs: tuple = (None, 0, None)
-
-
-def _label_volumes(labels: np.ndarray, weights: np.ndarray) -> tuple[int, np.ndarray]:
-    """``(e0, sums)``: each label's exact volume sum_l sums[l, label] << 31 l
-    in units of 2**e0, from the ``WeightVector.limbs`` of its vertices.  The
-    int64 sums are exact up to 2**32 vertices; each carry is moved up a limb,
-    so rows l < L - 1 lie in [0, 2**31) and labels compare limb by limb."""
-    global _last_limbs
-    key, e0, table = _last_limbs  # one read: another thread may replace it
-    if key is not weights:  # the replicates of a run share one read-only array
-        v = WeightVector(n=weights.size, weights=weights)
-        e0, table = v.limbs[0], v.limbs[1][:, v.classes[1]]
-        _last_limbs = (weights, e0, table)
+def _label_volumes(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Each label's exact volume sum_l sums[l, label] << 31 l in units of
+    2**e0, from ``table``, the (L, n) ``WeightVector.limbs`` of the vertices.
+    The int64 sums are exact up to 2**32 vertices; each carry is moved up a
+    limb, so rows l < L - 1 lie in [0, 2**31) and labels compare limb by limb."""
     sums = np.zeros(table.shape, dtype=np.int64)
     for total, limb in zip(sums, table):
         np.add.at(total, labels, limb)
     for low, high in zip(sums[:-1], sums[1:]):
         high += low >> 31
         low &= (1 << 31) - 1
-    return e0, sums
+    return sums
 
 
 def _volume(e0: int, sums: np.ndarray, label: int) -> float:
@@ -216,11 +208,13 @@ def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("lambda grid must be ascending")
     ends = _prefix_ends(r, grid)
+    e0, limbs = r.w.limbs
+    table = limbs[:, r.w.classes[1]]
     labels = np.arange(r.n)
     snapshots = []
     for lam, start, stop in zip(grid.tolist(), [0] + ends, ends):
         labels = _merge(labels, r.edge_i[start:stop], r.edge_j[start:stop])
-        e0, sums = _label_volumes(labels, r.weights)
+        sums = _label_volumes(labels, table)
         # the max exact volume, ties to the smallest label
         tied = (sums[-1] == sums[-1].max()).nonzero()[0]
         for limb in sums[-2::-1]:
@@ -230,11 +224,3 @@ def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
         snapshots.append(GiantSnapshot(lam=lam, count=count, volume=_volume(e0, sums, best)))
     return snapshots
 
-
-def _components_at(r: DynamicGraphRealization, lam: float) -> list[tuple[int, float]]:
-    """(count, volume) for every component at one lambda; test helper."""
-    (stop,) = _prefix_ends(r, np.array([lam], dtype=np.float64))
-    labels = _merge(np.arange(r.n), r.edge_i[:stop], r.edge_j[:stop])
-    e0, sums = _label_volumes(labels, r.weights)
-    roots, counts = np.unique(labels, return_counts=True)
-    return [(c, _volume(e0, sums, v)) for v, c in zip(roots.tolist(), counts.tolist())]

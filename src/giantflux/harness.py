@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph_oracle import candidate_probability, giant_path, simulate_dynamic_graph
 from .theory import (
-    DEFAULT_MARGIN, SupercriticalCurves, psi_cov, require_supercritical, supercritical_curves,
+    DEFAULT_MARGIN, SupercriticalCurves, psi_kernel, require_supercritical, supercritical_curves,
     x_cov,
 )
 from .walk import giant_results, sample_clocks
@@ -249,10 +249,11 @@ def _zscore(diff: float, se: float) -> float:
 
 
 def _record(lam, stat, empirical, target, se, multiplier) -> ReportRecord:
+    """One row; ``multiplier=None`` makes it report-only (``passed`` None)."""
     z = _zscore(empirical - target, se)
     return ReportRecord(
         lam=float(lam), stat=stat, empirical=float(empirical), target=float(target),
-        se=float(se), z=float(z), passed=bool(abs(z) <= multiplier),
+        se=float(se), z=float(z), passed=None if multiplier is None else bool(abs(z) <= multiplier),
     )
 
 
@@ -411,7 +412,8 @@ def run_endpoint_check(config: ExperimentConfig) -> ExperimentReport:
     if config.kind != "endpoint-check":
         raise ValueError(f"run_endpoint_check needs kind='endpoint-check', got {config.kind!r}")
     grid = config.grid()
-    target_curves = supercritical_curves(config.model, grid, config.margin)
+    curves = supercritical_curves(config.model, grid, config.margin)
+    targets = psi_kernel(config.model, 2, grid * curves.theta).diagonal() / curves.beta**2
     w, stats = replicate_stats(config, config.n, "walk")
     curves_n, _, _ = _fluctuations(config, w, stats)
 
@@ -421,20 +423,13 @@ def run_endpoint_check(config: ExperimentConfig) -> ExperimentReport:
     for i, lam in enumerate(grid):
         g, d = stats[:, i, 2], stats[:, i, 3]
         x = sqrt_n * (d - curves_n.theta[i])
-        time_i = lam * target_curves.theta[i]
-        target = psi_cov(config.model, 1, 1, time_i, time_i) / target_curves.beta[i] ** 2
         var, se = _var_se(x)
-        records.append(_record(lam, "var_sqrtn_d", var, target, se, mult))
+        records.append(_record(lam, "var_sqrtn_d", var, targets[i], se, mult))
         # the limit of sqrt(n)(d - theta_n) is centered, but the empirical
         # mean inherits the O(n^{-1/2}) left-edge offset, so it is reported
         # without a pass gate
         mean, se = _mean_se(x)
-        records.append(
-            ReportRecord(
-                lam=float(lam), stat="mean_sqrtn_d", empirical=float(mean),
-                target=0.0, se=float(se), z=_zscore(mean, se), passed=None,
-            )
-        )
+        records.append(_record(lam, "mean_sqrtn_d", mean, 0.0, se, multiplier=None))
         p95 = float(np.quantile(sqrt_n * g, 0.95))
         records.append(
             ReportRecord(
@@ -462,22 +457,11 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
         stats = replicate_stats(config, n, "walk", seed_path=(n_idx,))
         _, fluc_count, fluc_volume = _fluctuations(config, *stats)
         for i, lam in enumerate(grid):
-            var_c, _ = _var_se(fluc_count[:, i])
-            var_v, _ = _var_se(fluc_volume[:, i])
-            records.append(
-                ReportRecord(
-                    lam=float(lam), stat=f"abs_var_err_count[n={n}]",
-                    empirical=abs(var_c - cov.var_count[i]),
-                    target=0.0, se=nan, z=nan, passed=None,
-                )
-            )
-            records.append(
-                ReportRecord(
-                    lam=float(lam), stat=f"abs_var_err_volume[n={n}]",
-                    empirical=abs(var_v - cov.var_volume[i]),
-                    target=0.0, se=nan, z=nan, passed=None,
-                )
-            )
+            for name, fluc, target in (("count", fluc_count, cov.var_count),
+                                       ("volume", fluc_volume, cov.var_volume)):
+                var, _ = _var_se(fluc[:, i])
+                records.append(_record(lam, f"abs_var_err_{name}[n={n}]", abs(var - target[i]),
+                                       0.0, nan, multiplier=None))
     return ExperimentReport(kind=config.kind, meta=config.meta(), records=tuple(records))
 
 

@@ -37,9 +37,11 @@ def _psd_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Sampling factor F with F @ F.T ~= cov, honoring exact degeneracies.
 
     Zero-variance coordinates are almost surely zero and get a zero row.
-    Coordinates whose covariance rows are bitwise equal, repeated times
-    included, are perfectly correlated copies and share one factor row, so
-    their draws come out identical rather than jitter-close.  The reduced
+    Coordinates whose covariance rows are bitwise equal are perfectly
+    correlated copies and share one factor row, so their draws come out
+    identical rather than jitter-close.  The samplers' times are distinct, but
+    for constant weight 1 the order-0 and order-1 rows are equal: the jittered
+    Cholesky of the full matrix would draw them 2.8e-8 apart.  The reduced
     matrix goes through the jittered Cholesky policy.
     """
     dim = cov.shape[0]
@@ -85,10 +87,9 @@ def sample_x_path(
 
     Returns ``(x0, x1)``, each of shape (count, m): ``x0[k, i]`` is the
     count-fluctuation coordinate of draw k at lambda_i, ``x1[k, i]`` the
-    volume one.  The kernel pair is evaluated at the times lambda_i * theta_i
-    (an arbitrary finite set, no monotonicity assumed; equal times get one
-    shared draw) and assembled with the coefficient table of the limit
-    covariance.
+    volume one.  The kernel pair is evaluated at the times lambda_i * theta_i,
+    which strictly increase with lambda, and assembled with the coefficient
+    table of the limit covariance.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

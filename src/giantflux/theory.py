@@ -4,11 +4,14 @@ For a weight model with E[W^2] > 0 the giant component emerges at
 lambda_crit = 1 / E[W^2].  Above it, the limiting volume fraction theta(lambda)
 is the unique positive root of the concave map f(t) = phi_1(lambda t) - t, the
 vertex fraction is rho = phi_0(lambda theta), and beta = -f'(theta) > 0 sets
-the 1/beta fluctuation scale.  The joint fluctuation limit of (count, volume)
-of the giant is a centered bivariate Gaussian whose covariance is assembled
-here from the kernel of the weighted empirical fluctuation processes:
+the 1/beta fluctuation scale.  ``supercritical_curves`` tabulates all three
+over a lambda grid; ``theta`` is the one scalar front-end.  The joint
+fluctuation limit of (count, volume) of the giant is a centered bivariate
+Gaussian whose covariance is assembled here from the kernel of the weighted
+empirical fluctuation processes of orders p, q in {0, 1}, which
+``psi_kernel(model, p + q, times)`` evaluates at every pair of times:
 
-    psi_cov(p, q, s, t) = E[W^(p+q) (exp(-W max(s,t)) - exp(-W (s+t)))].
+    psi(p, q; s, t) = E[W^(p+q) (exp(-W max(s,t)) - exp(-W (s+t)))].
 
 The pair at parameter lambda is a linear combination of the two kernel
 coordinates evaluated at time lambda * theta(lambda), with coefficients
@@ -35,10 +38,7 @@ __all__ = [
     "lambda_crit",
     "require_supercritical",
     "theta",
-    "rho",
-    "beta",
     "psi_kernel",
-    "psi_cov",
     "supercritical_curves",
     "x_cov",
     "er_closed_forms",
@@ -142,26 +142,6 @@ def theta(model: WeightModel, lam: float) -> float:
     return float(_theta_grid(model, np.array([lam]))[0])
 
 
-def rho(model: WeightModel, lam: float) -> float:
-    """Limiting giant vertex fraction, phi_0(lambda * theta(lambda))."""
-    return phi(model, 0, lam * theta(model, lam))
-
-
-def beta(model: WeightModel, lam: float) -> float:
-    """Negative slope of the fixed-point map at its root; in (0, 1).
-
-    Defined only above criticality: everything downstream divides by it, and
-    it tends to 0 at lambda_crit.
-    """
-    lam = float(lam)
-    crit = lambda_crit(model)
-    if lam <= crit:
-        raise ValueError(
-            f"beta requires lambda > lambda_crit = {crit:g}, got lambda = {lam:g}"
-        )
-    return 1.0 - lam * mixed_moment(model, 2, lam * theta(model, lam))
-
-
 def psi_kernel(model: WeightModel, k: int, times) -> np.ndarray:
     """Kernel matrix E[W^k (exp(-W max(t_i, t_j)) - exp(-W (t_i + t_j)))].
 
@@ -183,18 +163,6 @@ def psi_kernel(model: WeightModel, k: int, times) -> np.ndarray:
     kernel[rows, cols] -= at_sum
     kernel[cols, rows] = kernel[rows, cols]
     return kernel
-
-
-def psi_cov(model: WeightModel, p: int, q: int, s: float, t: float) -> float:
-    """Covariance kernel of the weighted empirical fluctuation pair.
-
-    E[W^(p+q) (exp(-W max(s,t)) - exp(-W (s+t)))]; symmetric in (s, t) and
-    zero whenever either time is 0.  The off-diagonal entry of
-    ``psi_kernel`` at the two times (s, t).
-    """
-    if p not in (0, 1) or q not in (0, 1):
-        raise ValueError(f"p and q must be in {{0, 1}}, got ({p}, {q})")
-    return float(psi_kernel(model, p + q, [s, t])[0, 1])
 
 
 @dataclass(frozen=True)
@@ -221,7 +189,7 @@ def supercritical_curves(
 
     Every grid point must satisfy lambda >= lambda_crit * (1 + margin); the
     first offender is named in the error.  The whole grid is bisected at
-    once, and each entry equals its scalar ``theta``/``rho``/``beta``.
+    once, and each entry equals that of a one-point grid at its lambda.
     """
     grid = np.asarray(lambdas, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:

@@ -44,7 +44,6 @@ __all__ = [
     "WalkRealization",
     "ExcursionResult",
     "sample_clocks",
-    "longest_excursion",
     "all_excursions",
     "giant_results",
     "walk_value",
@@ -283,11 +282,6 @@ def _first_longest(g, d, starts, ends) -> tuple[float, float, int, int]:
     top = float(lengths.max())
     idx = int(np.flatnonzero(lengths >= top - _LEVEL_TOL * (1.0 + top))[0])
     return float(g[idx]), float(d[idx]), int(starts[idx]), int(ends[idx])
-
-
-def longest_excursion(r: WalkRealization, lam: float) -> ExcursionResult:
-    """First-longest excursion of the walk at intensity lam (the giant)."""
-    return giant_results(r, [lam])[0]
 
 
 def all_excursions(r: WalkRealization, lam: float) -> list[ExcursionResult]:

@@ -11,8 +11,9 @@ from math import fsum, sqrt
 
 import numpy as np
 import pytest
+from test_graph_oracle import _components_at
 
-from giantflux.graph_oracle import _components_at, simulate_dynamic_graph
+from giantflux.graph_oracle import simulate_dynamic_graph
 from giantflux.harness import (
     ExperimentConfig,
     run_endpoint_check,
@@ -21,19 +22,8 @@ from giantflux.harness import (
     write_report_json,
 )
 from giantflux.limit_sampler import psi_cov_matrix, sample_psi_pair
-from giantflux.theory import (
-    beta,
-    er_closed_forms,
-    lambda_crit,
-    phi,
-    rho,
-    supercritical_curves,
-    theta,
-    x_cov,
-)
-from giantflux.walk import (
-    WalkRealization, all_excursions, giant_results, longest_excursion, sample_clocks,
-)
+from giantflux.theory import er_closed_forms, lambda_crit, phi, supercritical_curves, theta, x_cov
+from giantflux.walk import WalkRealization, all_excursions, giant_results, sample_clocks
 from giantflux.weights import WeightModel, sample_weight_vector
 
 ER = WeightModel.constant(1.0)
@@ -59,13 +49,12 @@ def criterion(number, description, budget_seconds):
 def test_criterion_1_er_analytic_anchor():
     with criterion(1, "ER analytic anchors at lambda in {1.5, 2, 3}", 1.0):
         for lam in (1.5, 2.0, 3.0):
-            th = theta(ER, lam)
-            rh = rho(ER, lam)
-            be = beta(ER, lam)
+            curves = supercritical_curves(ER, [lam])
+            th, rh, be = theta(ER, lam), curves.rho[0], curves.beta[0]
             assert abs(th - rh) <= 1e-10
             assert abs(be - (1.0 - lam * (1.0 - rh))) <= 1e-10
             forms = er_closed_forms(lam)
-            var_count = x_cov(supercritical_curves(ER, [lam])).var_count[0]
+            var_count = x_cov(curves).var_count[0]
             assert abs(var_count - forms.sigma_sq) <= 1e-10
             assert abs(forms.v / forms.u**2 - forms.sigma_sq) <= 1e-12
 
@@ -125,7 +114,7 @@ def test_criterion_3_excursion_oracle_equivalence():
             clocks = rng.standard_exponential(n) / weights
             lam = float(rng.uniform(0.3, 3.0))
             r = WalkRealization.from_clocks(weights, clocks)
-            res = longest_excursion(r, lam)
+            (res,) = giant_results(r, [lam])
             g, d, volume, count = _brute_force_longest(
                 weights.tolist(), clocks.tolist(), lam
             )

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from giantflux.graph_oracle import (
     DynamicGraphRealization,
     _bernoulli_indices,
-    _components_at,
+    _label_volumes,
+    _merge,
+    _prefix_ends,
+    _volume,
     giant_path,
     simulate_dynamic_graph,
 )
@@ -21,6 +24,16 @@ from giantflux.weights import WeightVector
 def _vector(weights):
     w = np.asarray(weights, dtype=np.float64)
     return WeightVector(n=w.size, weights=w)
+
+
+def _components_at(r, lam):
+    """(count, volume) of every component at one lambda, labelled from scratch."""
+    (stop,) = _prefix_ends(r, np.array([lam], dtype=np.float64))
+    labels = _merge(np.arange(r.n), r.edge_i[:stop], r.edge_j[:stop])
+    e0, limbs = r.w.limbs
+    sums = _label_volumes(labels, limbs[:, r.w.classes[1]])
+    roots, counts = np.unique(labels, return_counts=True)
+    return [(c, _volume(e0, sums, v)) for v, c in zip(roots.tolist(), counts.tolist())]
 
 
 class TestSimulate:
@@ -153,6 +166,13 @@ class TestInjectedArrivals:
     def test_rejects_bad_edge(self, edge):
         with pytest.raises(ValueError, match="must join two of the n=2 vertices"):
             DynamicGraphRealization.from_arrivals([1.0, 1.0], [edge])
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_weight_when_built(self, weight):
+        """A weight that is not finite and > 0 fails in ``from_arrivals``,
+        not later inside ``giant_path``."""
+        with pytest.raises(ValueError, match="must all be finite and > 0"):
+            DynamicGraphRealization.from_arrivals([weight, 1.0], [(0, 1, 0.5)])
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_exact_tie_of_non_dyadic_weights(self, order):
@@ -292,7 +312,7 @@ def _brute_force(r, lam):
                 changed = True
     comps = {}
     for v, root in enumerate(label):
-        comps.setdefault(root, []).append(float(r.weights[v]))
+        comps.setdefault(root, []).append(float(r.w.weights[v]))
     return [(len(ws), math.fsum(ws), root, sum(map(Fraction, ws))) for root, ws in comps.items()]
 
 
@@ -339,7 +359,7 @@ class TestIncrementalGiant:
             assert sorted(labelled) == sorted((c, v) for c, v, _, _ in comps)
             assert sum(c for c, _ in labelled) == r.n
             if all(Fraction(v) == exact for _, v, _, exact in comps):  # no volume rounded
-                assert math.fsum(v for _, v in labelled) == math.fsum(r.weights.tolist())
+                assert math.fsum(v for _, v in labelled) == math.fsum(r.w.weights.tolist())
 
     @settings(database=None, derandomize=True, max_examples=150, deadline=None)
     @given(_sampled_realizations(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))

@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 from giantflux import theory, weights
 from giantflux.theory import (
     LimitCovariance,
-    beta,
     er_closed_forms,
     lambda_crit,
-    psi_cov,
     psi_kernel,
     require_supercritical,
-    rho,
     supercritical_curves,
     theta,
     x_cov,
@@ -34,6 +31,15 @@ RHO_ER_2 = 0.79681213002002005
 SIGMA_SQ_2 = 0.45944172300703756
 DISCRETE_THETA_1 = 1.2851963780417547
 DISCRETE_RHO_1 = 0.82344912380433157
+
+
+def _curves(model, lambdas, margin=theory.DEFAULT_MARGIN):
+    return supercritical_curves(model, np.atleast_1d(lambdas), margin)
+
+
+def _psi(model, p, q, s, t):
+    """The kernel entry psi(p, q; s, t), off the diagonal of a 2 x 2 kernel."""
+    return float(psi_kernel(model, p + q, [s, t])[0, 1])
 
 
 class TestLambdaCrit:
@@ -85,41 +91,45 @@ class TestTheta:
 class TestRho:
     def test_er_equals_theta(self):
         """For constant weight 1 the fixed point makes rho coincide with theta."""
-        for lam in (1.5, 2.0, 3.0):
-            assert rho(ER, lam) == pytest.approx(theta(ER, lam), abs=1e-10)
+        curves = _curves(ER, [1.5, 2.0, 3.0])
+        np.testing.assert_allclose(curves.rho, curves.theta, rtol=0, atol=1e-10)
 
     def test_subcritical_zero(self):
-        assert rho(HALF_HALF, 0.3) == 0.0
+        """Below lambda_crit theta is 0, so is rho = phi_0(lambda theta), and
+        the grid refuses the point."""
+        assert phi(HALF_HALF, 0, 0.3 * theta(HALF_HALF, 0.3)) == 0.0
+        with pytest.raises(ValueError, match="below the supercritical threshold"):
+            _curves(HALF_HALF, 0.3)
 
     def test_discrete_golden(self):
-        assert rho(HALF_HALF, 1.0) == pytest.approx(DISCRETE_RHO_1, abs=1e-10)
+        assert _curves(HALF_HALF, 1.0).rho[0] == pytest.approx(DISCRETE_RHO_1, abs=1e-10)
         assert theta(HALF_HALF, 1.0) == pytest.approx(DISCRETE_THETA_1, abs=1e-10)
 
     def test_in_unit_interval(self):
-        for lam in (0.5, 1.0, 2.0, 5.0):
-            assert 0.0 < rho(HALF_HALF, lam) < 1.0
+        rh = _curves(HALF_HALF, [0.5, 1.0, 2.0, 5.0]).rho
+        assert np.all((0.0 < rh) & (rh < 1.0))
 
 
 class TestBeta:
     def test_er_identity(self):
         """beta + lambda (1 - rho) = 1 for constant weight 1."""
-        for lam in (1.5, 2.0, 3.0):
-            assert abs(beta(ER, lam) + lam * (1 - rho(ER, lam)) - 1.0) <= 1e-12
+        curves = _curves(ER, [1.5, 2.0, 3.0])
+        identity = curves.beta + curves.lambdas * (1 - curves.rho) - 1.0
+        assert np.all(np.abs(identity) <= 1e-12)
 
     def test_in_unit_interval(self):
         for model in (ER, HALF_HALF, SKEWED):
-            crit = lambda_crit(model)
-            for lam in np.linspace(crit * 1.01, 5.0, 20):
-                assert 0.0 < beta(model, lam) < 1.0
+            be = _curves(model, np.linspace(lambda_crit(model) * 1.01, 5.0, 20)).beta
+            assert np.all((0.0 < be) & (be < 1.0))
 
     def test_vanishes_toward_criticality(self):
-        assert beta(ER, 1.0 + 1e-4) < 1e-3
+        assert _curves(ER, 1.0 + 1e-4, margin=0.0).beta[0] < 1e-3
 
     def test_rejects_subcritical(self):
         with pytest.raises(ValueError):
-            beta(ER, 1.0)
+            _curves(ER, 1.0)
         with pytest.raises(ValueError):
-            beta(HALF_HALF, 0.3)
+            _curves(HALF_HALF, 0.3)
 
 
 class TestPsiCov:
@@ -129,17 +139,17 @@ class TestPsiCov:
             t = float(rng.uniform(0, 4))
             for p in (0, 1):
                 for q in (0, 1):
-                    assert psi_cov(HALF_HALF, p, q, 0.0, t) == 0.0
-                    assert psi_cov(HALF_HALF, p, q, t, 0.0) == 0.0
+                    assert _psi(HALF_HALF, p, q, 0.0, t) == 0.0
+                    assert _psi(HALF_HALF, p, q, t, 0.0) == 0.0
 
     def test_er_diagonal_is_bernoulli_variance(self):
         for t in (0.3, 1.0, 2.5):
             expected = np.exp(-t) * (1 - np.exp(-t))
-            assert psi_cov(ER, 0, 0, t, t) == pytest.approx(expected, abs=1e-15)
+            assert _psi(ER, 0, 0, t, t) == pytest.approx(expected, abs=1e-15)
 
     def test_discrete_finite_sum_value(self):
         # 0.5*(e^-2 - e^-3) + 0.5*4*(e^-4 - e^-6), frozen via 40-digit arithmetic
-        assert psi_cov(HALF_HALF, 1, 1, 1.0, 2.0) == pytest.approx(
+        assert _psi(HALF_HALF, 1, 1, 1.0, 2.0) == pytest.approx(
             0.074447880858510018, abs=1e-15
         )
 
@@ -148,10 +158,10 @@ class TestPsiCov:
         for _ in range(40):
             s, t = rng.uniform(0, 4, size=2)
             p, q = rng.integers(0, 2, size=2)
-            assert psi_cov(HALF_HALF, int(p), int(q), s, t) == psi_cov(
+            assert _psi(HALF_HALF, int(p), int(q), s, t) == _psi(
                 HALF_HALF, int(q), int(p), t, s
             )
-            assert psi_cov(HALF_HALF, int(p), int(p), t, t) >= 0.0
+            assert _psi(HALF_HALF, int(p), int(p), t, t) >= 0.0
 
 
 class TestSupercriticalCurves:
@@ -194,7 +204,7 @@ class TestXCov:
         curves = supercritical_curves(HALF_HALF, [1.5])
         cov = x_cov(curves)
         time = 1.5 * curves.theta[0]
-        expected = psi_cov(HALF_HALF, 1, 1, time, time) / curves.beta[0] ** 2
+        expected = _psi(HALF_HALF, 1, 1, time, time) / curves.beta[0] ** 2
         assert cov.var_volume[0] == pytest.approx(expected, rel=1e-14)
 
     def test_cross_lambda_psd_small_jitter(self):
@@ -343,14 +353,16 @@ class TestFiniteSupportProperties:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(law=_laws(), factors=_grid_factors(max_points=12))
     def test_grid_entry_equals_scalar(self, law, factors):
-        """theta, rho, beta at a lambda do not depend on the grid around it."""
+        """theta, rho, beta at a lambda do not depend on the grid around it:
+        each entry is that of the one-point grid, and theta the scalar's."""
         atoms, counts, _ = law
         model = WeightModel.discrete(list(zip(atoms, counts / counts.sum())))
         curves = supercritical_curves(model, lambda_crit(model) * factors)
         for i, lam in enumerate(curves.lambdas):
-            assert theta(model, lam) == curves.theta[i]
-            assert rho(model, lam) == curves.rho[i]
-            assert beta(model, lam) == curves.beta[i]
+            single = _curves(model, lam)
+            assert theta(model, lam) == curves.theta[i] == single.theta[0]
+            assert single.rho[0] == curves.rho[i]
+            assert single.beta[0] == curves.beta[i]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(law=_laws(), factors=_grid_factors(max_points=6))
@@ -364,7 +376,7 @@ class TestFiniteSupportProperties:
         for i in range(times.size):
             for j in range(i, times.size):
                 k0, k1, k2 = (
-                    psi_cov(model, p, q, times[i], times[j]) for p, q in ((0, 0), (0, 1), (1, 1))
+                    _psi(model, p, q, times[i], times[j]) for p, q in ((0, 0), (0, 1), (1, 1))
                 )
                 expected = [
                     [k0 + (c[i] + c[j]) * k1 + c[i] * c[j] * k2, (k1 + c[i] * k2) * b[j]],

@@ -18,7 +18,6 @@ from giantflux.walk import (
     _window_volumes,
     all_excursions,
     giant_results,
-    longest_excursion,
     sample_clocks,
     walk_value,
 )
@@ -35,7 +34,7 @@ class TestHandComputedPaths:
     def test_single_vertex(self):
         # jump of size 1 at t = 0.3/2; descent needs exactly 1 unit of time
         r = WalkRealization.from_clocks([1.0], [0.3])
-        res = longest_excursion(r, 2.0)
+        res = giant_results(r, [2.0])[0]
         assert res.g == pytest.approx(0.15, abs=1e-15)
         assert res.d == pytest.approx(1.15, abs=1e-15)
         assert res.total_volume == 1.0
@@ -44,7 +43,7 @@ class TestHandComputedPaths:
     def test_two_jumps_merge(self):
         # second jump arrives before the first excursion closes
         r = WalkRealization.from_clocks([1.0, 1.0], [0.2, 0.5])
-        res = longest_excursion(r, 1.0)
+        res = giant_results(r, [1.0])[0]
         assert res.g == pytest.approx(0.2, abs=1e-15)
         assert res.d == pytest.approx(1.2, abs=1e-15)
         assert res.total_volume == 2.0
@@ -57,7 +56,7 @@ class TestHandComputedPaths:
         assert len(excs) == 2
         assert excs[0].g == pytest.approx(0.2) and excs[0].d == pytest.approx(0.7)
         assert excs[1].g == pytest.approx(1.9) and excs[1].d == pytest.approx(2.4)
-        res = longest_excursion(r, 1.0)
+        res = giant_results(r, [1.0])[0]
         assert res.g == pytest.approx(0.2, abs=1e-15)
 
 
@@ -174,7 +173,7 @@ class TestExcursionStructure:
         r = _random_realization(rng, 300)
         for lam in (0.3, 0.8, 2.0):
             excs = all_excursions(r, lam)
-            best = longest_excursion(r, lam)
+            best = giant_results(r, [lam])[0]
             assert all(best.d - best.g >= e.d - e.g - 1e-12 for e in excs)
 
     def test_end_value_hits_running_infimum(self):
@@ -204,7 +203,7 @@ class TestExcursionStructure:
         r = _random_realization(rng, 150)
         n = r.n
         for lam in (0.5, 1.5):
-            e = longest_excursion(r, lam)
+            e = giant_results(r, [lam])[0]
             t = r.sorted_clocks / lam
             in_window = np.count_nonzero((t >= e.g) & (t <= e.d))
             assert e.vertex_count == in_window
@@ -215,7 +214,7 @@ class TestExcursionStructure:
     def test_volume_consistency(self):
         rng = np.random.default_rng(15)
         r = _random_realization(rng, 1000)
-        e = longest_excursion(r, 2.0)
+        e = giant_results(r, [2.0])[0]
         assert e.total_volume == pytest.approx(r.n * (e.d - e.g), rel=1e-9)
 
 
@@ -249,7 +248,7 @@ class TestSweep:
         v = sample_weight_vector(WeightModel.constant(1.0), 500, "quantile", 0)
         r = sample_clocks(v, 5)
         grid = giant_results(r, [1.5, 2.0, 3.0])
-        assert grid[1] == longest_excursion(r, 2.0)
+        assert grid[1] == giant_results(r, [2.0])[0]
 
     def test_er_law_of_large_numbers(self):
         """Scaled giant volume concentrates near the limiting fraction."""
@@ -307,7 +306,7 @@ class TestClassVolume:
         r = WalkRealization.from_clocks(w, xi)
         order = np.argsort(xi)
         t = xi[order] / lam
-        for e in all_excursions(r, lam) + [longest_excursion(r, lam)]:
+        for e in all_excursions(r, lam) + [giant_results(r, [lam])[0]]:
             lo = int(np.searchsorted(t, e.g))
             window = w[order[lo : lo + e.vertex_count]]
             assert e.total_volume == math.fsum(window.tolist())
@@ -319,11 +318,10 @@ class TestLambdaValidation:
         "call",
         [
             lambda r, lam: giant_results(r, [2.0, lam, 1.0]),
-            longest_excursion,
             all_excursions,
             lambda r, lam: walk_value(r, lam, 0.5),
         ],
-        ids=["giant_results", "longest_excursion", "all_excursions", "walk_value"],
+        ids=["giant_results", "all_excursions", "walk_value"],
     )
     def test_rejects_non_finite_or_non_positive(self, call, lam):
         r = WalkRealization.from_clocks([1.0, 2.0], [0.3, 0.1])
@@ -334,11 +332,10 @@ class TestLambdaValidation:
         "call",
         [
             lambda r, lam: giant_results(r, [2.0, lam, 1.0]),
-            longest_excursion,
             all_excursions,
             lambda r, lam: walk_value(r, lam, 0.5),
         ],
-        ids=["giant_results", "longest_excursion", "all_excursions", "walk_value"],
+        ids=["giant_results", "all_excursions", "walk_value"],
     )
     def test_rejects_lambda_overflowing_clocks(self, call):
         """A finite lambda of 1e-310 makes xi/lambda overflow to inf."""
@@ -413,12 +410,12 @@ class TestNestedGrid:
         assert r.mass_before[1] - r.sorted_clocks[1] / below > -r.sorted_clocks[0] / below
         for lam in (below, 1.0, above):
             assert len(all_excursions(r, lam)) == 2
-        assert longest_excursion(r, 1.0).vertex_count == 1
+        assert giant_results(r, [1.0])[0].vertex_count == 1
         _assert_grid_matches_single_scans(r, [above, 1.0, below, 1.0])
 
 
 class TestBruteForce:
-    """``longest_excursion`` and a multi-lambda ``giant_results`` against the
+    """One-point and multi-lambda ``giant_results`` against the
     dense brute force of acceptance criterion 3."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -434,7 +431,7 @@ class TestBruteForce:
         r = WalkRealization.from_clocks(weights, clocks)
         for lam, res in zip(grid, giant_results(r, grid)):
             g, d, volume, count = _brute_force_longest(weights.tolist(), clocks.tolist(), lam)
-            for e in (res, longest_excursion(r, lam)):
+            for e in (res, giant_results(r, [lam])[0]):
                 assert e.vertex_count == count
                 assert e.total_volume == volume
                 assert abs(e.g - g) <= 1e-10
@@ -493,7 +490,7 @@ class TestLimbVolume:
         lo = np.arange(n)
         assert _window_volumes(r, lo, lo + 1) == r.atoms[r.sorted_class].tolist()
         single = WalkRealization.from_clocks([0.1], [0.3])
-        assert longest_excursion(single, 2.0).total_volume == 0.1
+        assert giant_results(single, [2.0])[0].total_volume == 0.1
 
     def test_overlapping_windows_of_a_grid(self):
         """The giants of a 20-lambda grid share one call; each equals its own fsum."""
