@@ -46,14 +46,11 @@ from .walk import (
     walk_value,
 )
 from .weights import (
-    AssumptionDiagnostics,
     WeightModel,
     WeightVector,
-    assumption_diagnostics,
     mixed_moment,
     phi,
-    phi_prime,
-    sample_weight_vector,
+    weight_vector,
 )
 
 __version__ = "0.1.0"

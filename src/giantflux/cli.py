@@ -244,15 +244,19 @@ def _cmd_harness(config: ExperimentConfig, out: Path) -> int:
     return 0 if report.all_passed else 1
 
 
-_COMMAND_HANDLERS = {
-    "theory": _cmd_theory,
-    "walk": _cmd_walk,
-    "graph": _cmd_graph,
-    "limit": _cmd_limit,
-    "fclt": _cmd_harness,
-    "compare": _cmd_harness,
-    "endpoints": _cmd_harness,
-    "converge": _cmd_harness,
+# subcommand -> (handler, help), in the order the help lists them
+_SUBCOMMANDS = {
+    "theory": (_cmd_theory, "tabulate supercritical curves and limit variances to CSV"),
+    "walk": (_cmd_walk, "simulate via the breadth-first walk encoding"),
+    "graph": (
+        _cmd_graph,
+        "simulate the dynamic graph directly (sparse oracle, <= 1e8 expected candidates)",
+    ),
+    "limit": (_cmd_limit, "sample the limit fluctuation process"),
+    "fclt": (_cmd_harness, "Monte Carlo check of the fluctuation limit"),
+    "compare": (_cmd_harness, "two-sample walk vs graph distributional check"),
+    "endpoints": (_cmd_harness, "Monte Carlo check of the excursion endpoints"),
+    "converge": (_cmd_harness, "tabulate variance error across a list of n"),
 }
 
 
@@ -262,17 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Giant-component fluctuations of dynamic rank-one random graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "theory": "tabulate supercritical curves and limit variances to CSV",
-        "walk": "simulate via the breadth-first walk encoding",
-        "graph": "simulate the dynamic graph directly (sparse oracle, <= 1e8 expected candidates)",
-        "limit": "sample the limit fluctuation process",
-        "fclt": "Monte Carlo check of the fluctuation limit",
-        "compare": "two-sample walk vs graph distributional check",
-        "endpoints": "Monte Carlo check of the excursion endpoints",
-        "converge": "tabulate variance error across a list of n",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=desc)
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", required=True, help="output CSV path")
@@ -296,7 +290,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         config = _load_config(args)
-        return _COMMAND_HANDLERS[args.command](config, Path(args.out))
+        return _SUBCOMMANDS[args.command][0](config, Path(args.out))
     # ConfigError and numpy's LinAlgError are ValueErrors; numpy raises
     # MemoryError for an array too large to allocate
     except (ValueError, ConvergenceError, OSError, MemoryError) as exc:

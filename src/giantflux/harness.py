@@ -29,7 +29,7 @@ from .theory import (
     x_cov,
 )
 from .walk import giant_results, sample_clocks
-from .weights import WeightModel, WeightVector, sample_weight_vector
+from .weights import WeightModel, WeightVector, weight_vector
 
 __all__ = [
     "ExperimentConfig",
@@ -42,7 +42,6 @@ __all__ = [
     "run_endpoint_check",
     "run_convergence_study",
     "run_experiment",
-    "weight_vector_for",
     "replicate_stats",
     "write_report_csv",
     "write_report_json",
@@ -130,7 +129,7 @@ class ExperimentConfig:
             if n > MAX_N:
                 raise ValueError(f"{label} must be <= MAX_N = {MAX_N}, got {n}")
         if command in ("graph", "compare"):
-            # model.values[-1] bounds every weight weight_vector_for can produce
+            # model.values[-1] bounds every weight weight_vector can produce
             q = candidate_probability(self.n, float(grid[-1]), float(self.model.values[-1]))
             candidates = q * (self.n * (self.n - 1) / 2)
             if candidates > MAX_N:
@@ -267,21 +266,6 @@ def _map_indexed(fn, count: int, threads: int) -> list:
     return [fn(i) for i in range(count)]
 
 
-def weight_vector_for(config: ExperimentConfig, n: int) -> WeightVector:
-    """Deterministic weight vector policy.
-
-    Constant/discrete models use the quantile vector, which satisfies the
-    weight-convergence assumption deterministically.  An empirical model of
-    matching length is used as-is; otherwise it is resampled iid.
-    """
-    model = config.model
-    if model.kind == "empirical":
-        if n == model.source.size:
-            return WeightVector(n=n, weights=model.source)
-        return sample_weight_vector(model, n, "iid", _child_seed(config.seed, _TAG_WEIGHTS, n))
-    return sample_weight_vector(model, n, "quantile", 0)
-
-
 def replicate_stats(
     config: ExperimentConfig, n: int, simulator: str, seed_path: tuple[int, ...] = ()
 ) -> tuple[WeightVector, np.ndarray]:
@@ -292,7 +276,7 @@ def replicate_stats(
     (count, volume, g, d) for ``"walk"`` and (count, volume) for ``"graph"``.
     Replicate rep draws from ``_child_seed(config.seed, tag, *seed_path, rep)``.
     """
-    w = weight_vector_for(config, n)
+    w = weight_vector(config.model, n, _child_seed(config.seed, _TAG_WEIGHTS, n))
     grid = config.grid()
     if simulator == "walk":
         def one(rep: int) -> list:
@@ -372,7 +356,7 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
 def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
     """Two-sample comparison of (count, volume) between the two simulators.
 
-    The same weight vector from ``weight_vector_for`` feeds both, with
+    The same weight vector from ``weight_vector`` feeds both, with
     independent seeds; the encoded walk and the direct graph must agree in
     law, so every mean and variance z-score localizes a bug when it blows up.
     """

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import chol_with_jitter
-from .weights import WeightModel, mixed_moment, phi, phi_prime
+from .weights import WeightModel, mixed_moment, phi
 
 __all__ = [
     "ConvergenceError",
@@ -256,7 +256,7 @@ def x_cov(curves: SupercriticalCurves) -> LimitCovariance:
     model = curves.model
     lams = curves.lambdas
     times = lams * curves.theta
-    coeff = lams * phi_prime(model, 0, times) / curves.beta
+    coeff = lams * mixed_moment(model, 1, times) / curves.beta
     inv_beta = 1.0 / curves.beta
     k0, k1, k2 = (psi_kernel(model, k, times) for k in (0, 1, 2))
     ci, cj = coeff[:, None], coeff[None, :]

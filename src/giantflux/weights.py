@@ -3,10 +3,10 @@
 A weight model describes the law of a vertex weight W: constant, finite
 discrete, or the empirical distribution of an explicit weight vector.  All
 three are finitely supported, so every expectation used by the rest of the
-package is an exact finite sum.  The module also generates finite-n weight
-vectors (iid draws, or deterministic quantile vectors) and reports the
-diagnostics that justify treating a vector as a good finite-n stand-in for
-its limiting law.
+package is an exact finite sum.  ``weight_vector`` is the one policy that
+turns a law into the n weights the simulators use: the quantile vector of a
+constant or discrete law, an empirical law's own vector at its length, and
+n iid draws from that vector at any other n.
 """
 
 from __future__ import annotations
@@ -20,12 +20,9 @@ import numpy as np
 __all__ = [
     "WeightModel",
     "WeightVector",
-    "AssumptionDiagnostics",
     "mixed_moment",
     "phi",
-    "phi_prime",
-    "sample_weight_vector",
-    "assumption_diagnostics",
+    "weight_vector",
 ]
 
 _PROB_SUM_TOL = 1e-12
@@ -36,8 +33,12 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _frozen(values: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).copy()
+def _frozen(values: Sequence[float], name: str = "weights") -> np.ndarray:
+    """A read-only float64 copy; an integer beyond the float range is not finite."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
     arr.setflags(write=False)
     return arr
 
@@ -49,8 +50,8 @@ class WeightModel:
     ``kind`` is one of ``constant``, ``discrete``, ``empirical``.  Every kind
     is stored alike: ``values`` holds the K distinct atoms in ascending order
     and ``probs`` their probabilities.  An ``empirical`` model also keeps its
-    source vector in ``source``, for the config round trip, for use as-is and
-    for iid resampling.  Build instances through the classmethods; they
+    source vector in ``source``, for the config round trip and for
+    ``weight_vector``.  Build instances through the classmethods; they
     validate finiteness, positivity and probability normalization.
     """
 
@@ -61,7 +62,7 @@ class WeightModel:
 
     @classmethod
     def constant(cls, c: float) -> "WeightModel":
-        c = float(c)
+        c = float(_frozen(c, "constant weight"))
         if not (np.isfinite(c) and c > 0.0):
             raise ValueError(f"constant weight must be finite and > 0, got {c}")
         return cls("constant", _frozen([c]), _frozen([1.0]))
@@ -71,8 +72,8 @@ class WeightModel:
         """Finite discrete law from (weight, probability) pairs; equal weights merge."""
         if len(atoms) == 0:
             raise ValueError("discrete model needs at least one atom")
-        w = np.array([a[0] for a in atoms], dtype=np.float64)
-        p = np.array([a[1] for a in atoms], dtype=np.float64)
+        w = _frozen([a[0] for a in atoms], "atom weights")
+        p = _frozen([a[1] for a in atoms], "atom probabilities")
         if not np.all(np.isfinite(w) & (w > 0.0)):
             raise ValueError(f"atom weights must be finite and > 0, got {w.tolist()}")
         if not np.all((p > 0.0) & (p <= 1.0)):
@@ -86,7 +87,7 @@ class WeightModel:
     @classmethod
     def empirical(cls, weights: Sequence[float]) -> "WeightModel":
         """Uniform law over an explicit, non-empty weight vector: atom counts over n."""
-        w = _frozen(weights)
+        w = _frozen(weights, "empirical weights")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("empirical model needs a non-empty 1-d weight sequence")
         if not np.all(np.isfinite(w) & (w > 0.0)):
@@ -195,20 +196,6 @@ class WeightVector:
         return e0, table
 
 
-@dataclass(frozen=True)
-class AssumptionDiagnostics:
-    """Finite-n health check for a weight vector.
-
-    ``max_weight_sq_over_n`` tracks whether a single heavy vertex dominates;
-    the asymptotic requirement is that it vanish, which cannot be checked at
-    one n, so ``warning`` uses the heuristic threshold 0.01 (strict).
-    """
-
-    second_moment: float
-    max_weight_sq_over_n: float
-    warning: bool
-
-
 def mixed_moment(model: WeightModel, k: int, t):
     """E[W^k exp(-W t)], exact for the finitely supported models.
 
@@ -241,56 +228,21 @@ def phi(model: WeightModel, p: int, t):
     return mixed_moment(model, p, 0.0) - mixed_moment(model, p, t)
 
 
-def phi_prime(model: WeightModel, p: int, t):
-    """d/dt of ``phi(model, p, t)``, i.e. E[W^(p+1) exp(-W t)]."""
-    if p not in (0, 1):
-        raise ValueError(f"p must be 0 or 1, got {p}")
-    return mixed_moment(model, p + 1, t)
+def weight_vector(model: WeightModel, n: int, seed: int) -> WeightVector:
+    """The length-n weight vector the simulators use for ``model``.
 
-
-def _quantile_vector(model: WeightModel, n: int) -> np.ndarray:
-    """Deterministic inverse-CDF vector at midpoint levels (j - 1/2)/n.
-
-    Midpoints avoid evaluating the inverse CDF at 0 or 1.
+    A constant or discrete law gives its quantile vector w_j =
+    F^{-1}((j - 1/2)/n), which reproduces the law's moments without sampling
+    noise; midpoint levels avoid evaluating F^{-1} at 0 or 1.  An empirical
+    law's source vector is used as-is when its length is n, and otherwise
+    resampled by n iid draws from ``default_rng(seed)``.
     """
+    if model.kind == "empirical":
+        if n == model.source.size:
+            return WeightVector(n=n, weights=model.source)
+        rng = np.random.default_rng(seed)
+        return WeightVector(n=n, weights=model.source[rng.integers(0, model.source.size, size=n)])
     cum = np.cumsum(model.probs)
     cum[-1] = 1.0  # guard against the probability sum rounding below 1
     levels = (np.arange(1, n + 1) - 0.5) / n
-    idx = np.searchsorted(cum, levels, side="left")
-    return model.values[idx]
-
-
-def sample_weight_vector(model: WeightModel, n: int, mode: str, seed: int) -> WeightVector:
-    """Generate a length-n weight vector from the model.
-
-    ``iid`` draws independent samples of W.  ``quantile`` returns the
-    deterministic vector w_j = F^{-1}((j - 1/2)/n), which reproduces the
-    model's moments without sampling noise; it is rejected for empirical
-    models since those already *are* a finite vector.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if mode == "quantile":
-        if model.kind == "empirical":
-            raise ValueError("quantile mode is not defined for empirical models")
-        return WeightVector(n=n, weights=_quantile_vector(model, n))
-    if mode == "iid":
-        rng = np.random.default_rng(seed)
-        if model.kind == "empirical":
-            w = model.source[rng.integers(0, model.source.size, size=n)]
-        else:
-            w = rng.choice(model.values, size=n, p=model.probs)
-        return WeightVector(n=n, weights=w)
-    raise ValueError(f"unknown sampling mode {mode!r}; expected 'iid' or 'quantile'")
-
-
-def assumption_diagnostics(v: WeightVector) -> AssumptionDiagnostics:
-    """Second moment and heavy-vertex diagnostic for a weight vector."""
-    w = v.weights
-    second = float(np.mean(w * w))
-    heavy = float(np.max(w)) ** 2 / v.n
-    return AssumptionDiagnostics(
-        second_moment=second,
-        max_weight_sq_over_n=heavy,
-        warning=heavy > 0.01,
-    )
+    return WeightVector(n=n, weights=model.values[np.searchsorted(cum, levels, side="left")])

@@ -24,7 +24,7 @@ from giantflux.harness import (
 from giantflux.limit_sampler import psi_cov_matrix, sample_psi_pair
 from giantflux.theory import er_closed_forms, lambda_crit, phi, supercritical_curves, theta, x_cov
 from giantflux.walk import WalkRealization, all_excursions, giant_results, sample_clocks
-from giantflux.weights import WeightModel, sample_weight_vector
+from giantflux.weights import WeightModel, weight_vector
 
 ER = WeightModel.constant(1.0)
 HALF_HALF = WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)])
@@ -205,7 +205,7 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
             assert total == pytest.approx(r.total_mass, rel=1e-9)
 
         # union-find conserves counts and volumes at every grid point
-        v = sample_weight_vector(HALF_HALF, 80, "quantile", 0)
+        v = weight_vector(HALF_HALF, 80, 0)
         graph = simulate_dynamic_graph(v, 20250809, lam_max=3.0)
         for lam in (0.0, 1.0, 3.0):
             comps = _components_at(graph, lam)
@@ -215,7 +215,7 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
             )
 
         # bit-identical reruns: grid giants and report files
-        v = sample_weight_vector(HALF_HALF, 400, "quantile", 0)
+        v = weight_vector(HALF_HALF, 400, 0)
         giants_a = giant_results(sample_clocks(v, 31), [2.0, 3.0])
         giants_b = giant_results(sample_clocks(v, 31), [2.0, 3.0])
         assert giants_a == giants_b

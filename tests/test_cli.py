@@ -240,6 +240,10 @@ class TestErrorContract:
         [
             {"type": "discrete", "atoms": [[float("nan"), 0.5], [2.0, 0.5]]},
             {"type": "constant", "c": float("inf")},
+            # JSON integers beyond the float range
+            {"type": "constant", "c": 10**400},
+            {"type": "discrete", "atoms": [[10**400, 0.5], [2.0, 0.5]]},
+            {"type": "empirical", "weights": [1.0, 10**400]},
         ],
     )
     def test_non_finite_model(self, tmp_path, capsys, model):
@@ -247,6 +251,7 @@ class TestErrorContract:
         assert _run("theory", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
         err = capsys.readouterr().err
         assert "[giantflux] error: field 'model':" in err and "finite" in err
+        assert len(err.splitlines()) == 1, err
 
     @pytest.mark.parametrize(
         "field, value",

@@ -22,7 +22,7 @@ from giantflux.harness import (
     write_report_json,
 )
 from giantflux.theory import supercritical_curves, x_cov
-from giantflux.weights import WeightModel, sample_weight_vector
+from giantflux.weights import WeightModel, weight_vector
 
 ER = WeightModel.constant(1.0)
 HALF_HALF = WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)])
@@ -136,7 +136,7 @@ class TestFclt:
         """The model and its quantile empirical counterpart at matched n give
         the same targets to 1e-6."""
         n = 10**4
-        v = sample_weight_vector(HALF_HALF, n, "quantile", 0)
+        v = weight_vector(HALF_HALF, n, 0)
         emp = WeightModel.empirical(v.weights)
         a = run_fclt(_config(model=HALF_HALF, lambdas=(1.5,), n=n, replicates=5))
         b = run_fclt(_config(model=emp, lambdas=(1.5,), n=n, replicates=5))
@@ -189,7 +189,7 @@ class TestOracleCompare:
             _config(model=HALF_HALF, kind="oracle-compare", n=10**5, lambdas=(1.5, 700.0))
 
     def test_compare_accepts_empirical_model(self):
-        """Both simulators get the vector of weight_vector_for, so an empirical
+        """Both simulators get the vector of weight_vector, so an empirical
         model compares like any other, iid resampled vectors included."""
         tail = 4.5
         weights = (1.0 - (np.arange(400) + 0.5) / 400) ** (-1.0 / (tail - 1.0))

@@ -20,7 +20,7 @@ from giantflux.theory import (
     theta,
     x_cov,
 )
-from giantflux.weights import WeightModel, mixed_moment, phi, sample_weight_vector
+from giantflux.weights import WeightModel, mixed_moment, phi, weight_vector
 
 ER = WeightModel.constant(1.0)
 HALF_HALF = WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)])
@@ -185,7 +185,7 @@ class TestSupercriticalCurves:
         """A quantile vector at n = 10^4 reproduces the model curves to 1e-6."""
         n = 10**4
         grid = np.linspace(0.6, 3.0, 7)
-        v = sample_weight_vector(HALF_HALF, n, "quantile", 0)
+        v = weight_vector(HALF_HALF, n, 0)
         emp = supercritical_curves(WeightModel.empirical(v.weights), grid)
         ref = supercritical_curves(HALF_HALF, grid)
         np.testing.assert_allclose(emp.theta, ref.theta, atol=1e-6)
@@ -389,7 +389,7 @@ class TestFiniteSupportProperties:
 class TestWorkCount:
     def test_two_atom_vector_costs_two_atoms_and_one_bisection(self, monkeypatch):
         """Curves of a two-atom n = 1e5 vector sum 2 terms per moment and bisect each lambda once."""
-        v = sample_weight_vector(HALF_HALF, 10**5, "quantile", 0)
+        v = weight_vector(HALF_HALF, 10**5, 0)
         model = WeightModel.empirical(v.weights)
         grid = np.linspace(1.5, 3.0, 20)
         supports = []

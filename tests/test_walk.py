@@ -21,7 +21,7 @@ from giantflux.walk import (
     sample_clocks,
     walk_value,
 )
-from giantflux.weights import WeightModel, WeightVector, sample_weight_vector
+from giantflux.weights import WeightModel, WeightVector, weight_vector
 
 
 def _random_realization(rng, n, w_low=0.5, w_high=3.0):
@@ -245,7 +245,7 @@ class TestSweep:
     """The giants of a whole lambda grid from one realization (``giant_results``)."""
 
     def test_single_point_matches_longest_excursion(self):
-        v = sample_weight_vector(WeightModel.constant(1.0), 500, "quantile", 0)
+        v = weight_vector(WeightModel.constant(1.0), 500, 0)
         r = sample_clocks(v, 5)
         grid = giant_results(r, [1.5, 2.0, 3.0])
         assert grid[1] == giant_results(r, [2.0])[0]
@@ -253,7 +253,7 @@ class TestSweep:
     def test_er_law_of_large_numbers(self):
         """Scaled giant volume concentrates near the limiting fraction."""
         n = 10**5
-        v = sample_weight_vector(WeightModel.constant(1.0), n, "quantile", 0)
+        v = weight_vector(WeightModel.constant(1.0), n, 0)
         rho_target = 0.79681213002002005
         hits = 0
         for k in range(100):
@@ -265,13 +265,13 @@ class TestSweep:
 
     def test_constant_weights_volume_equals_count(self):
         """With unit weights a component's volume is its cardinality."""
-        v = sample_weight_vector(WeightModel.constant(1.0), 2000, "quantile", 0)
+        v = weight_vector(WeightModel.constant(1.0), 2000, 0)
         r = sample_clocks(v, 21)
         for res in giant_results(r, [1.5, 2.0, 3.0]):
             assert res.total_volume == res.vertex_count
 
     def test_bit_identical_rerun(self):
-        v = sample_weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 500, "quantile", 0)
+        v = weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 500, 0)
         a = giant_results(sample_clocks(v, 77), [2.0, 3.0])
         b = giant_results(sample_clocks(v, 77), [2.0, 3.0])
         assert a == b
@@ -605,9 +605,7 @@ class TestGolden:
         "vector, seed, grid, digest",
         [
             (
-                lambda: sample_weight_vector(
-                    WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 20_000, "quantile", 0
-                ),
+                lambda: weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 20_000, 0),
                 2024,
                 (1.5, 3.0),
                 "ee357a04b99dde5f68704edc119f49d16b002784f3cce91fa2d952f07592290d",

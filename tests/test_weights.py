@@ -1,4 +1,4 @@
-"""Weight models: exact moments, sampling modes, diagnostics."""
+"""Weight models: exact moments, validation, and the weight-vector policy."""
 
 import math
 from fractions import Fraction
@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from giantflux.weights import (
     WeightModel,
     WeightVector,
-    assumption_diagnostics,
     mixed_moment,
     phi,
-    phi_prime,
-    sample_weight_vector,
+    weight_vector,
 )
 
 HALF_HALF = WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)])
@@ -135,12 +133,16 @@ class TestPhi:
 
 
 class TestPhiPrime:
+    """The t-derivative of phi(model, p, t) is mixed_moment(model, p + 1, t)."""
+
     def test_constant_values(self):
-        assert phi_prime(WeightModel.constant(1.0), 0, 0.0) == 1.0
-        assert phi_prime(WeightModel.constant(1.0), 1, math.log(2)) == pytest.approx(0.5, abs=1e-15)
+        assert mixed_moment(WeightModel.constant(1.0), 1, 0.0) == 1.0
+        assert mixed_moment(WeightModel.constant(1.0), 2, math.log(2)) == pytest.approx(
+            0.5, abs=1e-15
+        )
 
     def test_central_difference(self):
-        """phi_prime agrees with a finite difference of phi to 1e-6 relative."""
+        """mixed_moment(p + 1) agrees with a finite difference of phi(p) to 1e-6 relative."""
         rng = np.random.default_rng(5)
         h = 1e-5
         checked = 0
@@ -149,70 +151,61 @@ class TestPhiPrime:
             t = float(rng.uniform(h, 3.0))
             for p in (0, 1):
                 numeric = (phi(model, p, t + h) - phi(model, p, t - h)) / (2 * h)
-                exact = phi_prime(model, p, t)
+                exact = mixed_moment(model, p + 1, t)
                 assert numeric == pytest.approx(exact, rel=1e-6)
             checked += 1
 
 
 class TestSampleWeightVector:
+    """``weight_vector``: the one policy that builds a simulator's weight vector."""
+
     def test_constant_quantile(self):
-        v = sample_weight_vector(WeightModel.constant(1.0), 5, "quantile", 0)
+        v = weight_vector(WeightModel.constant(1.0), 5, 0)
         np.testing.assert_array_equal(v.weights, np.ones(5))
 
     def test_discrete_quantile_midpoints(self):
-        v = sample_weight_vector(HALF_HALF, 4, "quantile", 0)
-        np.testing.assert_array_equal(v.weights, [1.0, 1.0, 2.0, 2.0])
+        """Levels (j - 1/2)/n: 1/8 and 3/8 fall on the first atom, 5/8 and 7/8 on the second."""
+        np.testing.assert_array_equal(weight_vector(HALF_HALF, 4, 0).weights, [1.0, 1.0, 2.0, 2.0])
 
-    def test_quantile_rejected_for_empirical(self):
-        with pytest.raises(ValueError):
-            sample_weight_vector(WeightModel.empirical([1.0, 2.0]), 4, "quantile", 0)
+    def test_quantile_ignores_the_seed(self):
+        for seed in (0, 1, 2**63):
+            np.testing.assert_array_equal(weight_vector(HALF_HALF, 7, seed).weights,
+                                          weight_vector(HALF_HALF, 7, 0).weights)
+
+    def test_empirical_source_used_as_is_at_its_length(self):
+        source = [3.0, 1.0, 1.0, 2.0]
+        for seed in (0, 5):
+            v = weight_vector(WeightModel.empirical(source), 4, seed)
+            np.testing.assert_array_equal(v.weights, source)
 
     def test_iid_second_moment(self):
-        """Empirical second moment of a large iid draw lands within 3 SE."""
+        """The second moment of a large iid resample of the source lands within 3 SE."""
         n = 10**6
-        v = sample_weight_vector(HALF_HALF, n, "iid", 99)
+        source = weight_vector(HALF_HALF, 1000, 0).weights
+        v = weight_vector(WeightModel.empirical(source), n, 99)
         second = np.mean(v.weights**2)
-        # Var(W^2) = E[W^4] - E[W^2]^2 = 8.5 - 6.25
+        # Var(W^2) = E[W^4] - E[W^2]^2 = 8.5 - 6.25 under the source's half-half law
         se = math.sqrt((8.5 - 6.25) / n)
         assert abs(second - 2.5) <= 3 * se
 
     def test_iid_deterministic_per_seed(self):
-        a = sample_weight_vector(HALF_HALF, 100, "iid", 7)
-        b = sample_weight_vector(HALF_HALF, 100, "iid", 7)
-        np.testing.assert_array_equal(a.weights, b.weights)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            sample_weight_vector(HALF_HALF, 4, "bootstrap", 0)
+        """A resample is a function of its seed, and draws only source values."""
+        source = [3.0, 1.0, 1.5, 2.0, 1.0]
+        model = WeightModel.empirical(source)
+        a = weight_vector(model, 100, 7)
+        np.testing.assert_array_equal(a.weights, weight_vector(model, 100, 7).weights)
+        assert not np.array_equal(a.weights, weight_vector(model, 100, 8).weights)
+        assert set(a.weights.tolist()) <= set(source)
 
     def test_quantile_matches_law_when_n_divides(self):
         """Quantile vectors reproduce phi exactly when n is a multiple of the
         probability denominators."""
         model = WeightModel.discrete([(0.5, 0.8), (3.0, 0.2)])
-        v = sample_weight_vector(model, 20, "quantile", 0)
+        v = weight_vector(model, 20, 0)
         emp = WeightModel.empirical(v.weights)
         for t in (0.0, 0.4, 1.3, 2.8):
             for p in (0, 1):
                 assert phi(emp, p, t) == pytest.approx(phi(model, p, t), abs=1e-14)
-
-
-class TestDiagnostics:
-    def test_constant_boundary_not_warned(self):
-        v = WeightVector(n=100, weights=np.ones(100))
-        d = assumption_diagnostics(v)
-        assert d.max_weight_sq_over_n == 0.01
-        assert d.warning is False  # threshold is strict
-
-    def test_heavy_vertex_warns(self):
-        w = np.ones(100)
-        w[0] = 10.0
-        d = assumption_diagnostics(WeightVector(n=100, weights=w))
-        assert d.max_weight_sq_over_n == 1.0
-        assert d.warning is True
-
-    def test_second_moment(self):
-        v = WeightVector(n=4, weights=np.array([1.0, 1.0, 2.0, 2.0]))
-        assert assumption_diagnostics(v).second_moment == pytest.approx(2.5, abs=0)
 
 
 class TestValidation:
@@ -272,7 +265,7 @@ class TestFiniteSupport:
 
     def test_iid_resamples_the_source_vector(self):
         source = np.array([3.0, 1.0, 1.0, 2.0, 1.0])
-        v = sample_weight_vector(WeightModel.empirical(source), 50, "iid", 11)
+        v = weight_vector(WeightModel.empirical(source), 50, 11)
         expected = source[np.random.default_rng(11).integers(0, source.size, size=50)]
         np.testing.assert_array_equal(v.weights, expected)
 
@@ -291,7 +284,7 @@ class TestWeightVector:
         np.testing.assert_array_equal(v.weights, [2.0, 1.0, 2.0])
 
     def test_classes_reproduce_weights(self):
-        v = sample_weight_vector(HALF_HALF, 101, "quantile", 0)
+        v = weight_vector(HALF_HALF, 101, 0)
         atoms, index = v.classes
         np.testing.assert_array_equal(atoms, [1.0, 2.0])
         np.testing.assert_array_equal(atoms[index], v.weights)
