@@ -191,12 +191,13 @@ def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
     _log(f"running {config.replicates} walk replicates at n={config.n}")
     w, stats = harness.replicate_stats(config, config.n, "walk")
     _, fluc_count, fluc_volume = harness._fluctuations(config, w, stats)
+    lambdas = [_fmt(lam) for lam in config.lambdas]
     lines = ["replicate,lambda,g,d,volume,count,flucL,flucV"]
-    for rep, rows in enumerate(stats.tolist()):
-        for i, (lam, (count, volume, g, d)) in enumerate(zip(config.lambdas, rows)):
+    table = np.concatenate((stats, fluc_count[..., None], fluc_volume[..., None]), axis=2)
+    for rep, rows in enumerate(table.tolist()):
+        for lam, (count, volume, g, d, fl, fv) in zip(lambdas, rows):
             lines.append(
-                f"{rep},{_fmt(lam)},{_fmt(g)},{_fmt(d)},{_fmt(volume)},"
-                f"{int(count)},{_fmt(fluc_count[rep, i])},{_fmt(fluc_volume[rep, i])}"
+                f"{rep},{lam},{g:.17g},{d:.17g},{volume:.17g},{int(count)},{fl:.17g},{fv:.17g}"
             )
     _write_lines(out, lines)
     return 0
@@ -205,10 +206,11 @@ def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
 def _cmd_graph(config: ExperimentConfig, out: Path) -> int:
     _log(f"running {config.replicates} graph replicates at n={config.n}")
     _, stats = harness.replicate_stats(config, config.n, "graph")
+    lambdas = [_fmt(lam) for lam in config.lambdas]
     lines = ["replicate,lambda,L,V"]
     for rep, rows in enumerate(stats.tolist()):
-        for lam, (count, volume) in zip(config.lambdas, rows):
-            lines.append(f"{rep},{_fmt(lam)},{int(count)},{_fmt(volume)}")
+        for lam, (count, volume) in zip(lambdas, rows):
+            lines.append(f"{rep},{lam},{int(count)},{volume:.17g}")
     _write_lines(out, lines)
     return 0
 
@@ -217,11 +219,11 @@ def _cmd_limit(config: ExperimentConfig, out: Path) -> int:
     curves = supercritical_curves(config.model, config.grid(), config.margin)
     _log(f"sampling {config.draws} limit draws on {len(curves)} grid points")
     x0, x1 = sample_x_path(curves, config.draws, config.seed)
-    lambdas = curves.lambdas.tolist()
+    lambdas = [_fmt(lam) for lam in curves.lambdas.tolist()]
     lines = ["draw,lambda,x0,x1"]
-    for k, (row0, row1) in enumerate(zip(x0, x1)):
-        for lam, a, b in zip(lambdas, row0.tolist(), row1.tolist()):
-            lines.append(f"{k},{_fmt(lam)},{_fmt(a)},{_fmt(b)}")
+    for k, (row0, row1) in enumerate(zip(x0.tolist(), x1.tolist())):
+        for lam, a, b in zip(lambdas, row0, row1):
+            lines.append(f"{k},{lam},{a:.17g},{b:.17g}")
     _write_lines(out, lines)
     return 0
 

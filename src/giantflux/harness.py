@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import inf, isfinite, isnan, nan, sqrt
@@ -57,7 +58,7 @@ _COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 
 # largest vertex count a config may ask for, and largest expected candidate
 # count of one direct-graph replicate: the walk holds a few float64 arrays of
-# length n per replicate and the graph a few of length candidates, so 10**8
+# length n per worker and the graph a few of length candidates, so 10**8
 # already needs gigabytes, and more would fail inside numpy with a message
 # naming no field
 MAX_N = 10**8
@@ -279,8 +280,10 @@ def replicate_stats(
     w = weight_vector(config.model, n, _child_seed(config.seed, _TAG_WEIGHTS, n))
     grid = config.grid()
     if simulator == "walk":
+        held = threading.local()  # each worker's last realization, whose buffers it reuses
         def one(rep: int) -> list:
-            r = sample_clocks(w, _child_seed(config.seed, _TAG_CLOCKS, *seed_path, rep))
+            seed = _child_seed(config.seed, _TAG_CLOCKS, *seed_path, rep)
+            held.r = r = sample_clocks(w, seed, getattr(held, "r", None))
             return [(e.vertex_count, e.total_volume, e.g, e.d) for e in giant_results(r, grid)]
     elif simulator == "graph":
         def one(rep: int) -> list:

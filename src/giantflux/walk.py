@@ -15,6 +15,8 @@ Rescaling time by 1/lambda keeps the clock order, so one sort of packed
 integer keys (clock bits above weight class) serves every lambda; the scan
 at a lambda is a handful of vectorized passes with all crossing times in
 closed form (the slope is exactly -1): no time discretization anywhere.
+A realization's n-length arrays are buffers of its own; a draw with ``out``
+writes into them, so each harness worker reuses one set for every replicate.
 
 The excursion openings nest in lambda: a clock that opens an excursion at
 lambda' opens one at every lambda < lambda'.  So a grid is scanned in
@@ -34,7 +36,7 @@ representable.  All windows of a grid cost one pass over the span they cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +64,10 @@ class WalkRealization:
     ``atoms[sorted_class[k]]`` is the weight of the k-th clock.  ``limbs``
     (``WeightVector.limbs``) holds the atoms as exact integer limbs, from
     which ``mass_prefix`` and each giant's ``total_volume`` are summed.
+
+    The four arrays are read-only views of the realization's own buffers,
+    which ``sample_clocks(w, seed, out=r)`` overwrites with the next draw.
+    Every scan overwrites r's scratch rows: scan r from one thread at a time.
     """
 
     atoms: np.ndarray         # distinct weights, ascending
@@ -70,6 +76,9 @@ class WalkRealization:
     mass_prefix: np.ndarray   # S_k: sum of w/n over the first k clocks (_mass_prefix)
     mass_before: np.ndarray   # S_{k-1}, with S_0 = 0
     limbs: tuple[int, np.ndarray]  # (e0, L x K limb table) of the atoms
+    # writable: packed keys (sorted into the clocks), classes, S_0..S_n, three
+    # float64 scratch rows (clock draw and limb terms, then scan values), scan mask
+    _buffers: tuple = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -83,33 +92,49 @@ class WalkRealization:
     @classmethod
     def from_clocks(cls, weights, clocks) -> "WalkRealization":
         """Build from explicit clocks (used by tests to inject hand values)."""
-        w = np.asarray(weights, dtype=np.float64)
-        return _realize(WeightVector(n=w.size, weights=w), np.array(clocks, dtype=np.float64))
+        v = WeightVector(n=np.size(weights), weights=weights)
+        return _realize(_allocate(v), v, np.array(clocks, dtype=np.float64))
 
 
-def _clock_order(xi: np.ndarray, index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _allocate(v: WeightVector) -> WalkRealization:
+    """A realization of ``v`` with fresh buffers, before any draw."""
+    limbs = v.limbs  # first, so that np.unique's temporaries never stack on the buffers
+    keys, classes, prefix = np.empty(v.n, np.uint64), np.empty(v.n, np.intp), np.empty(v.n + 1)
+    views = [keys.view(np.float64), classes.view(), prefix.view()]
+    for view in views:
+        view.setflags(write=False)
+    clocks, sorted_class, mass = views
+    buffers = (keys, classes, prefix, np.empty((3, v.n)), np.empty(v.n, bool))
+    return WalkRealization(v.classes[0], clocks, sorted_class, mass[1:], mass[:-1], limbs, buffers)
+
+
+def _clock_order(xi, index, k: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The clocks ``xi`` sorted, and the class ``index`` of each, of k classes.
 
     Positive doubles order like their bit patterns, so sorting the keys
     (bits(xi) - bits(min xi)) << b | index, b = (k - 1).bit_length(), sorts
     the clocks, equal clocks by class; both unpack bit for bit.  A clock
     span wider than 64 - b bits (many classes) takes an argsort instead.
+    ``out`` is the (uint64 keys, classes) pair written, fresh by default.
     """
+    key, sorted_class = out or (np.empty(xi.size, dtype=np.uint64), np.empty_like(index))
     bits = xi.view(np.uint64)
     low = bits.min()
     b = (k - 1).bit_length()
     if int(bits.max() - low) >> (64 - b):
         order = np.argsort(xi)
-        return xi[order], index[order]
-    key = (bits - low) << np.uint64(b) | index.view(np.uint64)
+        return xi.take(order, out=key.view(np.float64)), index.take(order, out=sorted_class)
+    np.subtract(bits, low, out=key)
+    key <<= np.uint64(b)
+    key |= index.view(np.uint64)
     key.sort()
-    sorted_class = (key & np.uint64((1 << b) - 1)).view(np.intp)
+    np.bitwise_and(key, np.uint64((1 << b) - 1), out=sorted_class.view(np.uint64))
     key >>= np.uint64(b)
     key += low
     return key.view(np.float64), sorted_class
 
 
-def _mass_prefix(limbs: tuple[int, np.ndarray], sorted_class: np.ndarray, n: int) -> np.ndarray:
+def _mass_prefix(limbs: tuple[int, np.ndarray], sorted_class, n: int, out=None) -> np.ndarray:
     """S_0 = 0, then S_k: the first k weights in clock order, summed, over n.
 
     Per limb l, the prefix sums C_l of the limb values are exact in int64,
@@ -117,30 +142,29 @@ def _mass_prefix(limbs: tuple[int, np.ndarray], sorted_class: np.ndarray, n: int
     first.  Dividing before scaling keeps each term finite where S_k is.
     S_k is within (L + 2) u S_k + L 2**-1074 of the exact sum (u = 2**-53),
     and correctly rounded when L = 1, C_k < 2**53 and S_k is normal.
+    ``out`` is the (n + 1 prefix, int64 part, term) written, fresh by default.
     """
     e0, table = limbs
-    prefix = np.zeros(n + 1)
-    term = np.empty(n)
+    prefix, part, term = out or (np.empty(n + 1), np.empty(n, dtype=np.int64), np.empty(n))
+    prefix.fill(0.0)
     for l, limb in enumerate(table):
-        part = limb.take(sorted_class)
+        limb.take(sorted_class, out=part, mode="clip")  # in range; "raise" would buffer
         np.cumsum(part, out=part)
         np.divide(part, n, out=term)
         prefix[1:] += np.ldexp(term, e0 + 31 * l, out=term)
     return prefix
 
 
-def _realize(v: WeightVector, xi: np.ndarray) -> WalkRealization:
-    """The realization of ``v`` with clocks ``xi`` (vertex order)."""
+def _realize(r: WalkRealization, v: WeightVector, xi: np.ndarray) -> WalkRealization:
+    """Write the realization of ``v`` with clocks ``xi`` (vertex order) into r."""
     if xi.shape != v.weights.shape:
         raise ValueError("weights and clocks must be equal-length non-empty 1-d arrays")
-    if not np.all(xi > 0.0):
+    if not xi.min() > 0.0:
         raise ValueError("clocks must be strictly positive")
-    atoms, index = v.classes
-    sorted_clocks, sorted_class = _clock_order(xi, index, atoms.size)
-    prefix = _mass_prefix(v.limbs, sorted_class, v.n)
-    for arr in (sorted_clocks, sorted_class, prefix):
-        arr.setflags(write=False)
-    return WalkRealization(atoms, sorted_clocks, sorted_class, prefix[1:], prefix[:-1], v.limbs)
+    keys, classes, prefix, scratch, _ = r._buffers
+    _clock_order(xi, v.classes[1], r.atoms.size, (keys, classes))
+    _mass_prefix(v.limbs, classes, v.n, (prefix, scratch[1].view(np.int64), scratch[2]))
+    return r
 
 
 @dataclass(frozen=True)
@@ -158,9 +182,12 @@ class ExcursionResult:
     total_volume: float
 
 
-def sample_clocks(w: WeightVector, seed: int) -> WalkRealization:
-    """Draw the exponential clocks xi_j ~ Exp(w_j) for a weight vector."""
-    return _realize(w, np.random.default_rng(seed).standard_exponential(w.n) / w.weights)
+def sample_clocks(w: WeightVector, seed: int, out=None) -> WalkRealization:
+    """Draw the exponential clocks xi_j ~ Exp(w_j) for a weight vector, into a
+    new realization, or into and returning ``out`` when it is one of ``w``."""
+    r = out if out is not None and out.limbs is w.limbs else _allocate(w)
+    xi = np.random.default_rng(seed).standard_exponential(out=r._buffers[3][0])
+    return _realize(r, w, np.divide(xi, w.weights, out=xi))
 
 
 # Margin of the candidate test that carries a grid's openings to the next,
@@ -204,28 +231,32 @@ def _scan(r: WalkRealization, lam: float, positions=None, candidates=False):
     so every result is bit for bit that of the full scan.  With
     ``candidates`` set, the last item holds the positions passing the looser
     ``_NEST_TOL`` test, a superset of the openings at every larger lambda;
-    otherwise it is None.
+    otherwise it is None.  The per-position values are r's scratch rows.
     """
-    if positions is None:
-        t = r.sorted_clocks / lam
-        value_before = r.mass_before - t
-    else:
-        t = r.sorted_clocks[positions] / lam
-        value_before = r.mass_before[positions] - t
-    prev_min = np.minimum.accumulate(value_before)[:-1]
-    opens = np.empty(t.size, dtype=bool)
+    clocks, before = r.sorted_clocks, r.mass_before
+    if positions is not None:
+        clocks, before = clocks[positions], before[positions]
+    *_, scratch, mask = r._buffers
+    value_before, prev_min, bound = scratch[:, : clocks.size]
+    opens = mask[: clocks.size]
+    np.subtract(before, np.divide(clocks, lam, out=bound), out=value_before)
+    np.minimum.accumulate(value_before, out=prev_min)
+    # position 0 is always scanned, with value_before[0] = -t_0: prev_min <= 0,
+    # so 1 - prev_min is the 1 + |prev_min| of the tolerance
+    prev_min, bound = prev_min[:-1], bound[1:]
     opens[0] = True
-    opens[1:] = value_before[1:] <= prev_min + _LEVEL_TOL * (1.0 + np.abs(prev_min))
-    local = np.flatnonzero(opens)
+    np.multiply(np.subtract(1.0, prev_min, out=bound), _LEVEL_TOL, out=bound)
+    np.less_equal(value_before[1:], np.add(prev_min, bound, out=bound), out=opens[1:])
+    local = opens.nonzero()[0]
     starts = local if positions is None else positions[local]
     near = None
     if candidates:
-        opens[1:] = value_before[1:] <= prev_min + _NEST_TOL * (1.0 + t[1:])
-        near = np.flatnonzero(opens)
-        if positions is not None:
-            near = positions[near]
+        np.add(np.divide(clocks[1:], lam, out=bound), 1.0, out=bound)
+        np.multiply(bound, _NEST_TOL, out=bound)
+        np.less_equal(value_before[1:], np.add(prev_min, bound, out=bound), out=opens[1:])
+        near = opens.nonzero()[0] if positions is None else positions[opens]
     ends = np.concatenate((starts[1:] - 1, [r.n - 1]))
-    g = t[local]
+    g = clocks[local] / lam
     t_end = r.sorted_clocks[ends] / lam
     d = t_end + ((r.mass_prefix[ends] - t_end) - value_before[local])
     return g, d, starts, ends, near
@@ -272,18 +303,6 @@ def _check_lambdas(r: WalkRealization, lambdas) -> np.ndarray:
     return grid
 
 
-def _first_longest(g, d, starts, ends) -> tuple[float, float, int, int]:
-    """(g, d, first, last clock) of the earliest excursion tying the maximum length.
-
-    Lengths within the near-tie tolerance of the maximum count as tied, so
-    float noise cannot flip a real-arithmetic tie.
-    """
-    lengths = d - g
-    top = float(lengths.max())
-    idx = int(np.flatnonzero(lengths >= top - _LEVEL_TOL * (1.0 + top))[0])
-    return float(g[idx]), float(d[idx]), int(starts[idx]), int(ends[idx])
-
-
 def all_excursions(r: WalkRealization, lam: float) -> list[ExcursionResult]:
     """Every excursion at intensity lam, in time order."""
     _check_lambdas(r, lam)
@@ -309,7 +328,11 @@ def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
         g, d, starts, ends, positions = _scan(
             r, grid[i], positions, candidates=step < len(order) - 1
         )
-        picks[i] = _first_longest(g, d, starts, ends)
+        # the first excursion within the near-tie tolerance of the longest: noise cannot flip a tie
+        lengths = d - g
+        top = float(lengths.max())
+        k = int((lengths >= top - _LEVEL_TOL * (1.0 + top)).argmax())
+        picks[i] = (float(g[k]), float(d[k]), int(starts[k]), int(ends[k]))
     if not picks:
         return ()
     lo, hi = np.array([pick[2:] for pick in picks]).T

@@ -1,6 +1,7 @@
 """Experiment harness: determinism, targets from theory, report plumbing."""
 
 import json
+import sys
 import time
 from dataclasses import replace
 
@@ -244,6 +245,24 @@ class TestConvergenceStudy:
             run_convergence_study(
                 _config(kind="convergence-study", n=None, n_list=None)
             )
+
+
+class TestReplicateStats:
+    def test_worker_count_does_not_change_the_array(self):
+        """Each worker draws into its own reused buffers; the (R, m, 4) walk
+        array is bitwise the same at 1, 2 and 4 threads, with a short switch
+        interval so that the workers interleave."""
+        config = _config(model=HALF_HALF, lambdas=(1.5, 2.0, 3.0), n=2000, replicates=48)
+        _, one = replicate_stats(config, config.n, "walk")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 4):
+                _, many = replicate_stats(replace(config, threads=threads), config.n, "walk")
+                assert many.shape == (48, 3, 4)
+                assert many.tobytes() == one.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReportEmission:

@@ -88,6 +88,71 @@ class TestSampleClocks:
         np.testing.assert_array_equal(a.mass_prefix, b.mass_prefix)
 
 
+_GOLDEN_VECTORS = [
+    (lambda: weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 20_000, 0), (1.5, 3.0)),
+    (lambda: _pareto_vector(5000), (0.4, 3.0)),      # K = n: the argsort path of _clock_order
+    (lambda: _lognormal_vector(5000), (0.1, 3.0)),   # K = n and three limbs
+]
+
+
+class TestReusedBuffers:
+    """``sample_clocks(w, seed, out=r)`` draws into r's buffers and returns r;
+    every draw equals a fresh one, whatever r held before."""
+
+    @pytest.mark.parametrize(
+        "vector, grid", _GOLDEN_VECTORS, ids=["half-half-n2e4", "pareto-k-eq-n", "lognormal-sigma3"]
+    )
+    def test_reused_draws_match_fresh_ones(self, vector, grid):
+        v = vector()
+        grid = np.linspace(*grid, 20)
+        r = sample_clocks(v, 4000)
+        for seed in range(4001, 4005):
+            before = (r.sorted_clocks, r.sorted_class, r.mass_prefix, r.mass_before)
+            reused = sample_clocks(v, seed, out=r)
+            assert reused is r
+            for old, new in zip(before, (r.sorted_clocks, r.sorted_class, r.mass_prefix,
+                                         r.mass_before)):
+                assert np.shares_memory(old, new)
+            got = giant_results(r, grid)
+            fresh = sample_clocks(v, seed)
+            assert not np.shares_memory(fresh.sorted_clocks, r.sorted_clocks)
+            assert got == giant_results(fresh, grid)
+            for a, b in ((r.sorted_clocks, fresh.sorted_clocks),
+                         (r.sorted_class, fresh.sorted_class), (r.mass_prefix, fresh.mass_prefix)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_results_held_together_stay_distinct(self):
+        v = weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 500, 0)
+        a = sample_clocks(v, 1)
+        kept = a.sorted_clocks.copy(), a.sorted_class.copy(), a.mass_prefix.copy()
+        b = sample_clocks(v, 2)
+        c = WalkRealization.from_clocks(v.weights, np.arange(1.0, 501.0))
+        for x, y in ((a, b), (a, c), (b, c)):
+            for name in ("sorted_clocks", "sorted_class", "mass_prefix"):
+                assert not np.shares_memory(getattr(x, name), getattr(y, name))
+        for old, now in zip(kept, (a.sorted_clocks, a.sorted_class, a.mass_prefix)):
+            np.testing.assert_array_equal(old, now)
+
+    def test_out_of_another_vector_is_left_alone(self):
+        v = weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 500, 0)
+        other = WeightVector(n=500, weights=v.weights.copy())
+        r = sample_clocks(v, 1)
+        kept = r.sorted_clocks.copy()
+        s = sample_clocks(other, 2, out=r)
+        assert s is not r and not np.shares_memory(s.sorted_clocks, r.sorted_clocks)
+        np.testing.assert_array_equal(r.sorted_clocks, kept)
+
+    def test_arrays_stay_read_only(self):
+        r = sample_clocks(weight_vector(WeightModel.constant(1.0), 50, 0), 3)
+        for arr in (r.sorted_clocks, r.sorted_class, r.mass_prefix, r.mass_before):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, -1.0])
+    def test_rejects_clocks_not_strictly_positive(self, bad):
+        with pytest.raises(ValueError, match="clocks must be strictly positive"):
+            WalkRealization.from_clocks([1.0, 2.0, 1.0], [0.3, bad, 0.1])
+
+
 def _tied_clocks(rng, n, k, ties=0, inf=False):
     """Clocks of n vertices over k classes (each used), ``ties`` of them
     copied onto other vertices, and optionally one +inf clock."""
