@@ -19,11 +19,17 @@ A realization's n-length arrays are buffers of its own; a draw with ``out``
 writes into them, so each harness worker reuses one set for every replicate.
 
 The excursion openings nest in lambda: a clock that opens an excursion at
-lambda' opens one at every lambda < lambda'.  So a grid is scanned in
-ascending order, the smallest lambda over all n clocks and each later one
-over the openings of the one before (under a looser test that covers
-rounding): O(n) once plus O(earlier openings) per further lambda, each
-result bit for bit that of a full scan.
+lambda' opens one at every lambda < lambda'.  So the smallest lambda of a
+grid is scanned over all n clocks, and its candidates (its openings under a
+looser test that covers rounding) hold the openings at every larger lambda.
+Its giant is tracked through all larger lambdas at once, in one 2-D pass of
+lambdas by candidates: the excursion holding the giant's first clock ends at
+the first later candidate back at its base level.  Where that excursion
+holds more than half the total jump mass, by a margin that covers rounding,
+it is the giant.  The lambdas this half-mass certificate leaves open are
+scanned in ascending order, each over the candidates of the one before.
+The pass goes in blocks of lambdas that fit the realization's own buffers,
+and every result is bit for bit that of a full scan.
 
 Every distinct weight is an exact integer multiple of one power of two
 2**e0, held as 31-bit int64 limbs, whose prefix sums in clock order are
@@ -77,7 +83,7 @@ class WalkRealization:
     mass_before: np.ndarray   # S_{k-1}, with S_0 = 0
     limbs: tuple[int, np.ndarray]  # (e0, L x K limb table) of the atoms
     # writable: packed keys (sorted into the clocks), classes, S_0..S_n, three
-    # float64 scratch rows (clock draw and limb terms, then scan values), scan mask
+    # float64 scratch rows (clock draw and limb terms, then scan values), n + 1 scan mask
     _buffers: tuple = field(repr=False, compare=False)
 
     @property
@@ -104,7 +110,7 @@ def _allocate(v: WeightVector) -> WalkRealization:
     for view in views:
         view.setflags(write=False)
     clocks, sorted_class, mass = views
-    buffers = (keys, classes, prefix, np.empty((3, v.n)), np.empty(v.n, bool))
+    buffers = (keys, classes, prefix, np.empty((3, v.n)), np.empty(v.n + 1, bool))
     return WalkRealization(v.classes[0], clocks, sorted_class, mass[1:], mass[:-1], limbs, buffers)
 
 
@@ -146,12 +152,17 @@ def _mass_prefix(limbs: tuple[int, np.ndarray], sorted_class, n: int, out=None) 
     """
     e0, table = limbs
     prefix, part, term = out or (np.empty(n + 1), np.empty(n, dtype=np.int64), np.empty(n))
-    prefix.fill(0.0)
+    prefix[0] = 0.0
     for l, limb in enumerate(table):
         limb.take(sorted_class, out=part, mode="clip")  # in range; "raise" would buffer
         np.cumsum(part, out=part)
-        np.divide(part, n, out=term)
-        prefix[1:] += np.ldexp(term, e0 + 31 * l, out=term)
+        # the lowest limb's term is the first partial sum: written, not added to zeros
+        dest = term if l else prefix[1:]
+        np.divide(part, n, out=dest)
+        if e0 + 31 * l:
+            np.ldexp(dest, e0 + 31 * l, out=dest)
+        if l:
+            prefix[1:] += term
     return prefix
 
 
@@ -161,6 +172,8 @@ def _realize(r: WalkRealization, v: WeightVector, xi: np.ndarray) -> WalkRealiza
         raise ValueError("weights and clocks must be equal-length non-empty 1-d arrays")
     if not xi.min() > 0.0:
         raise ValueError("clocks must be strictly positive")
+    if not xi.max() < np.inf:
+        raise ValueError("clocks must be finite: xi/w overflows (a weight too small)")
     keys, classes, prefix, scratch, _ = r._buffers
     _clock_order(xi, v.classes[1], r.atoms.size, (keys, classes))
     _mass_prefix(v.limbs, classes, v.n, (prefix, scratch[1].view(np.int64), scratch[2]))
@@ -187,7 +200,9 @@ def sample_clocks(w: WeightVector, seed: int, out=None) -> WalkRealization:
     new realization, or into and returning ``out`` when it is one of ``w``."""
     r = out if out is not None and out.limbs is w.limbs else _allocate(w)
     xi = np.random.default_rng(seed).standard_exponential(out=r._buffers[3][0])
-    return _realize(r, w, np.divide(xi, w.weights, out=xi))
+    with np.errstate(over="ignore"):  # _realize names an overflowed clock
+        np.divide(xi, w.weights, out=xi)
+    return _realize(r, w, xi)
 
 
 # Margin of the candidate test that carries a grid's openings to the next,
@@ -214,6 +229,31 @@ def sample_clocks(w: WeightVector, seed: int, out=None) -> WalkRealization:
 # So k passes the test at lam, against the assumption.
 _NEST_TOL = 2 * _LEVEL_TOL
 
+# Margin of the half-mass certificate of giant_results.  Claim: with
+# S = total_mass and T = fl(xi_(n-1)/lam) the last jump time, an excursion
+# of _scan at lam (g and d bit for bit, as _track forms them) with
+# fl(d - g) > 0.5 fl(S + fl(_HALF_MASS_TOL fl(fl(1 + S) + T))) is its
+# first-longest pick.  Write u = 2**-53, tol = _LEVEL_TOL, Q = 1 + S + T.
+# (1) An excursion from opening s to end e has d = t_e + ((S_e - t_e) - V_s)
+#     with V_s = S_{s-1} - t_s and g = t_s, so in exact arithmetic on these
+#     floats d - g = S_e - S_{s-1} =: l, the clock terms (and the rounding
+#     of the divisions) cancelling.  The windows [s, e] partition the
+#     clocks, so the l of all excursions are >= 0 and sum to S exactly.
+# (2) The prefix is nondecreasing, so every S_k lies in [0, S], and every
+#     t_k in [0, T]; each of the five roundings behind fl(d - g) acts on a
+#     value below Q (1 + 4u), so fl(d - g) is within 5.01 u Q of l (sums
+#     with a subnormal result are exact).
+# (3) So a certified excursion, of exact length l*, has 2 l* - S >
+#     2 tol Q (1 - 4u) - 10.02 u Q - u S > 1.99 tol Q.
+# (4) Every other excursion has l <= S - l*, so its computed length is at
+#     most S - l* + 5.01 u Q, below the certified one's l* - 5.01 u Q by
+#     (3): the certified length is the top.  The pick's threshold
+#     fl(top - fl(tol fl(1 + top))) is at least l* - 6.02 u Q - 1.01 tol Q,
+#     above every other computed length by 2 l* - S - 11.03 u Q - 1.01 tol Q
+#     > 0.97 tol Q by (3).
+# So no other excursion comes within the tie tolerance of the certified one.
+_HALF_MASS_TOL = 2 * _LEVEL_TOL
+
 
 def _scan(r: WalkRealization, lam: float, positions=None, candidates=False):
     """Decompose the walk at intensity lam into its excursions.
@@ -231,7 +271,9 @@ def _scan(r: WalkRealization, lam: float, positions=None, candidates=False):
     so every result is bit for bit that of the full scan.  With
     ``candidates`` set, the last item holds the positions passing the looser
     ``_NEST_TOL`` test, a superset of the openings at every larger lambda;
-    otherwise it is None.  The per-position values are r's scratch rows.
+    otherwise it is None.  ``giant_results`` tracks its first giant over
+    them (``_track``) and scans the lambdas that leaves open over them.  The
+    per-position values are r's scratch rows.
     """
     clocks, before = r.sorted_clocks, r.mass_before
     if positions is not None:
@@ -312,29 +354,91 @@ def all_excursions(r: WalkRealization, lam: float) -> list[ExcursionResult]:
     return [ExcursionResult(*row) for row in zip(g.tolist(), d.tolist(), counts, volumes)]
 
 
+def _pick(g, d, starts, ends) -> tuple[float, float, int, int]:
+    """(g, d, start, end) of the first excursion within the near-tie
+    tolerance of the longest: noise cannot flip a tie."""
+    lengths = d - g
+    top = float(lengths.max())
+    k = int((lengths >= top - _LEVEL_TOL * (1.0 + top)).argmax())
+    return float(g[k]), float(d[k]), int(starts[k]), int(ends[k])
+
+
+def _track(r: WalkRealization, lams: np.ndarray, positions: np.ndarray, a: int) -> list:
+    """The excursion holding clock position ``a`` at each of ``lams``, as
+    (g, d, start, end) where the half-mass certificate makes it the giant,
+    else None.
+
+    ``positions`` (ascending, from 0, holding ``a``) must be a superset of
+    the openings at every lambda in ``lams``.  Rows are the lambdas, columns
+    the positions, with the values V of ``_scan``.  Inside an excursion the
+    running minimum cannot move (a position that would lower it opens), so
+    with M the minimum of V up to ``a``, the excursion's opening is the last
+    column up to ``a`` with V <= M + (1 - M) _LEVEL_TOL and its end is just
+    before the first later one: one compare and two argmax per row, every
+    value bit for bit that of ``_scan``.  A True sentinel column stands for
+    "no later opening": the excursion then runs to the last clock.  Rows go
+    in blocks of max(1, n // (|positions| + 1)), which fit r's first scratch
+    row and its n + 1 mask.
+    """
+    clocks, before = r.sorted_clocks[positions], r.mass_before[positions]
+    k, head = positions.size, int(np.searchsorted(positions, a)) + 1
+    *_, scratch, mask = r._buffers
+    block = max(1, r.n // (k + 1))
+    first, last = np.empty((2, lams.size), dtype=np.intp)
+    for lo in range(0, lams.size, block):
+        lam = lams[lo : lo + block, None]
+        value = scratch[0, : lam.size * k].reshape(-1, k)
+        hit = mask[: lam.size * (k + 1)].reshape(-1, k + 1)
+        np.subtract(before, np.divide(clocks, lam, out=value), out=value)
+        level = value[:, :head].min(axis=1, keepdims=True)
+        np.less_equal(value, level + (1.0 - level) * _LEVEL_TOL, out=hit[:, :k])
+        hit[:, k] = True
+        hit[:, head - 1 :: -1].argmax(axis=1, out=first[lo : lo + block])
+        hit[:, head:].argmax(axis=1, out=last[lo : lo + block])
+    starts = positions[head - 1 - first]
+    ends = np.append(positions, r.n)[head + last] - 1
+    # g and the opening's value are _scan's fl(xi/lam) and fl(S - fl(xi/lam))
+    g = r.sorted_clocks[starts] / lams
+    t_end = r.sorted_clocks[ends] / lams
+    d = t_end + ((r.mass_prefix[ends] - t_end) - (r.mass_before[starts] - g))
+    total = r.total_mass
+    margin = _HALF_MASS_TOL * ((1.0 + total) + r.sorted_clocks[-1] / lams)
+    sure = d - g > 0.5 * (total + margin)
+    rows = zip(g.tolist(), d.tolist(), starts.tolist(), ends.tolist())
+    return [row if ok else None for ok, row in zip(sure.tolist(), rows)]
+
+
 def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
     """The giant (first-longest excursion) at each lambda, from the one draw.
 
-    Results are in the order of ``lambdas``, duplicates included.  The grid
-    is scanned in ascending order: the smallest lambda over every clock, each
-    later one over the candidates its predecessor left (see ``_scan``).  The
-    volumes of all the giants' windows then come from one call.
+    Results are in the order of ``lambdas``, duplicates included.  The
+    smallest lambda is scanned over every clock (``_scan``); its giant, which
+    starts at clock position a, is then tracked through every larger lambda
+    at once over that scan's candidates (``_track``).  A tracked excursion
+    longer than half the total mass, by the margin ``_HALF_MASS_TOL``, is
+    that lambda's giant.  The rows this certificate leaves open are scanned
+    in ascending order, each over the candidates its predecessor left,
+    starting from the first scan's.  The volumes of all the giants' windows
+    then come from one call.  Every result is bit for bit that of a full
+    scan at its lambda.
     """
     grid = _check_lambdas(r, lambdas)
-    order = np.argsort(grid, kind="stable").tolist()
-    picks: list = [None] * len(order)
-    positions = None
-    for step, i in enumerate(order):
-        g, d, starts, ends, positions = _scan(
-            r, grid[i], positions, candidates=step < len(order) - 1
-        )
-        # the first excursion within the near-tie tolerance of the longest: noise cannot flip a tie
-        lengths = d - g
-        top = float(lengths.max())
-        k = int((lengths >= top - _LEVEL_TOL * (1.0 + top)).argmax())
-        picks[i] = (float(g[k]), float(d[k]), int(starts[k]), int(ends[k]))
-    if not picks:
+    order = np.argsort(grid, kind="stable")
+    if not order.size:
         return ()
+    g, d, starts, ends, positions = _scan(r, grid[order[0]], candidates=order.size > 1)
+    picks: list = [None] * order.size
+    picks[order[0]] = _pick(g, d, starts, ends)
+    later = order[1:].tolist()
+    if later:
+        for i, pick in zip(later, _track(r, grid[later], positions, picks[order[0]][2])):
+            picks[i] = pick
+        left = [i for i in later if picks[i] is None]
+        for step, i in enumerate(left):
+            g, d, starts, ends, positions = _scan(
+                r, grid[i], positions, candidates=step < len(left) - 1
+            )
+            picks[i] = _pick(g, d, starts, ends)
     lo, hi = np.array([pick[2:] for pick in picks]).T
     volumes = _window_volumes(r, lo, hi + 1)
     return tuple(

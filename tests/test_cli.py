@@ -211,6 +211,18 @@ class TestErrorContract:
         assert len(lines) == 1 and field in lines[0] and f"{MAX_N}" in lines[0], err
         assert not out.exists()
 
+    def test_clock_overflow_from_a_tiny_weight(self, tmp_path, capsys):
+        """xi/w overflows for a subnormal weight: exit 2 with one error line
+        naming the overflow, and no RuntimeWarning on stderr."""
+        model = {"type": "empirical", "weights": [5e-324, 1.0, 2.0, 1.0]}
+        cfg = _write_config(tmp_path, model=model, n=4, replicates=3)
+        out = tmp_path / "x.csv"
+        assert _run("walk", "--config", str(cfg), "--out", str(out), "--threads", "1") == 2
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
+        assert len(lines) == 1 and "xi/w overflows" in lines[0], err
+        assert "Warning" not in err and not out.exists()
+
     def test_output_directory_missing(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         out = tmp_path / "missing" / "dir" / "x.csv"

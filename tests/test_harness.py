@@ -251,15 +251,17 @@ class TestReplicateStats:
     def test_worker_count_does_not_change_the_array(self):
         """Each worker draws into its own reused buffers; the (R, m, 4) walk
         array is bitwise the same at 1, 2 and 4 threads, with a short switch
-        interval so that the workers interleave."""
-        config = _config(model=HALF_HALF, lambdas=(1.5, 2.0, 3.0), n=2000, replicates=48)
+        interval so that the workers interleave.  Near lambda_crit = 0.4 the
+        giant at 0.45 is scanned; at 1.5..3 it is tracked from 0.42's."""
+        lambdas = (0.42, 0.45, 1.5, 2.0, 3.0)
+        config = _config(model=HALF_HALF, lambdas=lambdas, n=2000, replicates=48)
         _, one = replicate_stats(config, config.n, "walk")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for threads in (2, 4):
                 _, many = replicate_stats(replace(config, threads=threads), config.n, "walk")
-                assert many.shape == (48, 3, 4)
+                assert many.shape == (48, 5, 4)
                 assert many.tobytes() == one.tobytes()
         finally:
             sys.setswitchinterval(interval)

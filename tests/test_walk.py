@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _brute_force_longest
 
+from giantflux import walk
 from giantflux.walk import (
+    _LEVEL_TOL,
     WalkRealization,
     _clock_order,
+    _scan,
     _window_volumes,
     all_excursions,
     giant_results,
@@ -151,6 +154,19 @@ class TestReusedBuffers:
     def test_rejects_clocks_not_strictly_positive(self, bad):
         with pytest.raises(ValueError, match="clocks must be strictly positive"):
             WalkRealization.from_clocks([1.0, 2.0, 1.0], [0.3, bad, 0.1])
+
+    def test_rejects_overflowed_clocks(self):
+        """xi/w overflows for a subnormal weight: one ValueError, no warning
+        (RuntimeWarnings are errors under this suite's filter)."""
+        msg = "clocks must be finite: xi/w overflows"
+        tiny = WeightVector(n=4, weights=np.array([5e-324, 1.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match=msg):
+            sample_clocks(tiny, 7)
+        r = sample_clocks(WeightVector(n=4, weights=np.array([3.0, 1.0, 2.0, 1.0])), 7)
+        with pytest.raises(ValueError, match=msg):
+            sample_clocks(WeightVector(n=4, weights=tiny.weights), 7, out=r)
+        with pytest.raises(ValueError, match=msg):
+            WalkRealization.from_clocks([1.0, 2.0, 1.0], [0.3, np.inf, 0.1])
 
 
 def _tied_clocks(rng, n, k, ties=0, inf=False):
@@ -431,6 +447,25 @@ def _assert_grid_matches_single_scans(r, grid):
     assert [astuple(res) for res in multi] == [astuple(res) for res in singles]
 
 
+@pytest.fixture
+def scan_count(monkeypatch):
+    """Counts ``_scan`` calls; returns a callable giving and resetting the count."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return _scan(*args, **kwargs)
+
+    monkeypatch.setattr(walk, "_scan", counted)
+
+    def take():
+        count = len(calls)
+        calls.clear()
+        return count
+
+    return take
+
+
 class TestNestedGrid:
     """A grid scanned over nested candidates equals one full scan per lambda."""
 
@@ -477,6 +512,71 @@ class TestNestedGrid:
             assert len(all_excursions(r, lam)) == 2
         assert giant_results(r, [1.0])[0].vertex_count == 1
         _assert_grid_matches_single_scans(r, [above, 1.0, below, 1.0])
+
+    def test_supercritical_grid_scans_once(self, scan_count):
+        """Half-half, n = 2e4, 20 lambdas in 1.5..3: every larger lambda's giant
+        is certified from the tracked pass, so each draw takes one scan."""
+        v = weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 20_000, 0)
+        grid = list(np.linspace(1.5, 3.0, 20))
+        for seed in range(3):
+            r = sample_clocks(v, seed)
+            giant_results(r, grid)
+            assert scan_count() == 1
+            _assert_grid_matches_single_scans(r, grid)
+            scan_count()
+
+    def test_near_critical_grid_falls_back(self, scan_count):
+        """lambda_crit = 0.4: near it the tracked excursion holds under half the
+        mass, and those rows are scanned; the supercritical rows are not."""
+        v = weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 20_000, 0)
+        grid = list(np.linspace(0.41, 0.6, 20)) + [1.5, 3.0]
+        r = sample_clocks(v, 5)
+        giant_results(r, grid)
+        assert 1 < scan_count() < len(grid) - 2
+        _assert_grid_matches_single_scans(r, grid)
+
+    def test_tracked_giant_runs_to_the_last_clock(self, scan_count):
+        """At lambda = 1 the last clock lands 1e-13 before the giant ends and
+        opens an excursion of its own by the near-tie rule; at lambda = 2 it
+        is inside the giant, which has no later opening and runs to the end."""
+        n = 7
+        clocks = [0.1, 1.0, 1.05, 1.1, 1.15, 1.2, 1.0 + 5 / n - 1e-13]
+        r = WalkRealization.from_clocks(np.ones(n), clocks)
+        assert len(all_excursions(r, 1.0)) == 3 and len(all_excursions(r, 2.0)) == 2
+        scan_count()
+        results = giant_results(r, [1.0, 2.0])
+        assert scan_count() == 1
+        assert [e.vertex_count for e in results] == [5, 6]
+        _assert_grid_matches_single_scans(r, [1.0, 2.0])
+
+    def test_rows_in_several_blocks(self, scan_count):
+        """Rows times candidates above n: the tracked pass takes several blocks."""
+        v = weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 500, 0)
+        rng = np.random.default_rng(9)
+        grid = list(rng.permutation(np.linspace(1.5, 3.0, 60))) + [1.5, 3.0]
+        r = sample_clocks(v, 11)
+        candidates = _scan(r, 1.5, candidates=True)[4]
+        scan_count()
+        assert (len(grid) - 1) * (candidates.size + 1) > 3 * r.n
+        giant_results(r, grid)
+        assert scan_count() == 1
+        _assert_grid_matches_single_scans(r, grid)
+
+    @pytest.mark.parametrize("factor, scans", [(1.01, 1), (0.99, 2)], ids=["inside", "outside"])
+    def test_half_mass_margin(self, scan_count, factor, scans):
+        """Two lone vertices: the first, of weight 1, is the giant at every
+        lambda, and 2 (d - g) - S = (1 - w) / 2 for the second one's weight w.
+        Just inside the certificate's margin 2 tol (1 + S + T) the row is
+        settled by the tracked pass; just outside it is scanned, with the
+        same result."""
+        lam, clocks = 2.0, [0.1, 10.0]
+        total, last = 1.0, clocks[1] / lam  # S = (1 + w) / 2, within 1e-11 of 1
+        w = 1.0 - factor * 2.0 * (2.0 * _LEVEL_TOL) * (1.0 + total + last)
+        r = WalkRealization.from_clocks([1.0, w], clocks)
+        results = giant_results(r, [1.0, lam])
+        assert scan_count() == scans
+        assert [e.vertex_count for e in results] == [1, 1] and results[1].g == 0.05
+        _assert_grid_matches_single_scans(r, [1.0, lam])
 
 
 class TestBruteForce:
