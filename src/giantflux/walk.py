@@ -157,10 +157,10 @@ def _mass_prefix(limbs: tuple[int, np.ndarray], sorted_class, n: int, out=None) 
         limb.take(sorted_class, out=part, mode="clip")  # in range; "raise" would buffer
         np.cumsum(part, out=part)
         # the lowest limb's term is the first partial sum: written, not added to zeros
-        dest = term if l else prefix[1:]
+        dest, scale = (term if l else prefix[1:]), e0 + 31 * l
         np.divide(part, n, out=dest)
-        if e0 + 31 * l:
-            np.ldexp(dest, e0 + 31 * l, out=dest)
+        if scale:
+            np.ldexp(dest, scale, out=dest)
         if l:
             prefix[1:] += term
     return prefix

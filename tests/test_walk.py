@@ -467,7 +467,8 @@ def scan_count(monkeypatch):
 
 
 class TestNestedGrid:
-    """A grid scanned over nested candidates equals one full scan per lambda."""
+    """A grid (one scan, the tracked pass, then nested scans for the rows it
+    leaves open) equals one full scan per lambda."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
