@@ -12,7 +12,7 @@ E[edges] <= lam_max w_max^2 (n - 1) / 2.  Every vertex is labelled with the
 smallest vertex of its component; numpy hook-and-shortcut passes merge the
 edges arriving between consecutive lambdas of an ascending grid, so one
 realization yields the giant pathwise-coupled across the grid.  Volumes are
-exact integer-limb sums, compared exactly and rounded once, as ``math.fsum``.
+exact limb sums, compared exactly and rounded once as ``fsum`` (``_limb_floats``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import expm1, inf, isfinite, sqrt
 
 import numpy as np
 
-from .weights import WeightVector
+from .weights import WeightVector, _limb_floats
 
 __all__ = [
     "DynamicGraphRealization",
@@ -184,12 +184,6 @@ def _label_volumes(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _volume(e0: int, sums: np.ndarray, label: int) -> float:
-    """The label's exact volume, rounded once (``math.fsum`` of its weights)."""
-    exact = sum(limb << 31 * l for l, limb in enumerate(sums[:, label].tolist()))
-    return exact / (1 << -e0)
-
-
 def _prefix_ends(r: DynamicGraphRealization, lambdas: np.ndarray) -> list[int]:
     """Number of arrivals at or below ``lam / n`` for each lambda."""
     outside = lambdas[~(lambdas <= r.lam_max)]  # NaN is outside too
@@ -221,6 +215,7 @@ def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
             tied = tied[limb[tied] == limb[tied].max()]
         best = int(tied[0])
         count = int(np.count_nonzero(labels == best))
-        snapshots.append(GiantSnapshot(lam=lam, count=count, volume=_volume(e0, sums, best)))
+        (volume,) = _limb_floats(e0, sums[:, [best]])
+        snapshots.append(GiantSnapshot(lam=lam, count=count, volume=volume))
     return snapshots
 

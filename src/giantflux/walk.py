@@ -32,12 +32,13 @@ The pass goes in blocks of lambdas that fit the realization's own buffers,
 and every result is bit for bit that of a full scan.
 
 Every distinct weight is an exact integer multiple of one power of two
-2**e0, held as 31-bit int64 limbs, whose prefix sums in clock order are
-exact.  They give the jump-mass prefix, with one rounding per limb, and the
-giant's volume: a window's weight sum is an exact Python int, rounded once,
-bit for bit the correctly rounded sum of its weights (``fsum``) for every
-finite positive weight law, subnormals included, while that sum is
-representable.  All windows of a grid cost one pass over the span they cover.
+2**e0, held as 31-bit int64 limbs.  A draw keeps their exact prefix sums in
+clock order, one (L, n + 1) int64 row per limb (8 L (n + 1) bytes).  They
+give the jump-mass prefix, with one rounding per limb, and each window's
+weight sum as two lookups per limb: an exact int, rounded once as in the
+graph oracle (``weights._limb_floats``), bit for bit the ``fsum`` of its
+weights for every finite positive weight law, subnormals included, while
+that sum is representable.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import WeightVector
+from .weights import WeightVector, _limb_floats
 
 __all__ = [
     "WalkRealization",
@@ -82,8 +83,8 @@ class WalkRealization:
     mass_prefix: np.ndarray   # S_k: sum of w/n over the first k clocks (_mass_prefix)
     mass_before: np.ndarray   # S_{k-1}, with S_0 = 0
     limbs: tuple[int, np.ndarray]  # (e0, L x K limb table) of the atoms
-    # writable: packed keys (sorted into the clocks), classes, S_0..S_n, three
-    # float64 scratch rows (clock draw and limb terms, then scan values), n + 1 scan mask
+    # writable: packed keys (sorted into the clocks), classes, S_0..S_n, (L, n + 1) int64
+    # limb prefix, 3 float64 scratch rows (clock draw, limb term, scan values), n + 1 scan mask
     _buffers: tuple = field(repr=False, compare=False)
 
     @property
@@ -110,7 +111,8 @@ def _allocate(v: WeightVector) -> WalkRealization:
     for view in views:
         view.setflags(write=False)
     clocks, sorted_class, mass = views
-    buffers = (keys, classes, prefix, np.empty((3, v.n)), np.empty(v.n + 1, bool))
+    counts = np.empty((limbs[1].shape[0], v.n + 1), np.int64)
+    buffers = (keys, classes, prefix, counts, np.empty((3, v.n)), np.empty(v.n + 1, bool))
     return WalkRealization(v.classes[0], clocks, sorted_class, mass[1:], mass[:-1], limbs, buffers)
 
 
@@ -143,17 +145,20 @@ def _clock_order(xi, index, k: int, out=None) -> tuple[np.ndarray, np.ndarray]:
 def _mass_prefix(limbs: tuple[int, np.ndarray], sorted_class, n: int, out=None) -> np.ndarray:
     """S_0 = 0, then S_k: the first k weights in clock order, summed, over n.
 
-    Per limb l, the prefix sums C_l of the limb values are exact in int64,
-    and the term fl(fl(C_l) / n) * 2**(e0 + 31 l) is added, lowest limb
-    first.  Dividing before scaling keeps each term finite where S_k is.
-    S_k is within (L + 2) u S_k + L 2**-1074 of the exact sum (u = 2**-53),
-    and correctly rounded when L = 1, C_k < 2**53 and S_k is normal.
-    ``out`` is the (n + 1 prefix, int64 part, term) written, fresh by default.
+    Per limb l, the prefix sums C_l of the limb values are exact in int64
+    (n < 2**32) and kept, with C_l[0] = 0, for the window volumes; the term
+    fl(fl(C_l) / n) * 2**(e0 + 31 l) is added, lowest limb first.  Dividing
+    before scaling keeps each term finite where S_k is.  S_k is within
+    (L + 2) u S_k + L 2**-1074 of the exact sum (u = 2**-53), and correctly
+    rounded when L = 1, C_k < 2**53 and S_k is normal.  ``out`` is the
+    (n + 1 prefix, (L, n + 1) int64 C, term) written, fresh by default.
     """
     e0, table = limbs
-    prefix, part, term = out or (np.empty(n + 1), np.empty(n, dtype=np.int64), np.empty(n))
+    shape = (table.shape[0], n + 1)
+    prefix, counts, term = out or (np.empty(n + 1), np.empty(shape, np.int64), np.empty(n))
     prefix[0] = 0.0
-    for l, limb in enumerate(table):
+    counts[:, 0] = 0
+    for l, (limb, part) in enumerate(zip(table, counts[:, 1:])):
         limb.take(sorted_class, out=part, mode="clip")  # in range; "raise" would buffer
         np.cumsum(part, out=part)
         # the lowest limb's term is the first partial sum: written, not added to zeros
@@ -174,9 +179,9 @@ def _realize(r: WalkRealization, v: WeightVector, xi: np.ndarray) -> WalkRealiza
         raise ValueError("clocks must be strictly positive")
     if not xi.max() < np.inf:
         raise ValueError("clocks must be finite: xi/w overflows (a weight too small)")
-    keys, classes, prefix, scratch, _ = r._buffers
+    keys, classes, prefix, counts, scratch, _ = r._buffers
     _clock_order(xi, v.classes[1], r.atoms.size, (keys, classes))
-    _mass_prefix(v.limbs, classes, v.n, (prefix, scratch[1].view(np.int64), scratch[2]))
+    _mass_prefix(v.limbs, classes, v.n, (prefix, counts, scratch[2]))
     return r
 
 
@@ -199,7 +204,7 @@ def sample_clocks(w: WeightVector, seed: int, out=None) -> WalkRealization:
     """Draw the exponential clocks xi_j ~ Exp(w_j) for a weight vector, into a
     new realization, or into and returning ``out`` when it is one of ``w``."""
     r = out if out is not None and out.limbs is w.limbs else _allocate(w)
-    xi = np.random.default_rng(seed).standard_exponential(out=r._buffers[3][0])
+    xi = np.random.default_rng(seed).standard_exponential(out=r._buffers[4][0])
     with np.errstate(over="ignore"):  # _realize names an overflowed clock
         np.divide(xi, w.weights, out=xi)
     return _realize(r, w, xi)
@@ -307,31 +312,13 @@ def _scan(r: WalkRealization, lam: float, positions=None, candidates=False):
 def _window_volumes(r: WalkRealization, lo: np.ndarray, hi: np.ndarray) -> list[float]:
     """Correctly rounded weight sum of each clock window [lo[i], hi[i]).
 
-    Every window is cut at the sorted, distinct window bounds.  Per limb, the
-    limb values of the clocks between two consecutive bounds are summed, and
-    the segment sums' prefix C_l is exact in int64 (n < 2**32).  A window's
-    exact sum is the Python int sum_l (C_l[hi] - C_l[lo]) << 31 l in units
-    of 2**e0, and one correctly rounded int division makes it a float, bit
+    A window's exact sum is C_l[hi] - C_l[lo] per limb, from the draw's kept
+    limb prefix (``_mass_prefix``), rounded once by ``_limb_floats``: bit
     for bit the ``fsum`` of the window's weights (``OverflowError`` past
     the float range, as ``fsum``).
     """
-    e0, table = r.limbs
-    first = int(lo.min())
-    lo, hi = lo - first, hi - first
-    cut = np.zeros(int(hi.max()) + 1, dtype=bool)
-    cut[lo] = cut[hi] = True
-    bounds = np.flatnonzero(cut)
-    classes = r.sorted_class[first : first + bounds[-1]]
-    prefix = np.zeros((table.shape[0], bounds.size), dtype=np.int64)
-    for limb, values in zip(prefix, table):
-        np.cumsum(np.add.reduceat(values[classes], bounds[:-1]), out=limb[1:])
-    c_hi, c_lo = (prefix[:, np.searchsorted(bounds, ends)] for ends in (hi, lo))
-    rows = (c_hi - c_lo).tolist()
-    sums = rows.pop()
-    for row in reversed(rows):
-        sums = [(s << 31) + x for s, x in zip(sums, row)]
-    unit = 1 << -e0
-    return [s / unit for s in sums]
+    counts = r._buffers[3]
+    return _limb_floats(r.limbs[0], counts[:, hi] - counts[:, lo])
 
 
 def _check_lambdas(r: WalkRealization, lambdas) -> np.ndarray:

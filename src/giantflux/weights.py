@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +53,9 @@ class WeightModel:
     and ``probs`` their probabilities.  An ``empirical`` model also keeps its
     source vector in ``source``, for the config round trip and for
     ``weight_vector``.  Build instances through the classmethods; they
-    validate finiteness, positivity and probability normalization.
+    validate probability normalization, and every construction checks that
+    the atoms are > 0 and the largest one's square is a finite float (w_max
+    below about 1.34e154), which keeps E[W^2], n w_max and w_max^2 finite.
     """
 
     kind: str
@@ -60,11 +63,16 @@ class WeightModel:
     probs: np.ndarray
     source: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        low, high = float(self.values[0]), float(self.values[-1])  # NaN sorts last
+        if not (low > 0.0 and isfinite(high)):
+            raise ValueError(f"weights must be finite and > 0, got {high if low > 0.0 else low}")
+        if not isfinite(high * high):
+            raise ValueError(f"weight {high!r} is too large: its square overflows a float")
+
     @classmethod
     def constant(cls, c: float) -> "WeightModel":
         c = float(_frozen(c, "constant weight"))
-        if not (np.isfinite(c) and c > 0.0):
-            raise ValueError(f"constant weight must be finite and > 0, got {c}")
         return cls("constant", _frozen([c]), _frozen([1.0]))
 
     @classmethod
@@ -74,8 +82,6 @@ class WeightModel:
             raise ValueError("discrete model needs at least one atom")
         w = _frozen([a[0] for a in atoms], "atom weights")
         p = _frozen([a[1] for a in atoms], "atom probabilities")
-        if not np.all(np.isfinite(w) & (w > 0.0)):
-            raise ValueError(f"atom weights must be finite and > 0, got {w.tolist()}")
         if not np.all((p > 0.0) & (p <= 1.0)):
             raise ValueError(f"atom probabilities must lie in (0, 1], got {p.tolist()}")
         total = float(np.sum(p))
@@ -90,8 +96,6 @@ class WeightModel:
         w = _frozen(weights, "empirical weights")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("empirical model needs a non-empty 1-d weight sequence")
-        if not np.all(np.isfinite(w) & (w > 0.0)):
-            raise ValueError("empirical weights must all be finite and > 0")
         support, counts = np.unique(w, return_counts=True)
         return cls("empirical", _frozen(support), _frozen(counts / w.size), w)
 
@@ -194,6 +198,18 @@ class WeightVector:
         table = (((mant >> right) << left) & np.uint64(2**31 - 1)).astype(np.int64)
         table.setflags(write=False)
         return e0, table
+
+
+def _limb_floats(e0: int, sums: np.ndarray) -> list[float]:
+    """Each column of the (L, m) ints ``sums``, the exact sum_l sums[l] << 31 l
+    in units of 2**e0 (as ``WeightVector.limbs``), rounded once: bit for bit
+    the ``math.fsum`` of the weights it sums, with ``OverflowError`` past the
+    float range as ``fsum``."""
+    *low, exact = sums.tolist()
+    for row in reversed(low):
+        exact = [(s << 31) + x for s, x in zip(exact, row)]
+    unit = 1 << -e0
+    return [s / unit for s in exact]
 
 
 def mixed_moment(model: WeightModel, k: int, t):

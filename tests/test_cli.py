@@ -223,6 +223,30 @@ class TestErrorContract:
         assert len(lines) == 1 and "xi/w overflows" in lines[0], err
         assert "Warning" not in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, weights",
+        [
+            ("walk", [1e308] * 3),
+            ("graph", [1e308] * 3),
+            ("graph", [1e200, 1e200, 1.0]),
+            ("theory", [1e308] * 3),
+            ("fclt", [1e308] * 3),
+        ],
+    )
+    def test_weight_whose_square_overflows(self, tmp_path, capsys, command, weights):
+        """A weight above about 1.34e154 is refused where the model is built:
+        exit 2 with one line naming it, and nothing else on stderr."""
+        model = {"type": "empirical", "weights": weights}
+        cfg = _write_config(tmp_path, model=model, n=3, lambda_grid=[1.5, 3.0], replicates=4)
+        out = tmp_path / "x.csv"
+        assert _run(command, "--config", str(cfg), "--out", str(out), "--threads", "1") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"[giantflux] error: field 'model': weight {max(weights)!r} is too large: "
+            "its square overflows a float"
+        ], err
+        assert not out.exists()
+
     def test_output_directory_missing(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         out = tmp_path / "missing" / "dir" / "x.csv"

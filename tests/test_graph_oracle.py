@@ -14,11 +14,10 @@ from giantflux.graph_oracle import (
     _label_volumes,
     _merge,
     _prefix_ends,
-    _volume,
     giant_path,
     simulate_dynamic_graph,
 )
-from giantflux.weights import WeightVector
+from giantflux.weights import WeightVector, _limb_floats
 
 
 def _vector(weights):
@@ -33,7 +32,7 @@ def _components_at(r, lam):
     e0, limbs = r.w.limbs
     sums = _label_volumes(labels, limbs[:, r.w.classes[1]])
     roots, counts = np.unique(labels, return_counts=True)
-    return [(c, _volume(e0, sums, v)) for v, c in zip(roots.tolist(), counts.tolist())]
+    return list(zip(counts.tolist(), _limb_floats(e0, sums[:, roots])))
 
 
 class TestSimulate:
@@ -382,3 +381,45 @@ class TestIncrementalGiant:
            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
     def test_injected_non_dyadic(self, r, fractions):
         self._check(r, fractions)
+
+
+class TestExtremeWeights:
+    """Graph volumes over many limbs, with carries between them, are the
+    ``fsum`` of the giant's weights, and overflow past the float range as
+    ``fsum`` and the walk's volumes do."""
+
+    @pytest.mark.parametrize(
+        "weights, limbs",
+        [
+            # every atom three or four times, so that the limb sums carry
+            (
+                lambda rng, n: rng.permutation(np.geomspace(1e-300, 1e300, 12)[np.arange(n) % 12]),
+                66,
+            ),
+            (
+                lambda rng, n: rng.choice(
+                    [5e-324, 1.5e-323, 3.3e-318, 1e-310, 2.2250738585072014e-308, 1.0], size=n
+                ),
+                35,
+            ),
+        ],
+        ids=["float-range", "subnormal"],
+    )
+    def test_volumes_equal_fsum(self, weights, limbs):
+        rng = np.random.default_rng(60)
+        n = 40
+        i, j = np.triu_indices(n, k=1)
+        edges = np.column_stack([i, j, rng.standard_exponential(i.size)])
+        r = DynamicGraphRealization.from_arrivals(weights(rng, n), edges)
+        assert r.w.limbs[1].shape[0] == limbs
+        TestIncrementalGiant._check(r, [0.0, 0.005, 0.01, 0.02, 0.03, 0.05, 0.2, 1.0])
+
+    def test_volume_past_the_float_range_overflows(self):
+        r = DynamicGraphRealization.from_arrivals(
+            [1e308, 1.5e308, 1.0], [(0, 1, 0.1), (0, 2, 0.5), (1, 2, 0.9)]
+        )
+        assert giant_path(r, [0.0])[0].volume == 1.5e308
+        with pytest.raises(OverflowError):
+            _brute_force(r, 3 * 0.3)
+        with pytest.raises(OverflowError):
+            giant_path(r, [3 * 0.3])

@@ -1,6 +1,7 @@
 """Weight models: exact moments, validation, and the weight-vector policy."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +238,20 @@ class TestValidation:
                 WeightModel.empirical([1.0, bad])
             with pytest.raises(ValueError, match="probabilities"):
                 WeightModel.discrete([(1.0, bad), (2.0, 0.5)])
+
+    def test_rejects_weight_whose_square_overflows(self):
+        """The largest weight's square must be a finite float: the bound is
+        checked once, for every kind, without a RuntimeWarning."""
+        top = math.sqrt(np.finfo(np.float64).max)
+        assert math.isfinite(float(WeightModel.constant(top).values[-1]) ** 2)
+        for big in (math.nextafter(top, math.inf), 1e200, 1e308):
+            for build in (
+                lambda: WeightModel.constant(big),
+                lambda: WeightModel.discrete([(1.0, 0.5), (big, 0.5)]),
+                lambda: WeightModel.empirical([big, 1.0, big]),
+            ):
+                with pytest.raises(ValueError, match=re.escape(f"weight {big!r} is too large")):
+                    build()
 
     def test_config_round_trip(self):
         for model in (WeightModel.constant(2.0), HALF_HALF, WeightModel.empirical([1.0, 3.0])):
