@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
+# first and last relative diagonal jitter chol_with_jitter tries
+_EPS_START = 1e-12
+_EPS_MAX = 1e-6
 
-def chol_with_jitter(
-    matrix: np.ndarray,
-    eps_start: float = 1e-12,
-    eps_max: float = 1e-6,
-) -> tuple[np.ndarray, float]:
+
+def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a PSD matrix, with escalating diagonal jitter.
 
     Tries the exact factorisation first (``eps_used`` 0).  If that fails, adds
     ``eps * max(diag)`` to the diagonal, with ``eps`` starting at
-    ``eps_start`` and escalating tenfold up to ``eps_max`` before giving up.
+    ``_EPS_START`` and escalating tenfold up to ``_EPS_MAX`` before giving up.
     Returns ``(lower_factor, eps_used)``.  An all-zero matrix factors to zero
     with no jitter.
 
@@ -34,12 +34,12 @@ def chol_with_jitter(
             )
         return np.zeros_like(mat), 0.0
     eps = 0.0
-    while eps <= eps_max * (1.0 + 1e-12):
+    while eps <= _EPS_MAX * (1.0 + 1e-12):
         try:
             return np.linalg.cholesky(mat + (eps * scale) * np.eye(len(mat)) if eps else mat), eps
         except np.linalg.LinAlgError:
-            eps = 10.0 * eps if eps else eps_start
+            eps = 10.0 * eps if eps else _EPS_START
     raise np.linalg.LinAlgError(
-        f"Cholesky failed up to jitter {eps_max:g} * max(diag); "
+        f"Cholesky failed up to jitter {_EPS_MAX:g} * max(diag); "
         "matrix is not positive semidefinite"
     )

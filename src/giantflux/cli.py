@@ -8,9 +8,10 @@ simulators, ``limit`` samples the limit process, and ``fclt`` / ``compare`` /
 The CLI only reads the JSON and converts its types strictly: integer fields
 take integers or integral floats, float fields take finite numbers, and a
 boolean or a string is never read as a number.  It then builds one
-``harness.ExperimentConfig`` from the fields the file sets, plus the
-``--seed``, ``--margin`` and ``--threads`` overrides; that class holds every
-default and every range and consistency check.  Data goes only to the output
+``harness.ExperimentConfig`` from the fields the file sets, the kind the
+subcommand implies and ``--threads`` (else ``GIANTFLUX_THREADS``, else the
+cpu count), which never changes output bytes; that class holds every default
+and every range and consistency check.  Data goes only to the output
 files; progress goes to stderr.  Exit codes: 0 success (and all checks passed
 where applicable), 1 a verification check failed, 2 config or validation
 error, or a run too large to allocate.
@@ -30,7 +31,7 @@ import numpy as np
 from . import harness
 from .harness import COMMAND_KINDS, ExperimentConfig, _fmt
 from .limit_sampler import sample_x_path
-from .theory import DEFAULT_MARGIN, ConvergenceError, supercritical_curves, x_cov
+from .theory import ConvergenceError, supercritical_curves, x_cov
 from .weights import WeightModel
 
 __all__ = ["ConfigError", "dispatch", "main"]
@@ -96,8 +97,8 @@ def _optional(convert):
     return lambda name, value: None if value is None else convert(name, value)
 
 
-# JSON field -> (ExperimentConfig field, converter); model, lambda_grid and
-# kind are read on their own
+# JSON field -> (ExperimentConfig field, converter); model and lambda_grid
+# are read on their own
 _FIELDS = {
     "seed": ("seed", _int_field),
     "margin": ("margin", _float_field),
@@ -107,7 +108,7 @@ _FIELDS = {
     "tolerance_multiplier": ("multiplier", _float_field),
     "draws": ("draws", _int_field),
 }
-_KNOWN_FIELDS = {"model", "lambda_grid", "kind", *_FIELDS}
+_KNOWN_FIELDS = {"model", "lambda_grid", *_FIELDS}
 
 
 def _default_threads() -> int:
@@ -144,19 +145,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if "lambda_grid" not in raw:
         raise ConfigError("config needs field 'lambda_grid'")
     kind = COMMAND_KINDS[args.command]
-    if raw.get("kind") not in (None, kind):
-        raise ConfigError(
-            f"config kind {raw['kind']!r} does not match subcommand {args.command!r} "
-            f"(expected {kind!r})"
-        )
     fields = {"model": model, "lambdas": _parse_grid(raw["lambda_grid"]), "kind": kind}
     for key, (name, convert) in _FIELDS.items():
         if key in raw:
             fields[name] = convert(key, raw[key])
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.margin is not None:
-        fields["margin"] = args.margin
     fields["threads"] = args.threads if args.threads is not None else _default_threads()
     return ExperimentConfig(**fields)
 
@@ -272,11 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=desc)
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", required=True, help="output CSV path")
-        cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument(
-            "--margin", type=float, default=None,
-            help=f"supercritical margin override (default {DEFAULT_MARGIN:g})",
-        )
         cmd.add_argument(
             "--threads", type=int, default=None,
             help="worker threads (default: GIANTFLUX_THREADS or cpu count)",

@@ -60,7 +60,7 @@ class DynamicGraphRealization:
         realization holds every arrival and its horizon is infinite.  The
         weights must be finite and > 0, as for any ``WeightVector``.
         """
-        w = WeightVector(n=np.size(weights), weights=weights)
+        w = WeightVector(weights)
         n = w.n
         rows = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
         ei, ej = np.sort(rows[:, :2], axis=1).astype(np.int64).T
@@ -87,7 +87,6 @@ class DynamicGraphRealization:
 class GiantSnapshot:
     """Count and volume of the most voluminous component at one lambda."""
 
-    lam: float
     count: int
     volume: float
 
@@ -206,7 +205,7 @@ def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
     table = limbs[:, r.w.classes[1]]
     labels = np.arange(r.n)
     snapshots = []
-    for lam, start, stop in zip(grid.tolist(), [0] + ends, ends):
+    for start, stop in zip([0] + ends, ends):
         labels = _merge(labels, r.edge_i[start:stop], r.edge_j[start:stop])
         sums = _label_volumes(labels, table)
         # the max exact volume, ties to the smallest label
@@ -216,6 +215,6 @@ def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
         best = int(tied[0])
         count = int(np.count_nonzero(labels == best))
         (volume,) = _limb_floats(e0, sums[:, [best]])
-        snapshots.append(GiantSnapshot(lam=lam, count=count, volume=volume))
+        snapshots.append(GiantSnapshot(count=count, volume=volume))
     return snapshots
 

@@ -26,11 +26,10 @@ import numpy as np
 
 from .graph_oracle import candidate_probability, giant_path, simulate_dynamic_graph
 from .theory import (
-    DEFAULT_MARGIN, SupercriticalCurves, psi_kernel, require_supercritical, supercritical_curves,
-    x_cov,
+    DEFAULT_MARGIN, SupercriticalCurves, require_supercritical, supercritical_curves, x_cov,
 )
 from .walk import giant_results, sample_clocks
-from .weights import WeightModel, WeightVector, weight_vector
+from .weights import WeightModel, WeightVector, mixed_moment, weight_vector
 
 __all__ = [
     "ExperimentConfig",
@@ -109,6 +108,8 @@ class ExperimentConfig:
             raise ValueError("lambda_grid entries must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("lambda_grid must be strictly ascending")
+        if not self.margin >= 0.0:
+            raise ValueError(f"margin must be >= 0, got {self.margin}")
         if self.kind == "graph":
             if np.any(grid < 0.0):
                 raise ValueError("lambda grid entries must be >= 0")
@@ -123,12 +124,14 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 2")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        label = "n_list entries" if command == "converge" else "n"
-        for n in self.n_list if command == "converge" else (self.n,) if needs_n else ():
-            if n < 1:
-                raise ValueError(f"n must be >= 1, got {n}")
-            if n > MAX_N:
-                raise ValueError(f"{label} must be <= MAX_N = {MAX_N}, got {n}")
+        # every given size, also one the subcommand ignores
+        for label, sizes in (("n", (self.n,) if self.n is not None else ()),
+                             ("n_list entries", self.n_list or ())):
+            for n in sizes:
+                if n < 1:
+                    raise ValueError(f"{label} must be >= 1, got {n}")
+                if n > MAX_N:
+                    raise ValueError(f"{label} must be <= MAX_N = {MAX_N}, got {n}")
         if command in ("graph", "compare"):
             # model.values[-1] bounds every weight weight_vector can produce
             q = candidate_probability(self.n, float(grid[-1]), float(self.model.values[-1]))
@@ -313,6 +316,11 @@ def _fluctuations(
 # ---------------------------------------------------------------------------
 # experiments
 
+def _require_kind(config: ExperimentConfig, kind: str, runner: str) -> None:
+    if config.kind != kind:
+        raise ValueError(f"{runner} needs kind={kind!r}, got {config.kind!r}")
+
+
 def run_fclt(config: ExperimentConfig) -> ExperimentReport:
     """Check the fluctuation pair of the giant against the limit covariance.
 
@@ -321,8 +329,7 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
     kernel-derived limit covariance; each consecutive lambda pair checks the
     cross-lambda covariance of the coupled path.
     """
-    if config.kind != "fclt":
-        raise ValueError(f"run_fclt needs kind='fclt', got {config.kind!r}")
+    _require_kind(config, "fclt", "run_fclt")
     grid = config.grid()
     cov = x_cov(supercritical_curves(config.model, grid, config.margin))
     _, fluc_count, fluc_volume = _fluctuations(config, *replicate_stats(config, config.n, "walk"))
@@ -363,8 +370,7 @@ def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
     independent seeds; the encoded walk and the direct graph must agree in
     law, so every mean and variance z-score localizes a bug when it blows up.
     """
-    if config.kind != "oracle-compare":
-        raise ValueError(f"run_oracle_compare needs kind='oracle-compare', got {config.kind!r}")
+    _require_kind(config, "oracle-compare", "run_oracle_compare")
     grid = config.grid()
     _, walk_stats = replicate_stats(config, config.n, "walk")
     _, graph_stats = replicate_stats(config, config.n, "graph")
@@ -396,11 +402,13 @@ def run_endpoint_check(config: ExperimentConfig) -> ExperimentReport:
     scale, so its 95th percentile is compared against a documented heuristic
     threshold.
     """
-    if config.kind != "endpoint-check":
-        raise ValueError(f"run_endpoint_check needs kind='endpoint-check', got {config.kind!r}")
+    _require_kind(config, "endpoint-check", "run_endpoint_check")
     grid = config.grid()
     curves = supercritical_curves(config.model, grid, config.margin)
-    targets = psi_kernel(config.model, 2, grid * curves.theta).diagonal() / curves.beta**2
+    # psi(1, 1; T, T) at T = lambda theta: the diagonal of the order-2 kernel
+    times = grid * curves.theta
+    kernel = mixed_moment(config.model, 2, times) - mixed_moment(config.model, 2, times + times)
+    targets = kernel / curves.beta**2
     w, stats = replicate_stats(config, config.n, "walk")
     curves_n, _, _ = _fluctuations(config, w, stats)
 
@@ -433,10 +441,7 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
     Report-only (no pass/fail): the theory proves convergence, not a rate.
     Replicate seeds are disjoint across the n values.
     """
-    if config.kind != "convergence-study":
-        raise ValueError(
-            f"run_convergence_study needs kind='convergence-study', got {config.kind!r}"
-        )
+    _require_kind(config, "convergence-study", "run_convergence_study")
     grid = config.grid()
     cov = x_cov(supercritical_curves(config.model, grid, config.margin))
     records = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._numeric import chol_with_jitter
-from .theory import SupercriticalCurves, psi_kernel, x_cov
+from .theory import SupercriticalCurves, _pair_coefficients, psi_kernel
 from .weights import WeightModel
 
 __all__ = [
@@ -88,13 +88,13 @@ def sample_x_path(
     Returns ``(x0, x1)``, each of shape (count, m): ``x0[k, i]`` is the
     count-fluctuation coordinate of draw k at lambda_i, ``x1[k, i]`` the
     volume one.  The kernel pair is evaluated at the times lambda_i * theta_i,
-    which strictly increase with lambda, and assembled with the coefficient
-    table of the limit covariance.
+    which strictly increase with lambda, and combined with the coefficients
+    ``x_cov`` uses, so only the 2m x 2m kernel covariance is factored.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    cov = x_cov(curves)
+    coeff, inv_beta = _pair_coefficients(curves)
     draws = _draw_pair(psi_cov_matrix(curves.model, curves.lambdas * curves.theta), count, seed)
-    x0 = draws[:, 0, :] + cov.coeff[None, :] * draws[:, 1, :]
-    x1 = draws[:, 1, :] * cov.inv_beta[None, :]
+    x0 = draws[:, 0, :] + coeff[None, :] * draws[:, 1, :]
+    x1 = draws[:, 1, :] * inv_beta[None, :]
     return x0, x1

@@ -170,7 +170,6 @@ class SupercriticalCurves:
     """Tabulated (lambda, theta, rho, beta) for a model over a lambda grid."""
 
     model: WeightModel
-    lambda_crit: float
     lambdas: np.ndarray
     theta: np.ndarray
     rho: np.ndarray
@@ -196,16 +195,14 @@ def supercritical_curves(
         raise ValueError("lambda grid must be a non-empty 1-d sequence")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("lambda grid must be strictly ascending")
-    crit = require_supercritical(model, grid, margin)
+    require_supercritical(model, grid, margin)
     th = _theta_grid(model, grid)
     times = grid * th
     rh = phi(model, 0, times)
     be = 1.0 - grid * mixed_moment(model, 2, times)
     for arr in (grid, th, rh, be):
         arr.setflags(write=False)
-    return SupercriticalCurves(
-        model=model, lambda_crit=crit, lambdas=grid, theta=th, rho=rh, beta=be
-    )
+    return SupercriticalCurves(model=model, lambdas=grid, theta=th, rho=rh, beta=be)
 
 
 @dataclass(frozen=True)
@@ -213,17 +210,11 @@ class LimitCovariance:
     """Joint covariance of the limit fluctuation pair over a lambda grid.
 
     ``matrix`` is the 2m x 2m covariance with coordinates ordered
-    (count_1, volume_1, count_2, volume_2, ...).  ``coeff`` holds the factor
-    multiplying the weighted kernel coordinate inside the count fluctuation,
-    lambda * phi_0'(lambda theta) / beta, and ``inv_beta`` is the volume
-    fluctuation scale 1/beta.  ``jitter`` records the diagonal jitter the PSD
-    factorization needed (0 means clean).
+    (count_1, volume_1, count_2, volume_2, ...); ``jitter`` records the
+    diagonal jitter its PSD factorization needed (0 means clean).
     """
 
-    lambdas: np.ndarray
     matrix: np.ndarray
-    coeff: np.ndarray
-    inv_beta: np.ndarray
     jitter: float
 
     def block(self, i: int, j: int) -> np.ndarray:
@@ -243,21 +234,32 @@ class LimitCovariance:
         return np.diag(self.matrix, 1)[0::2]
 
 
+def _pair_coefficients(curves: SupercriticalCurves) -> tuple[np.ndarray, np.ndarray]:
+    """``(coeff, inv_beta)`` of the limit pair at each grid point.
+
+    ``coeff`` = lambda * phi_0'(lambda theta) / beta multiplies the order-1
+    kernel coordinate inside the count fluctuation; ``inv_beta`` = 1/beta
+    scales it into the volume fluctuation.
+    """
+    times = curves.lambdas * curves.theta
+    coeff = curves.lambdas * mixed_moment(curves.model, 1, times) / curves.beta
+    return coeff, 1.0 / curves.beta
+
+
 def x_cov(curves: SupercriticalCurves) -> LimitCovariance:
     """Covariance of the limit pair by bilinearity from the kernel.
 
     With T_i = lambda_i * theta_i, the count coordinate is
     psi_0(T_i) + coeff_i * psi_1(T_i) and the volume coordinate is
-    psi_1(T_i) / beta_i, so every entry is a linear combination of kernel
-    values of weight order 0, 1, 2.  Block (i, j) with i <= j is formed with
-    i first and mirrored below the diagonal.  The assembled matrix is
-    validated PSD by the jittered Cholesky policy.
+    psi_1(T_i) / beta_i (``_pair_coefficients``), so every entry is a linear
+    combination of kernel values of weight order 0, 1, 2.  Block (i, j) with
+    i <= j is formed with i first and mirrored below the diagonal.  The
+    assembled matrix is validated PSD by the jittered Cholesky policy.
     """
     model = curves.model
     lams = curves.lambdas
     times = lams * curves.theta
-    coeff = lams * mixed_moment(model, 1, times) / curves.beta
-    inv_beta = 1.0 / curves.beta
+    coeff, inv_beta = _pair_coefficients(curves)
     k0, k1, k2 = (psi_kernel(model, k, times) for k in (0, 1, 2))
     ci, cj = coeff[:, None], coeff[None, :]
     bi, bj = inv_beta[:, None], inv_beta[None, :]
@@ -269,11 +271,8 @@ def x_cov(curves: SupercriticalCurves) -> LimitCovariance:
     cov[1::2, 1::2] = k2 * bi * bj
     cov = np.where(np.tri(2 * m, k=-1, dtype=bool), cov.T, cov)
     _, jitter = chol_with_jitter(cov)
-    for arr in (cov, coeff, inv_beta):
-        arr.setflags(write=False)
-    return LimitCovariance(
-        lambdas=lams, matrix=cov, coeff=coeff, inv_beta=inv_beta, jitter=jitter
-    )
+    cov.setflags(write=False)
+    return LimitCovariance(matrix=cov, jitter=jitter)
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ class WalkRealization:
     @classmethod
     def from_clocks(cls, weights, clocks) -> "WalkRealization":
         """Build from explicit clocks (used by tests to inject hand values)."""
-        v = WeightVector(n=np.size(weights), weights=weights)
+        v = WeightVector(weights)
         return _realize(_allocate(v), v, np.array(clocks, dtype=np.float64))
 
 

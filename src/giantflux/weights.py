@@ -148,17 +148,21 @@ class WeightVector:
     copied once), so everything derived from it can be cached.
     """
 
-    n: int
     weights: np.ndarray
 
     def __post_init__(self) -> None:
         w = self.weights
         if not (isinstance(w, np.ndarray) and w.dtype == np.float64 and not w.flags.writeable):
-            object.__setattr__(self, "weights", _frozen(w))
-        if self.n < 1 or self.weights.shape != (self.n,):
-            raise ValueError(f"weight vector length {self.weights.shape} does not match n={self.n}")
-        if not np.all(self.weights > 0.0) or not np.all(np.isfinite(self.weights)):
+            w = _frozen(w)
+            object.__setattr__(self, "weights", w)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError(f"weight vector must be non-empty and 1-d, got shape {w.shape}")
+        if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("weight vector entries must all be finite and > 0")
+
+    @property
+    def n(self) -> int:
+        return self.weights.size
 
     @cached_property
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +231,8 @@ def mixed_moment(model: WeightModel, k: int, t):
     if np.any(ts < 0.0):
         raise ValueError(f"t must be >= 0, got {ts[ts < 0.0].flat[0]}")
     w = model.values
-    terms = np.multiply.outer(-ts, w)
+    with np.errstate(over="ignore"):  # -t w overflows to -inf only where exp gives 0
+        terms = np.multiply.outer(-ts, w)
     np.exp(terms, out=terms)
     terms *= model.probs * w**k
     out = np.add.reduce(terms, axis=-1)
@@ -255,10 +260,10 @@ def weight_vector(model: WeightModel, n: int, seed: int) -> WeightVector:
     """
     if model.kind == "empirical":
         if n == model.source.size:
-            return WeightVector(n=n, weights=model.source)
+            return WeightVector(model.source)
         rng = np.random.default_rng(seed)
-        return WeightVector(n=n, weights=model.source[rng.integers(0, model.source.size, size=n)])
+        return WeightVector(model.source[rng.integers(0, model.source.size, size=n)])
     cum = np.cumsum(model.probs)
     cum[-1] = 1.0  # guard against the probability sum rounding below 1
     levels = (np.arange(1, n + 1) - 0.5) / n
-    return WeightVector(n=n, weights=model.values[np.searchsorted(cum, levels, side="left")])
+    return WeightVector(model.values[np.searchsorted(cum, levels, side="left")])

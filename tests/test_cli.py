@@ -168,9 +168,9 @@ class TestErrorContract:
         assert len(lines) == 1, err
 
     def test_bisection_failure_at_zero_margin(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, lambda_grid=[1.0000000000001])
+        cfg = _write_config(tmp_path, lambda_grid=[1.0000000000001], margin=0)
         out = tmp_path / "x.csv"
-        assert _run("theory", "--config", str(cfg), "--out", str(out), "--margin", "0") == 2
+        assert _run("theory", "--config", str(cfg), "--out", str(out)) == 2
         self._assert_one_error_line(capsys)
 
     def test_nan_in_lambda_grid(self, tmp_path, capsys):
@@ -186,13 +186,25 @@ class TestErrorContract:
         lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
         assert len(lines) == 1 and "seed" in lines[0], err
 
-    def test_negative_seed_flag(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path)
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [
+            ("graph", dict(margin=-5), "margin"),
+            ("theory", dict(n=-5, n_list=[0, -3]), "n"),
+            ("theory", dict(n=None, n_list=[0, -3]), "n_list"),
+            ("walk", dict(n_list=[0]), "n_list"),
+        ],
+    )
+    def test_field_the_subcommand_ignores_is_checked(
+        self, tmp_path, capsys, command, overrides, field
+    ):
+        """margin, n and n_list are range-checked whichever subcommand runs."""
+        cfg = _write_config(tmp_path, **overrides)
         out = tmp_path / "x.csv"
-        assert _run("graph", "--config", str(cfg), "--out", str(out), "--seed", "-3") == 2
+        assert _run(command, "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
         lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
-        assert len(lines) == 1 and "seed" in lines[0], err
+        assert len(lines) == 1 and f"error: {field} " in lines[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -493,14 +505,12 @@ class TestDeterminism:
         assert _golden_run(tmp_path, name, threads=2) == _golden_run(tmp_path, name, threads=1)
 
     def test_seed_override_changes_output(self, tmp_path):
-        cfg = _write_config(tmp_path, replicates=10, n=40)
+        cfg_a = _write_config(tmp_path, "a.json", replicates=10, n=40)
+        cfg_b = _write_config(tmp_path, "b.json", replicates=10, n=40, seed=999)
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        _run("walk", "--config", str(cfg), "--out", str(out_a), "--threads", "1")
-        _run(
-            "walk", "--config", str(cfg), "--out", str(out_b),
-            "--seed", "999", "--threads", "1",
-        )
+        _run("walk", "--config", str(cfg_a), "--out", str(out_a), "--threads", "1")
+        _run("walk", "--config", str(cfg_b), "--out", str(out_b), "--threads", "1")
         assert out_a.read_bytes() != out_b.read_bytes()
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):

@@ -21,8 +21,7 @@ from giantflux.weights import WeightVector, _limb_floats
 
 
 def _vector(weights):
-    w = np.asarray(weights, dtype=np.float64)
-    return WeightVector(n=w.size, weights=w)
+    return WeightVector(np.asarray(weights, dtype=np.float64))
 
 
 def _components_at(r, lam):
@@ -353,7 +352,7 @@ class TestIncrementalGiant:
         for lam, snap in zip(grid, giant_path(r, grid)):
             comps = _brute_force(r, lam)
             count, volume, _, _ = min(comps, key=lambda c: (-c[3], c[2]))
-            assert (snap.lam, snap.count, snap.volume) == (lam, count, volume)
+            assert (snap.count, snap.volume) == (count, volume)
             labelled = _components_at(r, lam)
             assert sorted(labelled) == sorted((c, v) for c, v, _, _ in comps)
             assert sum(c for c, _ in labelled) == r.n

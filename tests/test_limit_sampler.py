@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from giantflux import limit_sampler, theory
 from giantflux.limit_sampler import (
     _draw_pair,
     psi_cov_matrix,
@@ -98,6 +99,23 @@ class TestXPath:
             x0, _ = sample_x_path(curves, count, seed=8)
             v, se = _cov_se(x0[:, 0], x0[:, 0])
             assert abs(v - er_closed_forms(lam).sigma_sq) <= 3 * se
+
+    def test_one_factorization_and_no_x_cov(self, monkeypatch):
+        """Only the kernel covariance is built and factored; x_cov is not called."""
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (limit_sampler, theory):
+            for name in ("chol_with_jitter", "x_cov"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        sample_x_path(supercritical_curves(HALF_HALF, [1.0, 2.0, 3.0]), 5, seed=9)
+        assert calls == ["chol_with_jitter"]
 
     def test_reproducible(self):
         curves = supercritical_curves(HALF_HALF, [1.0, 2.0])

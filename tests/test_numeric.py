@@ -13,7 +13,7 @@ from giantflux.weights import WeightVector
 def _prefix(x):
     """S_1..S_n of ``x`` in its own order, through ``_mass_prefix``: exact
     int64 prefix sums of each limb, a negative x entering with negated limbs."""
-    v = WeightVector(n=x.size, weights=np.abs(x))
+    v = WeightVector(np.abs(x))
     atoms, index = v.classes
     e0, table = v.limbs
     sign = np.ones(atoms.size, dtype=np.int64)

@@ -372,7 +372,7 @@ class TestFiniteSupportProperties:
         curves = supercritical_curves(model, lambda_crit(model) * factors)
         cov = x_cov(curves)
         times = curves.lambdas * curves.theta
-        c, b = cov.coeff, cov.inv_beta
+        c, b = theory._pair_coefficients(curves)
         for i in range(times.size):
             for j in range(i, times.size):
                 k0, k1, k2 = (

@@ -65,7 +65,7 @@ class TestHandComputedPaths:
 
 class TestSampleClocks:
     def test_standard_exponential_mean(self):
-        v = WeightVector(n=10**6, weights=np.ones(10**6))
+        v = WeightVector(np.ones(10**6))
         r = sample_clocks(v, 17)
         se = 1.0 / math.sqrt(10**6)
         assert abs(np.mean(r.sorted_clocks) - 1.0) <= 3 * se
@@ -73,17 +73,17 @@ class TestSampleClocks:
     def test_rate_two_mean(self):
         # mean of an Exp(2) clock is 1/2; check both as a vector and as
         # repeated single-vertex realizations
-        v = WeightVector(n=10**6, weights=np.full(10**6, 2.0))
+        v = WeightVector(np.full(10**6, 2.0))
         r = sample_clocks(v, 18)
         se = 0.5 / math.sqrt(10**6)
         assert abs(np.mean(r.sorted_clocks) - 0.5) <= 3 * se
-        single = WeightVector(n=1, weights=np.array([2.0]))
+        single = WeightVector(np.array([2.0]))
         draws = np.array([sample_clocks(single, 1000 + k).sorted_clocks[0] for k in range(1000)])
         assert abs(np.mean(draws) - 0.5) <= 3 * 0.5 / math.sqrt(1000)
 
     def test_deterministic(self):
         """The rerun pairs every clock with the same weight: clocks and their order agree."""
-        v = WeightVector(n=50, weights=np.linspace(0.5, 2.0, 50))
+        v = WeightVector(np.linspace(0.5, 2.0, 50))
         a = sample_clocks(v, 42)
         b = sample_clocks(v, 42)
         np.testing.assert_array_equal(a.sorted_clocks, b.sorted_clocks)
@@ -138,7 +138,7 @@ class TestReusedBuffers:
 
     def test_out_of_another_vector_is_left_alone(self):
         v = weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 500, 0)
-        other = WeightVector(n=500, weights=v.weights.copy())
+        other = WeightVector(v.weights.copy())
         r = sample_clocks(v, 1)
         kept = r.sorted_clocks.copy()
         s = sample_clocks(other, 2, out=r)
@@ -159,12 +159,12 @@ class TestReusedBuffers:
         """xi/w overflows for a subnormal weight: one ValueError, no warning
         (RuntimeWarnings are errors under this suite's filter)."""
         msg = "clocks must be finite: xi/w overflows"
-        tiny = WeightVector(n=4, weights=np.array([5e-324, 1.0, 2.0, 1.0]))
+        tiny = WeightVector(np.array([5e-324, 1.0, 2.0, 1.0]))
         with pytest.raises(ValueError, match=msg):
             sample_clocks(tiny, 7)
-        r = sample_clocks(WeightVector(n=4, weights=np.array([3.0, 1.0, 2.0, 1.0])), 7)
+        r = sample_clocks(WeightVector(np.array([3.0, 1.0, 2.0, 1.0])), 7)
         with pytest.raises(ValueError, match=msg):
-            sample_clocks(WeightVector(n=4, weights=tiny.weights), 7, out=r)
+            sample_clocks(WeightVector(tiny.weights), 7, out=r)
         with pytest.raises(ValueError, match=msg):
             WalkRealization.from_clocks([1.0, 2.0, 1.0], [0.3, np.inf, 0.1])
 
@@ -755,13 +755,11 @@ def _giant_digest(v, seed, grid):
 
 
 def _pareto_vector(n):
-    w = (1.0 - (np.arange(n) + 0.5) / n) ** (-1.0 / 2.5)
-    return WeightVector(n=n, weights=w)
+    return WeightVector((1.0 - (np.arange(n) + 0.5) / n) ** (-1.0 / 2.5))
 
 
 def _lognormal_vector(n):
-    w = np.random.default_rng(3).lognormal(0.0, 3.0, size=n)
-    return WeightVector(n=n, weights=w)
+    return WeightVector(np.random.default_rng(3).lognormal(0.0, 3.0, size=n))
 
 
 class TestGolden:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestMixedMoment:
         out = mixed_moment(HALF_HALF, 1, times)
         assert out.shape == times.shape
         assert out[0, 0] == 1.5
+
+    def test_overflowing_exponent_is_zero_without_warning(self):
+        """-t w overflows to -inf for t w beyond the float range; exp gives the exact 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mixed_moment(WeightModel.empirical([1.34e154] * 3), 2, 1e160) == 0.0
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -289,11 +296,11 @@ class TestWeightVector:
     def test_rejects_non_finite_weights(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                WeightVector(n=2, weights=np.array([1.0, bad]))
+                WeightVector(np.array([1.0, bad]))
 
     def test_owns_a_read_only_copy(self):
         w = np.array([2.0, 1.0, 2.0])
-        v = WeightVector(n=3, weights=w)
+        v = WeightVector(w)
         w[0] = 5.0
         assert not v.weights.flags.writeable
         np.testing.assert_array_equal(v.weights, [2.0, 1.0, 2.0])
@@ -317,7 +324,7 @@ class TestWeightVector:
     )
     def test_limbs_reproduce_atoms_exactly(self, weights, e0, n_limbs):
         """Each atom is sum_l table[l, k] << 31 l in units of 2**e0, limbs below 2**31."""
-        v = WeightVector(n=len(weights), weights=np.array(weights))
+        v = WeightVector(np.array(weights))
         got_e0, table = v.limbs
         assert (got_e0, table.shape[0]) == (e0, n_limbs)
         assert table.dtype == np.int64 and table.min() >= 0 and table.max() < 2**31
