@@ -23,13 +23,14 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from . import harness
-from .harness import COMMAND_KINDS, ExperimentConfig, _fmt
+from .harness import COMMAND_KINDS, ExperimentConfig
 from .limit_sampler import sample_x_path
 from .theory import ConvergenceError, supercritical_curves, x_cov
 from .weights import WeightModel
@@ -153,8 +154,14 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    harness.write_text_atomic(path, "\n".join(lines) + "\n")
+def _table_lines(header: str, template: str, lambdas, table: np.ndarray):
+    """``header``, then ``template % (index, lambda, *values)`` for each index
+    and lambda of an (R, m, k) table, one replicate's rows at a time."""
+    yield header
+    labels = ["%.17g" % lam for lam in lambdas]
+    for i, rows in enumerate(table):
+        for lam, values in zip(labels, rows.tolist()):
+            yield template % (i, lam, *values)
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +171,10 @@ def _cmd_theory(config: ExperimentConfig, out: Path) -> int:
     curves = supercritical_curves(config.model, config.grid(), config.margin)
     cov = x_cov(curves)
     _log(f"tabulated {len(curves)} grid points (factorization jitter {cov.jitter:g})")
-    lines = ["lambda,theta,rho,beta,var_L,var_V,cov_LV"]
-    for i in range(len(curves)):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    curves.lambdas[i], curves.theta[i], curves.rho[i], curves.beta[i],
-                    cov.var_count[i], cov.var_volume[i], cov.cov_count_volume[i],
-                )
-            )
-        )
-    _write_lines(out, lines)
+    columns = (curves.lambdas, curves.theta, curves.rho, curves.beta,
+               cov.var_count, cov.var_volume, cov.cov_count_volume)
+    rows = (",".join(["%.17g"] * 7) % row for row in zip(*(c.tolist() for c in columns)))
+    harness.write_lines_atomic(out, chain(["lambda,theta,rho,beta,var_L,var_V,cov_LV"], rows))
     return 0
 
 
@@ -183,27 +182,22 @@ def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
     _log(f"running {config.replicates} walk replicates at n={config.n}")
     w, stats = harness.replicate_stats(config, config.n, "walk")
     _, fluc_count, fluc_volume = harness._fluctuations(config, w, stats)
-    lambdas = [_fmt(lam) for lam in config.lambdas]
-    lines = ["replicate,lambda,g,d,volume,count,flucL,flucV"]
-    table = np.concatenate((stats, fluc_count[..., None], fluc_volume[..., None]), axis=2)
-    for rep, rows in enumerate(table.tolist()):
-        for lam, (count, volume, g, d, fl, fv) in zip(lambdas, rows):
-            lines.append(
-                f"{rep},{lam},{g:.17g},{d:.17g},{volume:.17g},{int(count)},{fl:.17g},{fv:.17g}"
-            )
-    _write_lines(out, lines)
+    table = np.concatenate(  # stats columns are count, volume, g, d
+        (stats[..., [2, 3, 1, 0]], fluc_count[..., None], fluc_volume[..., None]), axis=2
+    )
+    harness.write_lines_atomic(out, _table_lines(
+        "replicate,lambda,g,d,volume,count,flucL,flucV",
+        "%d,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g", config.lambdas, table,
+    ))
     return 0
 
 
 def _cmd_graph(config: ExperimentConfig, out: Path) -> int:
     _log(f"running {config.replicates} graph replicates at n={config.n}")
     _, stats = harness.replicate_stats(config, config.n, "graph")
-    lambdas = [_fmt(lam) for lam in config.lambdas]
-    lines = ["replicate,lambda,L,V"]
-    for rep, rows in enumerate(stats.tolist()):
-        for lam, (count, volume) in zip(lambdas, rows):
-            lines.append(f"{rep},{lam},{int(count)},{volume:.17g}")
-    _write_lines(out, lines)
+    harness.write_lines_atomic(
+        out, _table_lines("replicate,lambda,L,V", "%d,%s,%d,%.17g", config.lambdas, stats)
+    )
     return 0
 
 
@@ -211,12 +205,9 @@ def _cmd_limit(config: ExperimentConfig, out: Path) -> int:
     curves = supercritical_curves(config.model, config.grid(), config.margin)
     _log(f"sampling {config.draws} limit draws on {len(curves)} grid points")
     x0, x1 = sample_x_path(curves, config.draws, config.seed)
-    lambdas = [_fmt(lam) for lam in curves.lambdas.tolist()]
-    lines = ["draw,lambda,x0,x1"]
-    for k, (row0, row1) in enumerate(zip(x0.tolist(), x1.tolist())):
-        for lam, a, b in zip(lambdas, row0, row1):
-            lines.append(f"{k},{lam},{a:.17g},{b:.17g}")
-    _write_lines(out, lines)
+    harness.write_lines_atomic(out, _table_lines(
+        "draw,lambda,x0,x1", "%d,%s,%.17g,%.17g", curves.lambdas, np.stack((x0, x1), axis=2)
+    ))
     return 0
 
 
@@ -279,7 +270,15 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         config = _load_config(args)
-        return _SUBCOMMANDS[args.command][0](config, Path(args.out))
+        handler, out = _SUBCOMMANDS[args.command][0], Path(args.out)
+        files = [Path(args.config), out]
+        if handler is _cmd_harness:  # the JSON report goes beside the CSV
+            files.append(out.with_suffix(".json"))
+        if len(set(map(os.path.realpath, files))) < len(files):  # Path.resolve raises on a loop
+            raise ConfigError(
+                "config and outputs must be distinct files: " + ", ".join(map(str, files))
+            )
+        return handler(config, out)
     # ConfigError and numpy's LinAlgError are ValueErrors; numpy raises
     # MemoryError for an array too large to allocate
     except (ValueError, ConvergenceError, OSError, MemoryError) as exc:

@@ -19,6 +19,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from math import inf, isfinite, isnan, nan, sqrt
 from pathlib import Path
 
@@ -45,7 +46,7 @@ __all__ = [
     "replicate_stats",
     "write_report_csv",
     "write_report_json",
-    "write_text_atomic",
+    "write_lines_atomic",
 ]
 
 # subcommand -> config kind; the four experiments keep their report names
@@ -474,36 +475,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # report emission
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# lines per ``write`` call of ``write_lines_atomic``: memory stays flat as a file grows
+_BLOCK_LINES = 4096
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:
-    lines = ["lambda,stat,empirical,target,se,z,pass"]
-    for r in report.records:
-        passed = "" if r.passed is None else ("true" if r.passed else "false")
-        lines.append(
-            f"{_fmt(r.lam)},{r.stat},{_fmt(r.empirical)},{_fmt(r.target)},"
-            f"{_fmt(r.se)},{_fmt(r.z)},{passed}"
-        )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    passed = {None: "", True: "true", False: "false"}
+    rows = ("%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s" % (
+        r.lam, r.stat, r.empirical, r.target, r.se, r.z, passed[r.passed]) for r in report.records)
+    write_lines_atomic(path, chain(["lambda,stat,empirical,target,se,z,pass"], rows))
 
 
 def write_report_json(report: ExperimentReport, path) -> None:
-    write_text_atomic(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    write_lines_atomic(path, [json.dumps(report.to_json_dict(), indent=2, sort_keys=True)])
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same directory.
-
-    ``os.replace`` then swaps it in, so ``path`` holds either its old bytes
-    or all the new ones; a failed write removes the temporary file.
-    """
+def write_lines_atomic(path, lines) -> None:
+    """Stream ``lines``, each ended by a newline, ``_BLOCK_LINES`` at a time
+    into a temporary file beside ``path``; ``os.replace`` then swaps it in, so
+    ``path`` holds either its old bytes or all the new ones.  A failed write,
+    or ``lines`` raising, removes the temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    lines = iter(lines)
     try:
         with open(tmp, "x") as fh:
-            fh.write(text)
+            while block := list(islice(lines, _BLOCK_LINES)):
+                fh.write("\n".join(block) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

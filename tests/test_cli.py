@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,31 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert "[giantflux] error: threads must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "command, config_name, out_name",
+        [
+            ("fclt", "run.json", "run.csv"),  # the JSON report would replace the config
+            ("compare", "cfg.json", "rep.json"),  # the JSON report would replace the CSV
+            ("theory", "t.json", "t.json"),  # the CSV would replace the config
+        ],
+    )
+    def test_output_that_overwrites_the_config_or_the_csv(
+        self, tmp_path, monkeypatch, capsys, command, config_name, out_name
+    ):
+        """Refused before any replicate runs: exit 2 with one error line, the
+        config untouched and no file written."""
+        cfg = _write_config(tmp_path, name=config_name, replicates=4)
+        before = cfg.read_bytes()
+
+        def no_replicates(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(harness, "_map_indexed", no_replicates)
+        assert _run(command, "--config", str(cfg), "--out", str(tmp_path / out_name)) == 2
+        self._assert_one_error_line(capsys)
+        assert cfg.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [config_name]
+
     def test_integral_float_accepted(self, tmp_path):
         cfg = _write_config(tmp_path, n=40.0, replicates=3.0)
         out = tmp_path / "walk.csv"
@@ -487,6 +513,26 @@ class TestConfigFuzz:
                   if line.startswith("[giantflux] error:")]
         assert code in (0, 2), (config, err.getvalue())
         assert len(errors) == (1 if code == 2 else 0), (config, err.getvalue())
+
+
+class TestStreamedOutput:
+    def test_limit_table_is_not_held_whole(self, tmp_path):
+        """10^5 rows of ``limit`` (6 MB of CSV) stream out in blocks: the
+        traced peak stays far below what the whole file as text would take."""
+        cfg = _write_config(
+            tmp_path, model=_HALF_HALF, lambda_grid={"min": 1.0, "max": 4.0, "points": 100},
+            draws=1000,
+        )
+        out = tmp_path / "limit.csv"
+        tracemalloc.start()
+        try:
+            assert _run("limit", "--config", str(cfg), "--out", str(out)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with out.open() as fh:
+            assert sum(1 for _ in fh) == 1 + 1000 * 100
+        assert peak < 10 * 10**6, peak
 
 
 class TestDeterminism:

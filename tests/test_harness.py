@@ -37,6 +37,10 @@ def _config(**kw):
     return ExperimentConfig(**base)
 
 
+def _write_three_blocks(report, path):
+    harness.write_lines_atomic(path, map(str, range(3 * harness._BLOCK_LINES)))
+
+
 class TestConfigValidation:
     def test_rejects_single_replicate(self):
         with pytest.raises(ValueError):
@@ -282,14 +286,23 @@ class TestReportEmission:
         assert payload["all_passed"] == report.all_passed
         assert len(payload["records"]) == len(report.records)
 
-    @pytest.mark.parametrize("writer", [write_report_csv, write_report_json])
-    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
-        """A write that fails part-way leaves the old bytes and no temporary file."""
+    @pytest.mark.parametrize(
+        "writer, failing_call",
+        [
+            pytest.param(write_report_csv, 1, id="write_report_csv"),
+            pytest.param(write_report_json, 1, id="write_report_json"),
+            pytest.param(_write_three_blocks, 2, id="three_blocks_fail_in_the_second"),
+        ],
+    )
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer, failing_call):
+        """A write that fails part-way, in the first block or a later one,
+        leaves the old bytes and no temporary file."""
         report = run_fclt(_config(replicates=10))
         path = tmp_path / "report.out"
         path.write_text("old contents\n")
+        calls = []
 
-        class HalfWrite:
+        class FailingWrite:
             def __init__(self, fh):
                 self.fh = fh
 
@@ -300,18 +313,41 @@ class TestReportEmission:
                 self.fh.close()
 
             def write(self, text):
+                calls.append(len(text))
+                if len(calls) < failing_call:
+                    return self.fh.write(text)
                 self.fh.write(text[: len(text) // 2])
                 raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(harness, "open", lambda *a, **kw: HalfWrite(open(*a, **kw)), raising=False)
+        monkeypatch.setattr(harness, "open", lambda *a, **kw: FailingWrite(open(*a, **kw)), raising=False)
         with pytest.raises(OSError, match="No space"):
             writer(report, path)
         monkeypatch.undo()
+        assert len(calls) == failing_call
         assert path.read_text() == "old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.out"]
         writer(report, path)
         assert path.read_text() != "old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.out"]
+
+    def test_failing_line_source_keeps_old_file(self, tmp_path):
+        """Lines that raise after a whole block was written leave the old bytes."""
+        path = tmp_path / "table.csv"
+        path.write_text("old contents\n")
+
+        def lines():
+            yield from map(str, range(harness._BLOCK_LINES + 1))
+            raise ValueError("bad row")
+
+        with pytest.raises(ValueError, match="bad row"):
+            harness.write_lines_atomic(path, lines())
+        assert path.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_multi_block_output_is_complete(self, tmp_path):
+        path = tmp_path / "table.csv"
+        harness.write_lines_atomic(path, map(str, range(2 * harness._BLOCK_LINES + 1)))
+        assert path.read_text() == "".join(f"{i}\n" for i in range(2 * harness._BLOCK_LINES + 1))
 
     def test_dispatcher_routes_by_kind(self):
         report = run_experiment(_config(replicates=10))
