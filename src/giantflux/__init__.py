@@ -6,6 +6,15 @@ samplers for the limit process, and a Monte Carlo harness that checks the
 simulators against the theory.
 """
 
+import os
+
+# BLAS on one thread, set before the first submodule loads numpy.  The
+# package's largest BLAS calls are one 2m x 2m Cholesky and one
+# (draws x 2m)(2m x 2m) product; from 128 rows up, OpenBLAS threads change
+# the factor's bits, so outputs would depend on the machine's cores, and the
+# threads never paid for themselves.  ``setdefault`` keeps a caller's count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .graph_oracle import (
     DynamicGraphRealization,
     GiantSnapshot,

@@ -20,7 +20,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from math import inf, isfinite, isnan, nan, sqrt
+from math import copysign, inf, isfinite, nan, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +182,11 @@ class ReportRecord:
     passed: bool | None
 
 
+def _finite(x: float) -> float | None:
+    """JSON has no inf or NaN: a non-finite value is written as null."""
+    return x if isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     kind: str
@@ -199,12 +204,12 @@ class ExperimentReport:
             "all_passed": self.all_passed,
             "records": [
                 {
-                    "lambda": r.lam,
+                    "lambda": _finite(r.lam),
                     "stat": r.stat,
-                    "empirical": r.empirical,
-                    "target": r.target,
-                    "se": None if isnan(r.se) else r.se,
-                    "z": None if isnan(r.z) else r.z,
+                    "empirical": _finite(r.empirical),
+                    "target": _finite(r.target),
+                    "se": _finite(r.se),
+                    "z": _finite(r.z),
                     "pass": r.passed,
                 }
                 for r in self.records
@@ -248,7 +253,7 @@ def _cov_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def _zscore(diff: float, se: float) -> float:
     if se == 0.0:
-        return 0.0 if diff == 0.0 else inf
+        return 0.0 if diff == 0.0 else copysign(inf, diff)
     return diff / se
 
 
@@ -487,7 +492,8 @@ def write_report_csv(report: ExperimentReport, path) -> None:
 
 
 def write_report_json(report: ExperimentReport, path) -> None:
-    write_lines_atomic(path, [json.dumps(report.to_json_dict(), indent=2, sort_keys=True)])
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+    write_lines_atomic(path, [text])
 
 
 def write_lines_atomic(path, lines) -> None:

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import giantflux
 from giantflux import cli, harness
 from giantflux.cli import dispatch
 from giantflux.harness import MAX_N
@@ -157,6 +161,26 @@ class TestHarnessCommands:
         cfg = _write_config(tmp_path, kind="fclt")
         assert _run("compare", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
         assert "kind" in capsys.readouterr().err
+
+    def test_infinite_z_keeps_sign_and_json_stays_strict(self, tmp_path):
+        """One vertex: every replicate's statistics are equal, so se = 0 and a
+        nonzero difference has an infinite z.  Its sign is the difference's,
+        and the report writes it as null, which strict JSON parsers accept."""
+        cfg = _write_config(tmp_path, lambda_grid=[1.5, 3.0], n=1, replicates=5, seed=1)
+        out = tmp_path / "one.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert _run("fclt", "--config", str(cfg), "--out", str(out), "--threads", "1") == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        below = [row for row in rows if float(row[2]) < float(row[3]) and float(row[4]) == 0]
+        assert below and all(row[5] == "-inf" for row in below)
+
+        def reject(token):
+            raise ValueError(token)
+
+        report = json.loads((tmp_path / "one.json").read_text(), parse_constant=reject)
+        assert len(report["records"]) == len(rows)
+        for row, record in zip(rows, report["records"]):
+            assert record["z"] == (float(row[5]) if np.isfinite(float(row[5])) else None)
 
 
 class TestErrorContract:
@@ -573,6 +597,32 @@ class TestDeterminism:
         cfg = _write_config(tmp_path)
         assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
         assert "GIANTFLUX_THREADS" in capsys.readouterr().err
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """``limit`` factors a 200 x 200 covariance here, and OpenBLAS threads
+        change a factor's bits from 128 rows up.  Importing giantflux pins BLAS
+        to one thread unless the caller set a count, so a fresh process with no
+        thread variable writes the bytes of one with ``OPENBLAS_NUM_THREADS=1``.
+        On a 1-core machine OpenBLAS runs one thread anyway, so the byte check
+        cannot fail there even without the pin."""
+        cfg = _write_config(tmp_path, model=_HALF_HALF, draws=2,
+                            lambda_grid={"min": 1.0, "max": 4.0, "points": 100})
+        env = dict(os.environ, PYTHONPATH=str(Path(giantflux.__file__).parents[1]))
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+
+        def fresh(*argv, **extra):
+            return subprocess.run([sys.executable, *argv], env={**env, **extra},
+                                  capture_output=True, text=True, check=True).stdout
+
+        outputs = []
+        for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / f"{name}.csv"
+            fresh("-m", "giantflux.cli", "limit", "--config", str(cfg), "--out", str(out), **extra)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        probe = "import os, giantflux; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh("-c", probe, OPENBLAS_NUM_THREADS="3").strip() == "3"
 
 
 def _pareto_weights(n):
