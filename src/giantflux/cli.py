@@ -181,10 +181,9 @@ def _cmd_theory(config: ExperimentConfig, out: Path) -> int:
 def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
     _log(f"running {config.replicates} walk replicates at n={config.n}")
     w, stats = harness.replicate_stats(config, config.n, "walk")
-    _, fluc_count, fluc_volume = harness._fluctuations(config, w, stats)
-    table = np.concatenate(  # stats columns are count, volume, g, d
-        (stats[..., [2, 3, 1, 0]], fluc_count[..., None], fluc_volume[..., None]), axis=2
-    )
+    _, y = harness._fluctuations(config, w, stats)
+    # stats columns are count, volume, g, d; y's are (count, volume) per lambda
+    table = np.concatenate((stats[..., [2, 3, 1, 0]], y.reshape(stats[..., :2].shape)), axis=2)
     harness.write_lines_atomic(out, _table_lines(
         "replicate,lambda,g,d,volume,count,flucL,flucV",
         "%d,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g", config.lambdas, table,

@@ -220,29 +220,28 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # moment estimates with standard errors
 
+def _centred(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The sample mean and x minus it.  A constant sample is centred on its
+    own value, exactly: np.mean of equal floats can miss it by an ulp."""
+    mean = x[0] if x.min() == x.max() else np.mean(x)
+    return float(mean), x - mean
+
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error, np.std(x, ddof=1) / sqrt(R)."""
     r = x.size
-    return float(np.mean(x)), float(np.std(x, ddof=1) / sqrt(r))
-
-def _var_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample variance with a conservative standard error.
-
-    Normal-theory SE var * sqrt(2/(R-1)) understates the error for
-    heavy-tailed samples, so take the larger of it and the plug-in SE
-    sqrt((m4 - m2^2)/R) from the fourth central moment.
-    """
-    r = x.size
-    d = x - np.mean(x)
-    m2 = float(np.dot(d, d) / (r - 1))
-    m4 = float(np.mean(d**4))
-    se_normal = m2 * sqrt(2.0 / (r - 1))
-    se_robust = sqrt(max(m4 - m2 * m2, 0.0) / r)
-    return m2, max(se_normal, se_robust)
+    mean, d = _centred(x)
+    return mean, sqrt(float(np.square(d).sum()) / (r - 1)) / sqrt(r)
 
 def _cov_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Sample covariance with a conservative standard error; ``_cov_se(x, x)``
+    is the sample variance.
+
+    Normal-theory SE sqrt((var_x var_y + c^2)/(R-1)) understates the error
+    for heavy-tailed samples, so take the larger of it and the plug-in SE
+    sqrt((m22 - c^2)/R) from the mixed fourth central moment.
+    """
     r = x.size
-    dx = x - np.mean(x)
-    dy = y - np.mean(y)
+    dx, dy = _centred(x)[1], _centred(y)[1]
     c = float(np.dot(dx, dy) / (r - 1))
     vx = float(np.dot(dx, dx) / (r - 1))
     vy = float(np.dot(dy, dy) / (r - 1))
@@ -306,17 +305,17 @@ def replicate_stats(
 
 def _fluctuations(
     config: ExperimentConfig, w: WeightVector, stats: np.ndarray
-) -> tuple[SupercriticalCurves, np.ndarray, np.ndarray]:
-    """The curves of w's own law and the (R, m) count and volume fluctuations.
+) -> tuple[SupercriticalCurves, np.ndarray]:
+    """The curves of w's own law and the (R, 2m) fluctuation matrix y.
 
-    Each fluctuation is centred on the finite-n law of the vector in use:
+    Columns follow ``x_cov``'s coordinates (count_1, volume_1, count_2, ...),
+    each centred on the finite-n law of the vector in use:
     (L - rho_n n)/sqrt(n) and (V - theta_n n)/sqrt(n).
     """
     curves_n = supercritical_curves(WeightModel.empirical(w.weights), config.grid(), config.margin)
-    sqrt_n = np.sqrt(w.n)
-    fluc_count = (stats[..., 0] - curves_n.rho * w.n) / sqrt_n
-    fluc_volume = (stats[..., 1] - curves_n.theta * w.n) / sqrt_n
-    return curves_n, fluc_count, fluc_volume
+    centre = np.stack((curves_n.rho, curves_n.theta), axis=1) * w.n
+    y = (stats[..., :2] - centre) / np.sqrt(w.n)
+    return curves_n, y.reshape(len(stats), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,42 +329,34 @@ def _require_kind(config: ExperimentConfig, kind: str, runner: str) -> None:
 def run_fclt(config: ExperimentConfig) -> ExperimentReport:
     """Check the fluctuation pair of the giant against the limit covariance.
 
-    R walk replicates at size n; per lambda the empirical mean (target 0),
-    the two variances and the cross covariance are compared against the
-    kernel-derived limit covariance; each consecutive lambda pair checks the
-    cross-lambda covariance of the coupled path.
+    R walk replicates at size n give the fluctuation matrix y, whose columns
+    a, b are coordinates of ``x_cov``'s matrix.  Per lambda the two means
+    are compared with 0, and the two variances and the cross covariance with
+    matrix[a, b]; each consecutive lambda pair checks the cross-lambda
+    covariance of count and of volume on the coupled path.
     """
     _require_kind(config, "fclt", "run_fclt")
     grid = config.grid()
-    cov = x_cov(supercritical_curves(config.model, grid, config.margin))
-    _, fluc_count, fluc_volume = _fluctuations(config, *replicate_stats(config, config.n, "walk"))
+    matrix = x_cov(supercritical_curves(config.model, grid, config.margin)).matrix
+    _, y = _fluctuations(config, *replicate_stats(config, config.n, "walk"))
 
-    mult = config.multiplier
-    records = []
+    rows = []  # (lambda, stat, a, b): the mean of column a when b is None
     for i, lam in enumerate(grid):
-        mean_c, se = _mean_se(fluc_count[:, i])
-        records.append(_record(lam, "mean_fluc_count", mean_c, 0.0, se, mult))
-        mean_v, se = _mean_se(fluc_volume[:, i])
-        records.append(_record(lam, "mean_fluc_volume", mean_v, 0.0, se, mult))
-        var_c, se = _var_se(fluc_count[:, i])
-        records.append(_record(lam, "var_fluc_count", var_c, cov.var_count[i], se, mult))
-        var_v, se = _var_se(fluc_volume[:, i])
-        records.append(_record(lam, "var_fluc_volume", var_v, cov.var_volume[i], se, mult))
-        cov_cv, se = _cov_se(fluc_count[:, i], fluc_volume[:, i])
-        records.append(
-            _record(lam, "cov_fluc_count_volume", cov_cv, cov.cov_count_volume[i], se, mult)
-        )
+        c, v = 2 * i, 2 * i + 1
+        rows += [(lam, "mean_fluc_count", c, None), (lam, "mean_fluc_volume", v, None),
+                 (lam, "var_fluc_count", c, c), (lam, "var_fluc_volume", v, v),
+                 (lam, "cov_fluc_count_volume", c, v)]
     for i in range(grid.size - 1):
-        j = i + 1
-        (count_ij, _), (_, volume_ij) = cov.block(i, j)
-        c, se = _cov_se(fluc_count[:, i], fluc_count[:, j])
-        records.append(
-            _record(grid[i], f"crosscov_count@lambda={grid[j]:g}", c, count_ij, se, mult)
-        )
-        c, se = _cov_se(fluc_volume[:, i], fluc_volume[:, j])
-        records.append(
-            _record(grid[i], f"crosscov_volume@lambda={grid[j]:g}", c, volume_ij, se, mult)
-        )
+        at = f"@lambda={grid[i + 1]:g}"
+        rows += [(grid[i], "crosscov_count" + at, 2 * i, 2 * i + 2),
+                 (grid[i], "crosscov_volume" + at, 2 * i + 1, 2 * i + 3)]
+    records = []
+    for lam, stat, a, b in rows:
+        if b is None:
+            (value, se), target = _mean_se(y[:, a]), 0.0
+        else:
+            (value, se), target = _cov_se(y[:, a], y[:, b]), matrix[a, b]
+        records.append(_record(lam, stat, value, target, se, config.multiplier))
     return ExperimentReport(kind=config.kind, meta=config.meta(), records=tuple(records))
 
 
@@ -392,8 +383,8 @@ def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
             records.append(
                 _record(lam, f"mean_{name}", mw, mg, sqrt(sew**2 + seg**2), mult)
             )
-            vw, sew = _var_se(xw)
-            vg, seg = _var_se(xg)
+            vw, sew = _cov_se(xw, xw)
+            vg, seg = _cov_se(xg, xg)
             records.append(
                 _record(lam, f"var_{name}", vw, vg, sqrt(sew**2 + seg**2), mult)
             )
@@ -416,7 +407,7 @@ def run_endpoint_check(config: ExperimentConfig) -> ExperimentReport:
     kernel = mixed_moment(config.model, 2, times) - mixed_moment(config.model, 2, times + times)
     targets = kernel / curves.beta**2
     w, stats = replicate_stats(config, config.n, "walk")
-    curves_n, _, _ = _fluctuations(config, w, stats)
+    curves_n, _ = _fluctuations(config, w, stats)
 
     sqrt_n = sqrt(config.n)
     mult = config.multiplier
@@ -424,7 +415,7 @@ def run_endpoint_check(config: ExperimentConfig) -> ExperimentReport:
     for i, lam in enumerate(grid):
         g, d = stats[:, i, 2], stats[:, i, 3]
         x = sqrt_n * (d - curves_n.theta[i])
-        var, se = _var_se(x)
+        var, se = _cov_se(x, x)
         records.append(_record(lam, "var_sqrtn_d", var, targets[i], se, mult))
         # the limit of sqrt(n)(d - theta_n) is centered, but the empirical
         # mean inherits the O(n^{-1/2}) left-edge offset, so it is reported
@@ -449,16 +440,15 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
     """
     _require_kind(config, "convergence-study", "run_convergence_study")
     grid = config.grid()
-    cov = x_cov(supercritical_curves(config.model, grid, config.margin))
+    matrix = x_cov(supercritical_curves(config.model, grid, config.margin)).matrix
     records = []
     for n_idx, n in enumerate(config.n_list):
         stats = replicate_stats(config, n, "walk", seed_path=(n_idx,))
-        _, fluc_count, fluc_volume = _fluctuations(config, *stats)
+        _, y = _fluctuations(config, *stats)
         for i, lam in enumerate(grid):
-            for name, fluc, target in (("count", fluc_count, cov.var_count),
-                                       ("volume", fluc_volume, cov.var_volume)):
-                var, _ = _var_se(fluc[:, i])
-                records.append(_record(lam, f"abs_var_err_{name}[n={n}]", abs(var - target[i]),
+            for name, a in (("count", 2 * i), ("volume", 2 * i + 1)):
+                var, _ = _cov_se(y[:, a], y[:, a])
+                records.append(_record(lam, f"abs_var_err_{name}[n={n}]", abs(var - matrix[a, a]),
                                        0.0, nan, multiplier=None))
     return ExperimentReport(kind=config.kind, meta=config.meta(), records=tuple(records))
 

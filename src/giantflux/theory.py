@@ -48,6 +48,7 @@ __all__ = [
 #: vanishes at criticality, so 1/beta blows up on grids that hug the edge.
 DEFAULT_MARGIN = 1e-3
 
+# bisection tolerance, in units of the weight scale 2**(e - 1) <= E[W] < 2**e
 _ROOT_TOL = 1e-12
 _MAX_BISECT = 200
 # floats of (pair, atom) terms per moment evaluation in psi_kernel
@@ -79,8 +80,9 @@ def require_supercritical(model: WeightModel, lambdas, margin: float = DEFAULT_M
     return crit
 
 
-def _bisect(lo: np.ndarray, hi: np.ndarray, move_lo) -> bool:
-    """Halve each open interval [lo_i, hi_i] in place until hi - lo <= 1e-12.
+def _bisect(lo: np.ndarray, hi: np.ndarray, move_lo, tol: float) -> bool:
+    """Halve each open interval [lo_i, hi_i] in place until hi - lo <= tol
+    and lo > 0.
 
     ``move_lo(open_, mid)`` marks the open entries whose ``lo`` moves up to
     the midpoint; the others move ``hi`` down.  An entry changes only while
@@ -88,24 +90,28 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, move_lo) -> bool:
     Returns whether every interval closed within the step budget.
     """
     for _ in range(_MAX_BISECT):
-        open_ = np.flatnonzero(hi - lo > _ROOT_TOL)
+        open_ = np.flatnonzero((hi - lo > tol) | (lo == 0.0))
         if open_.size == 0:
             return True
         mid = 0.5 * (lo[open_] + hi[open_])
         up = move_lo(open_, mid)
         lo[open_[up]] = mid[up]
         hi[open_[~up]] = mid[~up]
-    return not np.any(hi - lo > _ROOT_TOL)
+    return not np.any((hi - lo > tol) | (lo == 0.0))
 
 
 def _theta_grid(model: WeightModel, lam: np.ndarray) -> np.ndarray:
     """``theta`` at every entry of an array of supercritical lambdas, bisected together."""
     mean_w = mixed_moment(model, 1, 0.0)
+    # scaling every weight by c and lambda by c**-2 scales theta by c: a
+    # tolerance relative to E[W]'s power of two keeps the iterates' bits
+    # scaled alike when c is a power of two
+    tol = _ROOT_TOL * 2.0 ** (np.frexp(mean_w)[1] - 1)
     # Stage 1: f'(t) = lambda E[W^2 exp(-W lambda t)] - 1 decreases strictly
     # from f'(0) > 0 to f'(E[W]) < 0; bisect it to a point a with f'(a) > 0,
     # hence 0 < a < theta.
     a, hi = np.zeros(lam.size), np.full(lam.size, mean_w)
-    _bisect(a, hi, lambda i, mid: lam[i] * mixed_moment(model, 2, lam[i] * mid) - 1.0 > 0.0)
+    _bisect(a, hi, lambda i, mid: lam[i] * mixed_moment(model, 2, lam[i] * mid) - 1.0 > 0.0, tol)
     unbracketed = ~(phi(model, 1, lam * a) - a > 0.0)
     if unbracketed.any():
         # Only reachable when lambda sits so close to lambda_crit that the
@@ -117,9 +123,9 @@ def _theta_grid(model: WeightModel, lam: np.ndarray) -> np.ndarray:
     # Stage 2: f(t) = phi_1(lambda t) - t is > 0 on (0, theta) and < 0 beyond,
     # so sign bisection on [a, E[W]] converges unconditionally.
     b = np.full(lam.size, mean_w)
-    if not _bisect(a, b, lambda i, mid: phi(model, 1, lam[i] * mid) - mid >= 0.0):
+    if not _bisect(a, b, lambda i, mid: phi(model, 1, lam[i] * mid) - mid >= 0.0, tol):
         raise ConvergenceError(
-            f"root bisection did not reach tolerance {_ROOT_TOL:g} in {_MAX_BISECT} steps"
+            f"root bisection did not reach tolerance {tol:g} in {_MAX_BISECT} steps"
         )
     return 0.5 * (a + b)
 
@@ -128,7 +134,8 @@ def theta(model: WeightModel, lam: float) -> float:
     """Limiting giant volume fraction: positive root of phi_1(lambda t) = t.
 
     Returns 0 for lambda <= lambda_crit.  Above criticality the root is
-    located to 1e-12 absolute by guaranteed bisection: f(t) =
+    located to 1e-12 2**(e - 1), for 2**(e - 1) <= E[W] < 2**e, by
+    guaranteed bisection: f(t) =
     phi_1(lambda t) - t is strictly concave with f(0) = 0, f'(0) =
     lambda E[W^2] - 1 > 0 and f(E[W]) < 0, so we first bisect the monotone
     derivative on [0, E[W]] to bracket the maximizer, then bisect f itself on
@@ -216,10 +223,6 @@ class LimitCovariance:
 
     matrix: np.ndarray
     jitter: float
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """2x2 cross-covariance of the pair at grid points i and j."""
-        return self.matrix[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
 
     @property
     def var_count(self) -> np.ndarray:

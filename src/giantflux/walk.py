@@ -26,10 +26,10 @@ Its giant is tracked through all larger lambdas at once, in one 2-D pass of
 lambdas by candidates: the excursion holding the giant's first clock ends at
 the first later candidate back at its base level.  Where that excursion
 holds more than half the total jump mass, by a margin that covers rounding,
-it is the giant.  The lambdas this half-mass certificate leaves open are
-scanned in ascending order, each over the candidates of the one before.
-The pass goes in blocks of lambdas that fit the realization's own buffers,
-and every result is bit for bit that of a full scan.
+it is the giant.  The lambdas this half-mass certificate leaves open get a
+full scan each.  The pass goes in blocks of lambdas that fit the
+realization's own buffers, and every result is bit for bit that of a full
+scan.
 
 Every distinct weight is an exact integer multiple of one power of two
 2**e0, held as 31-bit int64 limbs.  A draw keeps their exact prefix sums in
@@ -260,7 +260,7 @@ _NEST_TOL = 2 * _LEVEL_TOL
 _HALF_MASS_TOL = 2 * _LEVEL_TOL
 
 
-def _scan(r: WalkRealization, lam: float, positions=None, candidates=False):
+def _scan(r: WalkRealization, lam: float, candidates=False):
     """Decompose the walk at intensity lam into its excursions.
 
     Returns (g, d, start_idx, end_idx, candidates): four arrays over all
@@ -270,42 +270,34 @@ def _scan(r: WalkRealization, lam: float, positions=None, candidates=False):
     up to the near-tie tolerance, and the excursion ends where the slope -1
     descent from its last jump re-hits its base level, in closed form.
 
-    ``positions`` (ascending clock positions from 0) limits the test to a
-    superset of the openings, such as a smaller lambda's candidates: a
-    position outside it does not open and never lowered the running minimum,
-    so every result is bit for bit that of the full scan.  With
-    ``candidates`` set, the last item holds the positions passing the looser
-    ``_NEST_TOL`` test, a superset of the openings at every larger lambda;
-    otherwise it is None.  ``giant_results`` tracks its first giant over
-    them (``_track``) and scans the lambdas that leaves open over them.  The
-    per-position values are r's scratch rows.
+    With ``candidates`` set, the last item holds the clock positions passing
+    the looser ``_NEST_TOL`` test, a superset of the openings at every larger
+    lambda; otherwise it is None.  ``giant_results`` tracks its first giant
+    over them (``_track``).  The per-position values are r's scratch rows.
     """
     clocks, before = r.sorted_clocks, r.mass_before
-    if positions is not None:
-        clocks, before = clocks[positions], before[positions]
     *_, scratch, mask = r._buffers
-    value_before, prev_min, bound = scratch[:, : clocks.size]
-    opens = mask[: clocks.size]
+    value_before, prev_min, bound = scratch
+    opens = mask[: r.n]
     np.subtract(before, np.divide(clocks, lam, out=bound), out=value_before)
     np.minimum.accumulate(value_before, out=prev_min)
-    # position 0 is always scanned, with value_before[0] = -t_0: prev_min <= 0,
-    # so 1 - prev_min is the 1 + |prev_min| of the tolerance
+    # value_before[0] = -t_0: prev_min <= 0, so 1 - prev_min is the
+    # 1 + |prev_min| of the tolerance
     prev_min, bound = prev_min[:-1], bound[1:]
     opens[0] = True
     np.multiply(np.subtract(1.0, prev_min, out=bound), _LEVEL_TOL, out=bound)
     np.less_equal(value_before[1:], np.add(prev_min, bound, out=bound), out=opens[1:])
-    local = opens.nonzero()[0]
-    starts = local if positions is None else positions[local]
+    starts = opens.nonzero()[0]
     near = None
     if candidates:
         np.add(np.divide(clocks[1:], lam, out=bound), 1.0, out=bound)
         np.multiply(bound, _NEST_TOL, out=bound)
         np.less_equal(value_before[1:], np.add(prev_min, bound, out=bound), out=opens[1:])
-        near = opens.nonzero()[0] if positions is None else positions[opens]
+        near = opens.nonzero()[0]
     ends = np.concatenate((starts[1:] - 1, [r.n - 1]))
-    g = clocks[local] / lam
-    t_end = r.sorted_clocks[ends] / lam
-    d = t_end + ((r.mass_prefix[ends] - t_end) - value_before[local])
+    g = clocks[starts] / lam
+    t_end = clocks[ends] / lam
+    d = t_end + ((r.mass_prefix[ends] - t_end) - value_before[starts])
     return g, d, starts, ends, near
 
 
@@ -403,11 +395,9 @@ def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
     starts at clock position a, is then tracked through every larger lambda
     at once over that scan's candidates (``_track``).  A tracked excursion
     longer than half the total mass, by the margin ``_HALF_MASS_TOL``, is
-    that lambda's giant.  The rows this certificate leaves open are scanned
-    in ascending order, each over the candidates its predecessor left,
-    starting from the first scan's.  The volumes of all the giants' windows
-    then come from one call.  Every result is bit for bit that of a full
-    scan at its lambda.
+    that lambda's giant.  The rows this certificate leaves open get a full
+    scan each.  The volumes of all the giants' windows then come from one
+    call.  Every result is bit for bit that of a full scan at its lambda.
     """
     grid = _check_lambdas(r, lambdas)
     order = np.argsort(grid, kind="stable")
@@ -419,13 +409,7 @@ def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
     later = order[1:].tolist()
     if later:
         for i, pick in zip(later, _track(r, grid[later], positions, picks[order[0]][2])):
-            picks[i] = pick
-        left = [i for i in later if picks[i] is None]
-        for step, i in enumerate(left):
-            g, d, starts, ends, positions = _scan(
-                r, grid[i], positions, candidates=step < len(left) - 1
-            )
-            picks[i] = _pick(g, d, starts, ends)
+            picks[i] = pick or _pick(*_scan(r, grid[i])[:4])
     lo, hi = np.array([pick[2:] for pick in picks]).T
     volumes = _window_volumes(r, lo, hi + 1)
     return tuple(

@@ -669,10 +669,10 @@ _DIGESTS = {
     "walk": (0, "25c8982feefa1d40ad04b362a1fea8c7f39119bba1b96c9a425e0033049af48b", None),
     "graph": (0, "8aef27a83697a759b357af00d0eacec0f5e54a34c1748dcfdbe26a2e0349867f", None),
     "limit": (0, "ee63f492f947f986130c69cf248ed9eec017cdf44efd5271bb782d9682784263", None),
-    "fclt": (1, "385c87f5615bf4d4012b67f4866204c783091508d8e58ddff5030068996c55ea",
-             "9daaf92e8d049d011d97562ff129d23284b466d5f2986d4c1f71aff44f3ff461"),
-    "fclt-pareto": (1, "10eba3dad7d54e41c945b855fa71cf238bbd4167a0ab779ae718629259b8f8a0",
-                    "1dc5cdb6f7d70f0ed134571b3c02b318493f018141f22aa66178982a8b4c73ed"),
+    "fclt": (1, "0933baf911cf3515edf8f7a3305df47c2eb714b15a2f432ca71f109e08cab935",
+             "072f6384b22ed0f5f615f0190e69500a3200353fdfc1d680f94e7bcae34b47fc"),
+    "fclt-pareto": (1, "6f596f5e9851cd1056036064dae5941d4fad91bd52cc91a269276df4d8913be3",
+                    "38d0fb55d336035b24a94d9a4a5c99b9dfa2da0eeb1ed078755476f17f672694"),
     "compare": (0, "39981788128764078a6ea9ec4a8931bd06eaa726bd81f8dbbceb7c3f0a2c95f5",
                 "ba2f28c075a31e22dd3ad9dd26f7baa7f4d30ae8ff3dde15dadfd4f64865eaa3"),
     "endpoints": (0, "4a7b958044d805b566b1c3e3f1f1d7081e8efeab5ecd1c541c573b149680fac4",

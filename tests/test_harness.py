@@ -130,12 +130,46 @@ class TestFclt:
         )
 
     def test_targets_come_from_theory(self):
-        report = run_fclt(_config(model=HALF_HALF, lambdas=(1.5,)))
-        cov = x_cov(supercritical_curves(HALF_HALF, [1.5]))
-        by_stat = {r.stat: r for r in report.records}
-        assert by_stat["var_fluc_count"].target == cov.matrix[0, 0]
-        assert by_stat["var_fluc_volume"].target == cov.matrix[1, 1]
-        assert by_stat["cov_fluc_count_volume"].target == cov.matrix[0, 1]
+        """Every row, in report order, is one estimator on columns a, b of the
+        fluctuation matrix against x_cov's matrix[a, b] (the mean, target 0,
+        when b is None); the columns are (count_1, volume_1, count_2, ...)."""
+        grid = (1.5, 2.0, 3.0)
+        config = _config(model=HALF_HALF, lambdas=grid)
+        report = run_fclt(config)
+        matrix = x_cov(supercritical_curves(HALF_HALF, grid)).matrix
+        _, y = harness._fluctuations(config, *replicate_stats(config, config.n, "walk"))
+        assert y.shape == (config.replicates, 2 * len(grid))
+        expected = []
+        for i, lam in enumerate(grid):
+            expected += [(lam, "mean_fluc_count", 2 * i, None),
+                         (lam, "mean_fluc_volume", 2 * i + 1, None),
+                         (lam, "var_fluc_count", 2 * i, 2 * i),
+                         (lam, "var_fluc_volume", 2 * i + 1, 2 * i + 1),
+                         (lam, "cov_fluc_count_volume", 2 * i, 2 * i + 1)]
+        for i, (lam, nxt) in enumerate(zip(grid, grid[1:])):
+            expected += [(lam, f"crosscov_count@lambda={nxt:g}", 2 * i, 2 * i + 2),
+                         (lam, f"crosscov_volume@lambda={nxt:g}", 2 * i + 1, 2 * i + 3)]
+        assert len(report.records) == 5 * len(grid) + 2 * (len(grid) - 1) == len(expected)
+        for record, (lam, stat, a, b) in zip(report.records, expected):
+            assert (record.lam, record.stat) == (lam, stat)
+            if b is None:
+                target, (value, se) = 0.0, harness._mean_se(y[:, a])
+            else:
+                target, (value, se) = matrix[a, b], harness._cov_se(y[:, a], y[:, b])
+            assert (record.target, record.empirical, record.se) == (target, value, se), stat
+
+    def test_constant_sample_has_zero_se(self):
+        """n = 1: every replicate's giant is the one vertex, so each
+        fluctuation is constant across replicates.  Every standard error and
+        every (co)variance is then exactly 0, and a nonzero mean has z = inf."""
+        report = run_fclt(_config(lambdas=(1.5, 3.0), n=1, replicates=5, seed=1))
+        assert len(report.records) == 12
+        for record in report.records:
+            assert record.se == 0.0, record
+            if record.stat.startswith("mean_"):
+                assert record.z == np.inf, record
+            else:
+                assert record.empirical == 0.0 and record.z == -np.inf, record
 
     def test_quantile_counterpart_targets_agree(self):
         """The model and its quantile empirical counterpart at matched n give

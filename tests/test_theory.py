@@ -193,6 +193,41 @@ class TestSupercriticalCurves:
         np.testing.assert_allclose(emp.beta, ref.beta, atol=1e-6)
 
 
+class TestScaleInvariance:
+    """Weights times c and lambda times c**-2 leave the law's rank-one
+    graph unchanged: theta scales by c, rho and beta do not."""
+
+    @pytest.mark.parametrize("k", [-40, -7, 5, 33])
+    def test_power_of_two_scaling_is_bit_for_bit(self, k):
+        c = 2.0**k
+        scaled = WeightModel.discrete([(c, 0.5), (2.0 * c, 0.5)])
+        factors = np.array([1.025, 1.5, 3.0])
+        base = supercritical_curves(HALF_HALF, lambda_crit(HALF_HALF) * factors)
+        curves = supercritical_curves(scaled, lambda_crit(scaled) * factors)
+        np.testing.assert_array_equal(curves.lambdas, base.lambdas / c**2)
+        np.testing.assert_array_equal(curves.theta / c, base.theta)
+        np.testing.assert_array_equal(curves.rho, base.rho)
+        np.testing.assert_array_equal(curves.beta, base.beta)
+        a, b = x_cov(base).matrix, x_cov(curves).matrix
+        np.testing.assert_array_equal(b[0::2, 0::2], a[0::2, 0::2])
+        np.testing.assert_array_equal(b[0::2, 1::2] / c, a[0::2, 1::2])
+        np.testing.assert_array_equal(b[1::2, 1::2] / c**2, a[1::2, 1::2])
+
+    @pytest.mark.parametrize("c", [1e-8, 1e4])
+    def test_constant_weight_at_any_scale(self, c):
+        base = supercritical_curves(ER, [1.5, 3.0])
+        curves = supercritical_curves(WeightModel.constant(c), np.array([1.5, 3.0]) / c**2)
+        np.testing.assert_allclose(curves.theta / c, base.theta, rtol=1e-14)
+        np.testing.assert_allclose(curves.rho, base.rho, rtol=1e-14)
+        np.testing.assert_allclose(x_cov(curves).var_count, x_cov(base).var_count, rtol=1e-14)
+
+    def test_far_above_criticality(self):
+        """c = 1e14 puts lambda = 1.5 at 1.5e28 lambda_crit, where the first
+        bisection stage needs a point far below 1e-12 c."""
+        curves = supercritical_curves(WeightModel.constant(1e14), [1.5, 3.0])
+        np.testing.assert_array_equal(curves.rho, [1.0, 1.0])
+
+
 class TestXCov:
     def test_er_variance_anchor(self):
         """Var of the count coordinate equals the closed-form variance."""
@@ -224,11 +259,6 @@ class TestXCov:
     def test_matrix_symmetric(self):
         cov = x_cov(supercritical_curves(HALF_HALF, [0.8, 1.2, 2.0]))
         np.testing.assert_array_equal(cov.matrix, cov.matrix.T)
-
-    def test_block_shape(self):
-        cov = x_cov(supercritical_curves(HALF_HALF, [0.8, 1.2]))
-        assert cov.block(0, 1).shape == (2, 2)
-        np.testing.assert_array_equal(cov.block(1, 0), cov.block(0, 1).T)
 
 
 class TestErClosedForms:
@@ -382,7 +412,8 @@ class TestFiniteSupportProperties:
                     [k0 + (c[i] + c[j]) * k1 + c[i] * c[j] * k2, (k1 + c[i] * k2) * b[j]],
                     [(k1 + c[j] * k2) * b[i], k2 * b[i] * b[j]],
                 ]
-                np.testing.assert_array_equal(cov.block(i, j), expected, strict=False)
+                block = cov.matrix[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                np.testing.assert_array_equal(block, expected, strict=False)
         np.testing.assert_array_equal(cov.matrix, cov.matrix.T)
 
 

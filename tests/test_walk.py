@@ -467,7 +467,7 @@ def scan_count(monkeypatch):
 
 
 class TestNestedGrid:
-    """A grid (one scan, the tracked pass, then nested scans for the rows it
+    """A grid (one scan, the tracked pass, then a full scan for each row it
     leaves open) equals one full scan per lambda."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
