@@ -25,7 +25,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     run_convergence_study,
-    run_endpoint_check,
     run_experiment,
     run_fclt,
     run_oracle_compare,

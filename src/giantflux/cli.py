@@ -1,20 +1,20 @@
 """Command-line entry point.
 
-Eight subcommands over one JSON config format: ``theory`` tabulates the
+Seven subcommands over one JSON config format: ``theory`` tabulates the
 supercritical curves and limit variances, ``walk`` and ``graph`` run the two
 simulators, ``limit`` samples the limit process, and ``fclt`` / ``compare`` /
-``endpoints`` / ``converge`` run the verification experiments.
+``converge`` run the verification experiments.
 
 The CLI only reads the JSON and converts its types strictly: integer fields
 take integers or integral floats, float fields take finite numbers, and a
 boolean or a string is never read as a number.  It then builds one
 ``harness.ExperimentConfig`` from the fields the file sets, the kind the
 subcommand implies and ``--threads`` (else ``GIANTFLUX_THREADS``, else the
-cpu count), which never changes output bytes; that class holds every default
-and every range and consistency check.  Data goes only to the output
-files; progress goes to stderr.  Exit codes: 0 success (and all checks passed
-where applicable), 1 a verification check failed, 2 config or validation
-error, or a run too large to allocate.
+cpu count, at most ``MAX_THREADS``), which never changes output bytes; that
+class holds every default and every range and consistency check.  Data goes
+only to the output files; progress goes to stderr.  Exit codes: 0 success
+(and all checks passed where applicable), 1 a verification check failed, 2
+config or validation error, or a run too large to allocate.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .harness import COMMAND_KINDS, ExperimentConfig
+from .harness import COMMAND_KINDS, MAX_THREADS, ExperimentConfig
 from .limit_sampler import sample_x_path
 from .theory import ConvergenceError, supercritical_curves, x_cov
 from .weights import WeightModel
@@ -119,7 +119,7 @@ def _default_threads() -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"GIANTFLUX_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, MAX_THREADS)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -239,7 +239,6 @@ _SUBCOMMANDS = {
     "limit": (_cmd_limit, "sample the limit fluctuation process"),
     "fclt": (_cmd_harness, "Monte Carlo check of the fluctuation limit"),
     "compare": (_cmd_harness, "two-sample walk vs graph distributional check"),
-    "endpoints": (_cmd_harness, "Monte Carlo check of the excursion endpoints"),
     "converge": (_cmd_harness, "tabulate variance error across a list of n"),
 }
 
@@ -256,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output CSV path")
         cmd.add_argument(
             "--threads", type=int, default=None,
-            help="worker threads (default: GIANTFLUX_THREADS or cpu count)",
+            help=f"worker threads, at most {MAX_THREADS} "
+                 "(default: GIANTFLUX_THREADS or cpu count)",
         )
     return parser
 
@@ -270,13 +270,14 @@ def dispatch(argv: list[str]) -> int:
     try:
         config = _load_config(args)
         handler, out = _SUBCOMMANDS[args.command][0], Path(args.out)
-        files = [Path(args.config), out]
+        files = {f"config {args.config}": args.config, f"CSV {out}": out}  # role -> path
         if handler is _cmd_harness:  # the JSON report goes beside the CSV
-            files.append(out.with_suffix(".json"))
-        if len(set(map(os.path.realpath, files))) < len(files):  # Path.resolve raises on a loop
-            raise ConfigError(
-                "config and outputs must be distinct files: " + ", ".join(map(str, files))
-            )
+            report = out.with_suffix(".json")
+            files[f"JSON report {report} (--out with suffix .json)"] = report
+        # os.path.realpath, not Path.resolve, which raises on a symlink loop
+        if len(set(map(os.path.realpath, files.values()))) < len(files):
+            *first, last = files
+            raise ConfigError(f"{', '.join(first)} and {last} must be {len(files)} distinct files")
         return handler(config, out)
     # ConfigError and numpy's LinAlgError are ValueErrors; numpy raises
     # MemoryError for an array too large to allocate

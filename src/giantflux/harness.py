@@ -30,7 +30,7 @@ from .theory import (
     DEFAULT_MARGIN, SupercriticalCurves, require_supercritical, supercritical_curves, x_cov,
 )
 from .walk import giant_results, sample_clocks
-from .weights import WeightModel, WeightVector, mixed_moment, weight_vector
+from .weights import WeightModel, WeightVector, weight_vector
 
 __all__ = [
     "ExperimentConfig",
@@ -38,9 +38,9 @@ __all__ = [
     "ReportRecord",
     "COMMAND_KINDS",
     "MAX_N",
+    "MAX_THREADS",
     "run_fclt",
     "run_oracle_compare",
-    "run_endpoint_check",
     "run_convergence_study",
     "run_experiment",
     "replicate_stats",
@@ -49,10 +49,10 @@ __all__ = [
     "write_lines_atomic",
 ]
 
-# subcommand -> config kind; the four experiments keep their report names
+# subcommand -> config kind; the three experiments keep their report names
 COMMAND_KINDS = {
     "theory": "theory", "walk": "walk", "graph": "graph", "limit": "limit", "fclt": "fclt",
-    "compare": "oracle-compare", "endpoints": "endpoint-check", "converge": "convergence-study",
+    "compare": "oracle-compare", "converge": "convergence-study",
 }
 _COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 
@@ -63,9 +63,9 @@ _COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 # naming no field
 MAX_N = 10**8
 
-# endpoint-check bound on the 95th percentile of sqrt(n) * g, a heuristic:
-# the left edge has no limiting scale
-GN_THRESHOLD = 0.5
+# largest worker count: each worker is an OS thread holding its own n-length
+# buffers, and a thread the system cannot start would fail mid-run
+MAX_THREADS = 256
 
 # stream tags keeping the RNG streams of the different samplers disjoint
 _TAG_CLOCKS = 1
@@ -116,7 +116,7 @@ class ExperimentConfig:
                 raise ValueError("lambda grid entries must be >= 0")
         else:
             require_supercritical(self.model, grid, self.margin)
-        needs_n = command in ("walk", "graph", "fclt", "compare", "endpoints")
+        needs_n = command in ("walk", "graph", "fclt", "compare")
         if needs_n and self.n is None:
             raise ValueError(f"subcommand '{command}' requires config field 'n'")
         if command == "converge" and not self.n_list:
@@ -146,6 +146,8 @@ class ExperimentConfig:
             raise ValueError(f"draws must be >= 1, got {self.draws}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.threads > MAX_THREADS:
+            raise ValueError(f"threads must be <= {MAX_THREADS}, got {self.threads}")
         if not (isfinite(self.multiplier) and self.multiplier > 0.0):
             raise ValueError(
                 f"tolerance_multiplier must be finite and > 0, got {self.multiplier}"
@@ -165,7 +167,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "multiplier": self.multiplier,
             "margin": self.margin,
-            "gn_threshold": GN_THRESHOLD,
         }
 
 
@@ -270,7 +271,7 @@ def _record(lam, stat, empirical, target, se, multiplier) -> ReportRecord:
 
 def _map_indexed(fn, count: int, threads: int) -> list:
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, count)) as pool:
             return list(pool.map(fn, range(count)))
     return [fn(i) for i in range(count)]
 
@@ -391,47 +392,6 @@ def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(kind=config.kind, meta=config.meta(), records=tuple(records))
 
 
-def run_endpoint_check(config: ExperimentConfig) -> ExperimentReport:
-    """Check the excursion endpoints: d fluctuates like the limit volume's
-    kernel coordinate over beta, and sqrt(n) * g collapses to 0.
-
-    The right-edge variance gets a z-test; the left edge has no limiting
-    scale, so its 95th percentile is compared against a documented heuristic
-    threshold.
-    """
-    _require_kind(config, "endpoint-check", "run_endpoint_check")
-    grid = config.grid()
-    curves = supercritical_curves(config.model, grid, config.margin)
-    # psi(1, 1; T, T) at T = lambda theta: the diagonal of the order-2 kernel
-    times = grid * curves.theta
-    kernel = mixed_moment(config.model, 2, times) - mixed_moment(config.model, 2, times + times)
-    targets = kernel / curves.beta**2
-    w, stats = replicate_stats(config, config.n, "walk")
-    curves_n, _ = _fluctuations(config, w, stats)
-
-    sqrt_n = sqrt(config.n)
-    mult = config.multiplier
-    records = []
-    for i, lam in enumerate(grid):
-        g, d = stats[:, i, 2], stats[:, i, 3]
-        x = sqrt_n * (d - curves_n.theta[i])
-        var, se = _cov_se(x, x)
-        records.append(_record(lam, "var_sqrtn_d", var, targets[i], se, mult))
-        # the limit of sqrt(n)(d - theta_n) is centered, but the empirical
-        # mean inherits the O(n^{-1/2}) left-edge offset, so it is reported
-        # without a pass gate
-        mean, se = _mean_se(x)
-        records.append(_record(lam, "mean_sqrtn_d", mean, 0.0, se, multiplier=None))
-        p95 = float(np.quantile(sqrt_n * g, 0.95))
-        records.append(
-            ReportRecord(
-                lam=float(lam), stat="gn_p95", empirical=p95,
-                target=GN_THRESHOLD, se=nan, z=nan, passed=bool(p95 < GN_THRESHOLD),
-            )
-        )
-    return ExperimentReport(kind=config.kind, meta=config.meta(), records=tuple(records))
-
-
 def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
     """Tabulate |empirical variance - limit target| across a list of n.
 
@@ -456,7 +416,6 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
 _RUNNERS = {
     "fclt": run_fclt,
     "oracle-compare": run_oracle_compare,
-    "endpoint-check": run_endpoint_check,
     "convergence-study": run_convergence_study,
 }
 

@@ -76,7 +76,9 @@ class TestTheoryCommand:
         assert "typo_field" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, tmp_path, capsys):
-        assert _run("frobnicate", "--config", "x", "--out", "y") == 2
+        for name in ("frobnicate", "endpoints"):
+            assert _run(name, "--config", "x", "--out", "y") == 2
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 class TestSimulatorCommands:
@@ -191,6 +193,7 @@ class TestErrorContract:
         err = capsys.readouterr().err
         lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
         assert len(lines) == 1, err
+        return lines[0]
 
     def test_bisection_failure_at_zero_margin(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, lambda_grid=[1.0000000000001], margin=0)
@@ -432,19 +435,40 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert "[giantflux] error: threads must be >= 1" in err
 
+    @pytest.mark.parametrize("argv, env", [(["--threads", "257"], None), ([], "257")])
+    def test_threads_above_bound_rejected(self, tmp_path, monkeypatch, capsys, argv, env):
+        """Refused before any worker starts: exit 2, not a failed thread start."""
+        if env is not None:
+            monkeypatch.setenv("GIANTFLUX_THREADS", env)
+
+        def no_workers(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(harness, "_map_indexed", no_workers)
+        cfg = _write_config(tmp_path, replicates=3)
+        assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *argv) == 2
+        assert "threads must be <= 256" in self._assert_one_error_line(capsys)
+
     @pytest.mark.parametrize(
-        "command, config_name, out_name",
+        "command, config_name, out_name, message",
         [
-            ("fclt", "run.json", "run.csv"),  # the JSON report would replace the config
-            ("compare", "cfg.json", "rep.json"),  # the JSON report would replace the CSV
-            ("theory", "t.json", "t.json"),  # the CSV would replace the config
+            # the JSON report would replace the config
+            ("fclt", "run.json", "run.csv", "config {0}/run.json, CSV {0}/run.csv and JSON "
+             "report {0}/run.json (--out with suffix .json) must be 3 distinct files"),
+            # the JSON report would replace the CSV
+            ("compare", "cfg.json", "rep.json", "config {0}/cfg.json, CSV {0}/rep.json and JSON "
+             "report {0}/rep.json (--out with suffix .json) must be 3 distinct files"),
+            # the CSV would replace the config
+            ("theory", "t.json", "t.json",
+             "config {0}/t.json and CSV {0}/t.json must be 2 distinct files"),
         ],
+        ids=["fclt-run.json-run.csv", "compare-cfg.json-rep.json", "theory-t.json-t.json"],
     )
     def test_output_that_overwrites_the_config_or_the_csv(
-        self, tmp_path, monkeypatch, capsys, command, config_name, out_name
+        self, tmp_path, monkeypatch, capsys, command, config_name, out_name, message
     ):
-        """Refused before any replicate runs: exit 2 with one error line, the
-        config untouched and no file written."""
+        """Refused before any replicate runs: exit 2 with one error line naming
+        each file's role, the config untouched and no file written."""
         cfg = _write_config(tmp_path, name=config_name, replicates=4)
         before = cfg.read_bytes()
 
@@ -453,7 +477,8 @@ class TestErrorContract:
 
         monkeypatch.setattr(harness, "_map_indexed", no_replicates)
         assert _run(command, "--config", str(cfg), "--out", str(tmp_path / out_name)) == 2
-        self._assert_one_error_line(capsys)
+        line = self._assert_one_error_line(capsys)
+        assert line == "[giantflux] error: " + message.format(tmp_path)
         assert cfg.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [config_name]
 
@@ -569,7 +594,7 @@ class TestDeterminism:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    @pytest.mark.parametrize("name", ["walk", "graph", "compare", "endpoints", "converge"])
+    @pytest.mark.parametrize("name", ["walk", "graph", "compare", "converge"])
     def test_byte_identical_across_workers(self, tmp_path, name):
         """Every simulator, through every subcommand that runs one: CSV and JSON bytes."""
         assert _golden_run(tmp_path, name, threads=2) == _golden_run(tmp_path, name, threads=1)
@@ -640,7 +665,6 @@ _GOLDEN = {
     "fclt-pareto": ("fclt", {"model": {"type": "empirical", "weights": _pareto_weights(400)},
                              "lambda_grid": [1.0, 2.0], "n": 400, "replicates": 40}),
     "compare": ("compare", {"lambda_grid": [1.5, 2.0, 3.0], "n": 200, "replicates": 40}),
-    "endpoints": ("endpoints", {"lambda_grid": [2.0, 3.0], "n": 500, "replicates": 40}),
     "converge": ("converge", {"lambda_grid": [2.0, 3.0], "n_list": [200, 500],
                               "replicates": 40}),
 }
@@ -670,15 +694,13 @@ _DIGESTS = {
     "graph": (0, "8aef27a83697a759b357af00d0eacec0f5e54a34c1748dcfdbe26a2e0349867f", None),
     "limit": (0, "ee63f492f947f986130c69cf248ed9eec017cdf44efd5271bb782d9682784263", None),
     "fclt": (1, "0933baf911cf3515edf8f7a3305df47c2eb714b15a2f432ca71f109e08cab935",
-             "072f6384b22ed0f5f615f0190e69500a3200353fdfc1d680f94e7bcae34b47fc"),
+             "5d2cfbb14b179c10a7232701fb440defc20b58214dc783cb4f53d0980eb78046"),
     "fclt-pareto": (1, "6f596f5e9851cd1056036064dae5941d4fad91bd52cc91a269276df4d8913be3",
-                    "38d0fb55d336035b24a94d9a4a5c99b9dfa2da0eeb1ed078755476f17f672694"),
+                    "eba820d52c97faacc8f7b969d04887342c36acc1dd09106fe181f6aa1eab79b0"),
     "compare": (0, "39981788128764078a6ea9ec4a8931bd06eaa726bd81f8dbbceb7c3f0a2c95f5",
-                "ba2f28c075a31e22dd3ad9dd26f7baa7f4d30ae8ff3dde15dadfd4f64865eaa3"),
-    "endpoints": (0, "4a7b958044d805b566b1c3e3f1f1d7081e8efeab5ecd1c541c573b149680fac4",
-                  "11c245b0b20a7302fadab6c2b6cac96f12664ae392b4c6aec246f9f6a559ac05"),
+                "f998081cc6d690abbf73b720d7c3045afb22e8f3e50095fbe07ea52543399581"),
     "converge": (0, "5923b27bb52bd1661d0c03a96c4011957fad9b87f9bb96cd596a39b8294c4aea",
-                 "d9a7cb62f846cf34fb7426ba69efa4bc57473a5cfca3e8347979b59c42cbc2aa"),
+                 "740023b0d5bebad01aca79f67c5e14f420a6dcca3e809bfff9894369b4e8ed65"),
 }
 
 
@@ -703,3 +725,11 @@ def test_readme_documents_every_config_field():
     rows = re.findall(r"^ *\| `(\w+)` \|", section, flags=re.MULTILINE)
     assert len(bullets + rows) == len(set(bullets + rows))
     assert set(bullets + rows) == cli._KNOWN_FIELDS
+
+
+def test_readme_lists_every_subcommand():
+    """README's subcommand table names exactly the parser's subcommands, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` *\|", section, flags=re.MULTILINE)
+    assert rows == list(cli._SUBCOMMANDS)

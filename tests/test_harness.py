@@ -15,7 +15,6 @@ from giantflux.harness import (
     _child_seed,
     replicate_stats,
     run_convergence_study,
-    run_endpoint_check,
     run_experiment,
     run_fclt,
     run_oracle_compare,
@@ -244,26 +243,6 @@ class TestOracleCompare:
             np.testing.assert_array_equal(w_walk.weights, w_graph.weights)
 
 
-class TestEndpointCheck:
-    def test_runs_and_reports(self):
-        report = run_endpoint_check(
-            _config(kind="endpoint-check", n=4000, replicates=60)
-        )
-        stats = [r.stat for r in report.records]
-        assert stats == ["var_sqrtn_d", "mean_sqrtn_d", "gn_p95"]
-        gn = next(r for r in report.records if r.stat == "gn_p95")
-        assert gn.target == 0.5
-
-    def test_excursion_inside_total_mass(self):
-        """d always lies in (g, g + total mass] for every replicate."""
-        config = _config(model=HALF_HALF, kind="endpoint-check", n=500, lambdas=(1.5, 3.0))
-        v, stats = replicate_stats(config, 500, "walk")
-        total_mass = float(np.sum(v.weights)) / 500
-        g, d = stats[..., 2], stats[..., 3]
-        assert stats.shape == (40, 2, 4)
-        assert np.all((g < d) & (d <= g + total_mass + 1e-12))
-
-
 class TestConvergenceStudy:
     def test_one_row_per_n_and_lambda(self):
         config = _config(
@@ -303,6 +282,15 @@ class TestReplicateStats:
                 assert many.tobytes() == one.tobytes()
         finally:
             sys.setswitchinterval(interval)
+
+    def test_excursion_inside_total_mass(self):
+        """d always lies in (g, g + total mass] for every replicate."""
+        config = _config(model=HALF_HALF, kind="walk", n=500, lambdas=(1.5, 3.0))
+        v, stats = replicate_stats(config, 500, "walk")
+        total_mass = float(np.sum(v.weights)) / 500
+        g, d = stats[..., 2], stats[..., 3]
+        assert stats.shape == (40, 2, 4)
+        assert np.all((g < d) & (d <= g + total_mass + 1e-12))
 
 
 class TestReportEmission:

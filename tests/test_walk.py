@@ -763,7 +763,18 @@ def _lognormal_vector(n):
 
 
 class TestGolden:
-    """``giant_results`` bytes on fixed vectors: g, d, count and volume, digested."""
+    """``giant_results`` bytes on fixed vectors: g, d, count and volume, digested;
+    and on the same vectors, each excursion's length against its volume."""
+
+    @pytest.mark.parametrize(
+        "vector, grid", _GOLDEN_VECTORS, ids=["half-half-n2e4", "pareto-k-eq-n", "lognormal-sigma3"]
+    )
+    def test_right_edge_is_the_volume(self, vector, grid):
+        """sqrt(n) (d - g) = V / sqrt(n): the right edge fluctuates as the volume does."""
+        v = vector()
+        root = math.sqrt(v.n)
+        for e in giant_results(sample_clocks(v, 2024), np.linspace(*grid, 20)):
+            assert root * (e.d - e.g) == pytest.approx(e.total_volume / root, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "vector, seed, grid, digest",
