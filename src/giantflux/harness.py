@@ -3,10 +3,12 @@
 One runner, ``replicate_stats``, serves every experiment and the CLI's
 ``walk`` and ``graph``: it runs R replicates of the walk or of the direct
 graph on the config's lambda grid and returns the giant's statistics as one
-(R, m, k) float64 array.  The experiments centre and reduce that array
-themselves, comparing empirical moments with targets computed by the theory
-module (never hardcoded numbers), using z-scores at a configurable multiple
-of the standard error.  Reports are deterministic functions of the
+(R, m, k) float64 array.  The array is allocated once and each replicate
+fills its own row, so the runner's memory grows with R by that array alone.
+The experiments centre and reduce that array themselves, comparing
+empirical moments with targets computed by the theory module (never
+hardcoded numbers), using z-scores at a configurable multiple of the
+standard error.  Reports are deterministic functions of the
 configuration, including the base seed: replicate seeds are derived from
 (base seed, stream tag, replicate index), and aggregation is a reduction in
 replicate-index order, so threading cannot change any result.
@@ -269,11 +271,15 @@ def _record(lam, stat, empirical, target, se, multiplier) -> ReportRecord:
 # ---------------------------------------------------------------------------
 # replicate machinery
 
-def _map_indexed(fn, count: int, threads: int) -> list:
+def _map_indexed(fn, count: int, threads: int) -> None:
+    """Run fn(0), ..., fn(count - 1); each task writes its own rows and returns nothing."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, count)) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
+            for _ in pool.map(fn, range(count)):
+                pass
+    else:
+        for i in range(count):
+            fn(i)
 
 
 def replicate_stats(
@@ -284,24 +290,30 @@ def replicate_stats(
     Returns the weight vector and a float64 array of shape (R, m, k): entry
     [rep, i] holds the giant at lambda_i of replicate rep, as
     (count, volume, g, d) for ``"walk"`` and (count, volume) for ``"graph"``.
+    The array is allocated once and each replicate writes its own row, so
+    memory grows with R by that array alone, 8k bytes per (replicate, lambda).
     Replicate rep draws from ``_child_seed(config.seed, tag, *seed_path, rep)``.
     """
     w = weight_vector(config.model, n, _child_seed(config.seed, _TAG_WEIGHTS, n))
     grid = config.grid()
     if simulator == "walk":
+        stats = np.empty((config.replicates, grid.size, 4))
         held = threading.local()  # each worker's last realization, whose buffers it reuses
-        def one(rep: int) -> list:
+        def one(rep: int) -> None:
             seed = _child_seed(config.seed, _TAG_CLOCKS, *seed_path, rep)
             held.r = r = sample_clocks(w, seed, getattr(held, "r", None))
-            return [(e.vertex_count, e.total_volume, e.g, e.d) for e in giant_results(r, grid)]
+            stats[rep] = [(e.vertex_count, e.total_volume, e.g, e.d)
+                          for e in giant_results(r, grid)]
     elif simulator == "graph":
-        def one(rep: int) -> list:
+        stats = np.empty((config.replicates, grid.size, 2))
+        def one(rep: int) -> None:
             seed = _child_seed(config.seed, _TAG_GRAPH, *seed_path, rep)
             r = simulate_dynamic_graph(w, seed, float(grid[-1]))
-            return [(s.count, s.volume) for s in giant_path(r, grid)]
+            stats[rep] = [(s.count, s.volume) for s in giant_path(r, grid)]
     else:
         raise ValueError(f"unknown simulator {simulator!r}; expected 'walk' or 'graph'")
-    return w, np.array(_map_indexed(one, config.replicates, config.threads), dtype=np.float64)
+    _map_indexed(one, config.replicates, config.threads)
+    return w, stats
 
 
 def _fluctuations(
@@ -315,7 +327,8 @@ def _fluctuations(
     """
     curves_n = supercritical_curves(WeightModel.empirical(w.weights), config.grid(), config.margin)
     centre = np.stack((curves_n.rho, curves_n.theta), axis=1) * w.n
-    y = (stats[..., :2] - centre) / np.sqrt(w.n)
+    y = np.subtract(stats[..., :2], centre)
+    y /= np.sqrt(w.n)
     return curves_n, y.reshape(len(stats), -1)
 
 

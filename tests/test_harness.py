@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -266,22 +267,44 @@ class TestConvergenceStudy:
 
 class TestReplicateStats:
     def test_worker_count_does_not_change_the_array(self):
-        """Each worker draws into its own reused buffers; the (R, m, 4) walk
-        array is bitwise the same at 1, 2 and 4 threads, with a short switch
-        interval so that the workers interleave.  Near lambda_crit = 0.4 the
-        giant at 0.45 is scanned; at 1.5..3 it is tracked from 0.42's."""
+        """Workers write their replicates' rows into one shared array, and each
+        walk worker draws into its own reused buffers; for both simulators the
+        (R, m, k) array is bitwise the same at 1, 2 and 4 threads, with a short
+        switch interval so that the workers interleave.  Near lambda_crit = 0.4
+        the walk's giant at 0.45 is scanned; at 1.5..3 it is tracked from 0.42's."""
         lambdas = (0.42, 0.45, 1.5, 2.0, 3.0)
         config = _config(model=HALF_HALF, lambdas=lambdas, n=2000, replicates=48)
-        _, one = replicate_stats(config, config.n, "walk")
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for threads in (2, 4):
-                _, many = replicate_stats(replace(config, threads=threads), config.n, "walk")
-                assert many.shape == (48, 5, 4)
-                assert many.tobytes() == one.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
+        for simulator, k in (("walk", 4), ("graph", 2)):
+            _, one = replicate_stats(config, config.n, simulator)
+            sys.setswitchinterval(1e-6)
+            try:
+                for threads in (2, 4):
+                    _, many = replicate_stats(replace(config, threads=threads), config.n, simulator)
+                    assert many.shape == (48, 5, k)
+                    assert many.tobytes() == one.tobytes()
+            finally:
+                sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("simulator, k", [("walk", 4), ("graph", 2)])
+    def test_memory_grows_by_the_array_alone(self, simulator, k):
+        """Replicates write into the one (R, m, k) float64 array, and hold no
+        Python objects per result: from R = 100 to R = 1000 the traced peak
+        grows by at most twice the array's 8k bytes per (replicate, lambda)."""
+        lambdas = tuple(np.linspace(1.5, 3.0, 20).tolist())
+        config = _config(model=HALF_HALF, lambdas=lambdas, n=200)
+
+        def traced_peak(replicates):
+            tracemalloc.start()
+            try:
+                replicate_stats(replace(config, replicates=replicates), config.n, simulator)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        replicate_stats(replace(config, replicates=2), config.n, simulator)  # warm-up
+        per_entry = (traced_peak(1000) - traced_peak(100)) / (900 * len(lambdas))
+        assert per_entry <= 2 * 8 * k, per_entry
 
     def test_excursion_inside_total_mass(self):
         """d always lies in (g, g + total mass] for every replicate."""
