@@ -9,12 +9,12 @@ The CLI only reads the JSON and converts its types strictly: integer fields
 take integers or integral floats, float fields take finite numbers, and a
 boolean or a string is never read as a number.  It then builds one
 ``harness.ExperimentConfig`` from the fields the file sets, the kind the
-subcommand implies and ``--threads`` (else ``GIANTFLUX_THREADS``, else the
-cpu count, at most ``MAX_THREADS``), which never changes output bytes; that
-class holds every default and every range and consistency check.  Data goes
-only to the output files; progress goes to stderr.  Exit codes: 0 success
-(and all checks passed where applicable), 1 a verification check failed, 2
-config or validation error, or a run too large to allocate.
+subcommand implies and ``--threads`` when given, which never changes output
+bytes; that class holds every default, the worker count's included, and
+every range and consistency check.  Data goes only to the output files;
+progress goes to stderr.  Exit codes: 0 success (and all checks passed where
+applicable), 1 a verification check failed, 2 config or validation error, or
+a run too large to allocate.
 """
 
 from __future__ import annotations
@@ -112,16 +112,6 @@ _FIELDS = {
 _KNOWN_FIELDS = {"model", "lambda_grid", *_FIELDS}
 
 
-def _default_threads() -> int:
-    env = os.environ.get("GIANTFLUX_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"GIANTFLUX_THREADS must be an integer, got {env!r}") from exc
-    return min(os.cpu_count() or 1, MAX_THREADS)
-
-
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     path = Path(args.config)
     try:
@@ -150,7 +140,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     for key, (name, convert) in _FIELDS.items():
         if key in raw:
             fields[name] = convert(key, raw[key])
-    fields["threads"] = args.threads if args.threads is not None else _default_threads()
+    if args.threads is not None:
+        fields["threads"] = args.threads
     return ExperimentConfig(**fields)
 
 
@@ -255,8 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output CSV path")
         cmd.add_argument(
             "--threads", type=int, default=None,
-            help=f"worker threads, at most {MAX_THREADS} "
-                 "(default: GIANTFLUX_THREADS or cpu count)",
+            help=f"worker threads, 1..{MAX_THREADS} (default: cpu count, at most {MAX_THREADS})",
         )
     return parser
 

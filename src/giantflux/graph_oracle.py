@@ -196,8 +196,8 @@ def _prefix_ends(r: DynamicGraphRealization, lambdas: np.ndarray) -> list[int]:
 def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
     """Giant snapshots over an ascending lambda grid, labels warm-started."""
     grid = np.asarray(lambdas, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("lambda grid must be a non-empty 1-d sequence")
+    if grid.ndim != 1:
+        raise ValueError("lambda grid must be a 1-d sequence")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("lambda grid must be ascending")
     ends = _prefix_ends(r, grid)

@@ -85,7 +85,9 @@ class ExperimentConfig:
     """Everything needed to reproduce one run of any subcommand (``kind``).
 
     Building a config validates every field; the CLI passes only the fields
-    a config file sets, so the defaults here are the only ones.
+    a config file sets and ``--threads``, so the defaults here are the only
+    ones.  ``threads`` defaults to the cpu count, at most ``MAX_THREADS``;
+    it never changes a result.
     """
 
     model: WeightModel
@@ -97,7 +99,7 @@ class ExperimentConfig:
     n_list: tuple[int, ...] | None = None
     multiplier: float = 3.0
     margin: float = DEFAULT_MARGIN
-    threads: int = 1
+    threads: int = field(default_factory=lambda: min(os.cpu_count() or 1, MAX_THREADS))
     draws: int = 1000
 
     def __post_init__(self) -> None:
@@ -106,7 +108,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         grid = self.grid()
         if grid.size == 0:
-            raise ValueError("lambda grid must be non-empty")
+            raise ValueError("lambda_grid must be non-empty")
         if not np.all(np.isfinite(grid)):
             raise ValueError("lambda_grid entries must be finite")
         if np.any(np.diff(grid) <= 0.0):

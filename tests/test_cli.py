@@ -360,6 +360,7 @@ class TestErrorContract:
             ("lambda_grid", [1.5, True]),
             ("lambda_grid", {"min": "1.5", "max": 2.0, "points": 2}),
             ("lambda_grid", {"min": 1.5, "max": True, "points": 2}),
+            pytest.param("margin", 10**400, id="margin-beyond-float-range"),
         ],
     )
     def test_float_fields_are_strict(self, tmp_path, capsys, field, value):
@@ -378,6 +379,24 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert f"[giantflux] error: unknown config field(s): {field}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "config file not found: {0}"),
+            ("[]", "config must be a JSON object"),
+            (json.dumps({"model": {"type": "constant", "c": 1.0},
+                         "lambda_grid": {"min": 1.5, "max": 2.0, "points": 0}}),
+             "lambda_grid points must be >= 1"),
+        ],
+        ids=["missing", "list", "no-grid-points"],
+    )
+    def test_unusable_config_file(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "config.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+        assert self._assert_one_error_line(capsys) == "[giantflux] error: " + message.format(cfg)
 
     def test_graph_candidate_bound(self, tmp_path, capsys, monkeypatch):
         """A heavy-tailed vector at n = 1e5 and 4 lambda_crit expects about
@@ -425,29 +444,22 @@ class TestErrorContract:
         assert "[giantflux] error: field 'model':" in err and "number" in err
 
     @pytest.mark.parametrize(
-        "argv, env", [(["--threads", "0"], None), (["--threads", "-5"], None), ([], "0")]
+        "threads, message",
+        [("0", "threads must be >= 1, got 0"), ("-5", "threads must be >= 1, got -5"),
+         ("257", "threads must be <= 256, got 257")],
+        ids=["0", "-5", "257"],
     )
-    def test_nonpositive_threads_rejected(self, tmp_path, monkeypatch, capsys, argv, env):
-        if env is not None:
-            monkeypatch.setenv("GIANTFLUX_THREADS", env)
-        cfg = _write_config(tmp_path, replicates=3)
-        assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *argv) == 2
-        err = capsys.readouterr().err
-        assert "[giantflux] error: threads must be >= 1" in err
-
-    @pytest.mark.parametrize("argv, env", [(["--threads", "257"], None), ([], "257")])
-    def test_threads_above_bound_rejected(self, tmp_path, monkeypatch, capsys, argv, env):
+    def test_threads_out_of_range_rejected(self, tmp_path, monkeypatch, capsys, threads, message):
         """Refused before any worker starts: exit 2, not a failed thread start."""
-        if env is not None:
-            monkeypatch.setenv("GIANTFLUX_THREADS", env)
 
         def no_workers(*args):
             raise AssertionError("a replicate ran")
 
         monkeypatch.setattr(harness, "_map_indexed", no_workers)
         cfg = _write_config(tmp_path, replicates=3)
-        assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *argv) == 2
-        assert "threads must be <= 256" in self._assert_one_error_line(capsys)
+        out = str(tmp_path / "x.csv")
+        assert _run("walk", "--config", str(cfg), "--out", out, "--threads", threads) == 2
+        assert self._assert_one_error_line(capsys) == "[giantflux] error: " + message
 
     @pytest.mark.parametrize(
         "command, config_name, out_name, message",
@@ -608,20 +620,25 @@ class TestDeterminism:
         _run("walk", "--config", str(cfg_b), "--out", str(out_b), "--threads", "1")
         assert out_a.read_bytes() != out_b.read_bytes()
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GIANTFLUX_THREADS", "2")
+    def test_threads_default_to_the_cpu_count(self, tmp_path, monkeypatch):
+        """Without ``--threads`` the config keeps its own default, the cpu count
+        capped at ``MAX_THREADS`` (1 when unknown), and writes the 1-worker bytes."""
         cfg = _write_config(tmp_path, replicates=10, n=40)
-        out = tmp_path / "env.csv"
-        assert _run("walk", "--config", str(cfg), "--out", str(out)) == 0
         ref = tmp_path / "ref.csv"
-        _run("walk", "--config", str(cfg), "--out", str(ref), "--threads", "1")
-        assert out.read_bytes() == ref.read_bytes()
+        assert _run("walk", "--config", str(cfg), "--out", str(ref), "--threads", "1") == 0
+        built, load = [], cli._load_config
 
-    def test_bad_threads_env_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GIANTFLUX_THREADS", "many")
-        cfg = _write_config(tmp_path)
-        assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
-        assert "GIANTFLUX_THREADS" in capsys.readouterr().err
+        def recording_load(args):
+            built.append(load(args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_load_config", recording_load)
+        for cpus, threads in ((3, 3), (1000, 256), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert _run("walk", "--config", str(cfg), "--out", str(out)) == 0
+            assert built.pop().threads == threads
+            assert out.read_bytes() == ref.read_bytes()
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         """``limit`` factors a 200 x 200 covariance here, and OpenBLAS threads
@@ -725,6 +742,20 @@ def test_readme_documents_every_config_field():
     rows = re.findall(r"^ *\| `(\w+)` \|", section, flags=re.MULTILINE)
     assert len(bullets + rows) == len(set(bullets + rows))
     assert set(bullets + rows) == cli._KNOWN_FIELDS
+
+
+def test_readme_names_exactly_the_parser_flags(capsys):
+    """README's command-line section names exactly the flags of every
+    subcommand's help, and no environment variable of its own."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n### ", 1)[0]
+    flag = r"(?<![\w-])--[a-z][a-z-]*"
+    flags = set()
+    for name in cli._SUBCOMMANDS:
+        assert dispatch([name, "--help"]) == 0
+        flags |= set(re.findall(flag, capsys.readouterr().out))
+    assert set(re.findall(flag, section)) == flags - {"--help"}
+    assert "GIANTFLUX_" not in section
 
 
 def test_readme_lists_every_subcommand():

@@ -17,6 +17,7 @@ from giantflux.graph_oracle import (
     giant_path,
     simulate_dynamic_graph,
 )
+from giantflux.walk import giant_results, sample_clocks
 from giantflux.weights import WeightVector, _limb_floats
 
 
@@ -273,10 +274,25 @@ class TestGiantPath:
         # every pair arrives by lambda = 1e6
         assert [(s.count, s.volume) for (s,) in first] == [(4, 1.0), (3, 1000002.000001)]
 
+    @pytest.mark.parametrize("simulator", ["walk", "graph"])
+    def test_empty_grid_has_no_giants(self, simulator):
+        """Both simulators answer an empty grid with no snapshots, not an error."""
+        w = _vector(np.ones(5))
+        if simulator == "walk":
+            giants = giant_results(sample_clocks(w, 10), [])
+        else:
+            giants = giant_path(simulate_dynamic_graph(w, 10, 2.0), [])
+        assert len(giants) == 0
+
     def test_rejects_descending_grid(self):
         r = simulate_dynamic_graph(_vector(np.ones(5)), 10, 2.0)
         with pytest.raises(ValueError):
             giant_path(r, [2.0, 1.0])
+
+    def test_rejects_2d_grid(self):
+        r = simulate_dynamic_graph(_vector(np.ones(5)), 10, 2.0)
+        with pytest.raises(ValueError, match="^lambda grid must be a 1-d sequence$"):
+            giant_path(r, [[1.0, 2.0]])
 
     def test_rejects_lambda_above_horizon(self):
         r = simulate_dynamic_graph(_vector(np.ones(5)), 10, 2.0)

@@ -89,6 +89,32 @@ class TestConfigValidation:
             _config(**overrides)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "lambdas, message",
+        [
+            ((), "lambda_grid must be non-empty"),
+            ((2.0, float("inf")), "lambda_grid entries must be finite"),
+            ((float("nan"),), "lambda_grid entries must be finite"),
+            ((2.0, 1.5), "lambda_grid must be strictly ascending"),
+            ((2.0, 2.0), "lambda_grid must be strictly ascending"),
+        ],
+    )
+    def test_rejects_a_bad_grid(self, lambdas, message):
+        """The CLI's parser refuses the first three before a config is built."""
+        with pytest.raises(ValueError) as info:
+            _config(lambdas=lambdas)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "runner, kind",
+        [(run_fclt, "fclt"), (run_oracle_compare, "oracle-compare"),
+         (run_convergence_study, "convergence-study")],
+    )
+    def test_runner_rejects_another_kind(self, runner, kind):
+        with pytest.raises(ValueError) as info:
+            runner(_config(kind="walk"))
+        assert str(info.value) == f"{runner.__name__} needs kind={kind!r}, got 'walk'"
+
 
 class TestFclt:
     def test_record_layout(self):
@@ -305,6 +331,11 @@ class TestReplicateStats:
         replicate_stats(replace(config, replicates=2), config.n, simulator)  # warm-up
         per_entry = (traced_peak(1000) - traced_peak(100)) / (900 * len(lambdas))
         assert per_entry <= 2 * 8 * k, per_entry
+
+    def test_rejects_an_unknown_simulator(self):
+        with pytest.raises(ValueError) as info:
+            replicate_stats(_config(), 50, "tree")
+        assert str(info.value) == "unknown simulator 'tree'; expected 'walk' or 'graph'"
 
     def test_excursion_inside_total_mass(self):
         """d always lies in (g, g + total mass] for every replicate."""

@@ -65,6 +65,21 @@ class TestPsiPair:
         with pytest.raises(ValueError):
             sample_psi_pair(HALF_HALF, [0.5, 0.5], 10, seed=6)
 
+    @pytest.mark.parametrize("times", [[], [[0.5, 1.0]]])
+    def test_rejects_empty_or_2d_times(self, times):
+        with pytest.raises(ValueError, match="^times must be a non-empty 1-d sequence$"):
+            psi_cov_matrix(HALF_HALF, times)
+
+    @pytest.mark.parametrize(
+        "sample",
+        [lambda count: sample_psi_pair(HALF_HALF, [0.5, 1.0], count, seed=6),
+         lambda count: sample_x_path(supercritical_curves(HALF_HALF, [1.0, 2.0]), count, seed=6)],
+        ids=["psi_pair", "x_path"],
+    )
+    def test_rejects_no_draws(self, sample):
+        with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
+            sample(0)
+
     def test_repeated_time_shares_one_draw(self):
         """A repeated time gives bitwise-equal covariance rows, hence one shared draw."""
         cov = psi_cov_matrix(HALF_HALF, [0.5, 1.0, 0.5])

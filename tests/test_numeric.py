@@ -62,6 +62,10 @@ class TestCholWithJitter:
         np.testing.assert_array_equal(lower, np.zeros((3, 3)))
         assert eps == 0.0
 
+    def test_empty_matrix(self):
+        lower, eps = chol_with_jitter(np.zeros((0, 0)))
+        assert lower.shape == (0, 0) and eps == 0.0
+
     def test_positive_definite_first_try(self):
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
         lower, eps = chol_with_jitter(mat)

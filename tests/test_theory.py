@@ -173,6 +173,11 @@ class TestSupercriticalCurves:
         with pytest.raises(ValueError):
             supercritical_curves(ER, [2.0, 1.5])
 
+    @pytest.mark.parametrize("grid", [[], [[1.5, 2.0]]])
+    def test_rejects_empty_or_2d_grid(self, grid):
+        with pytest.raises(ValueError, match="^lambda grid must be a non-empty 1-d sequence$"):
+            supercritical_curves(ER, grid)
+
     def test_monotone_curves(self):
         curves = supercritical_curves(HALF_HALF, np.linspace(0.5, 3.0, 25))
         assert np.all(np.diff(curves.theta) >= 0)

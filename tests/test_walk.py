@@ -155,6 +155,10 @@ class TestReusedBuffers:
         with pytest.raises(ValueError, match="clocks must be strictly positive"):
             WalkRealization.from_clocks([1.0, 2.0, 1.0], [0.3, bad, 0.1])
 
+    def test_rejects_clocks_of_another_length(self):
+        with pytest.raises(ValueError, match="weights and clocks must be equal-length"):
+            WalkRealization.from_clocks([1.0, 2.0, 1.0], [0.3, 0.1])
+
     def test_rejects_overflowed_clocks(self):
         """xi/w overflows for a subnormal weight: one ValueError, no warning
         (RuntimeWarnings are errors under this suite's filter)."""

@@ -104,6 +104,11 @@ class TestMixedMoment:
 
 
 class TestPhi:
+    @pytest.mark.parametrize("p", [-1, 2])
+    def test_rejects_order_outside_zero_one(self, p):
+        with pytest.raises(ValueError, match=f"^p must be 0 or 1, got {p}$"):
+            phi(HALF_HALF, p, 1.0)
+
     def test_er_closed_form(self):
         for t in (0.0, 0.3, 1.0, 4.0):
             assert phi(WeightModel.constant(1.0), 1, t) == pytest.approx(1 - math.exp(-t), abs=1e-15)
@@ -270,6 +275,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             WeightModel.from_config({"type": "pareto", "alpha": 2.0})
 
+    def test_empirical_config_needs_weights(self):
+        message = "^empirical weight model config needs field 'weights'$"
+        with pytest.raises(ValueError, match=message):
+            WeightModel.from_config({"type": "empirical"})
+
 
 class TestFiniteSupport:
     def test_empirical_is_stored_as_atom_frequencies(self):
@@ -297,6 +307,12 @@ class TestWeightVector:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 WeightVector(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("weights, shape", [([], "(0,)"), ([[1.0, 2.0]], "(1, 2)")])
+    def test_rejects_empty_or_2d_weights(self, weights, shape):
+        message = f"weight vector must be non-empty and 1-d, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightVector(weights)
 
     def test_owns_a_read_only_copy(self):
         w = np.array([2.0, 1.0, 2.0])
