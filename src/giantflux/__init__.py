@@ -17,7 +17,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .graph_oracle import (
     DynamicGraphRealization,
-    GiantSnapshot,
     giant_path,
     simulate_dynamic_graph,
 )
@@ -46,7 +45,6 @@ from .theory import (
     x_cov,
 )
 from .walk import (
-    ExcursionResult,
     WalkRealization,
     all_excursions,
     giant_results,

@@ -171,8 +171,7 @@ def _cmd_theory(config: ExperimentConfig, out: Path) -> int:
 
 def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
     _log(f"running {config.replicates} walk replicates at n={config.n}")
-    w, stats = harness.replicate_stats(config, config.n, "walk")
-    _, y = harness._fluctuations(config, w, stats)
+    ((stats, y),) = harness._fluctuations(config, [(config.n, ())])
     # stats columns are count, volume, g, d; y's are (count, volume) per lambda
     table = np.concatenate((stats[..., [2, 3, 1, 0]], y.reshape(stats[..., :2].shape)), axis=2)
     harness.write_lines_atomic(out, _table_lines(

@@ -11,8 +11,9 @@ truncated to (0, t], so it costs O(n + edges) time and memory, with
 E[edges] <= lam_max w_max^2 (n - 1) / 2.  Every vertex is labelled with the
 smallest vertex of its component; numpy hook-and-shortcut passes merge the
 edges arriving between consecutive lambdas of an ascending grid, so one
-realization yields the giant pathwise-coupled across the grid.  Volumes are
-exact limb sums, compared exactly and rounded once as ``fsum`` (``_limb_floats``).
+realization yields the giant pathwise-coupled across the grid, as a float64
+row (count, volume) per lambda.  Volumes are exact limb sums, compared
+exactly and rounded once as ``fsum`` (``_limb_floats``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .weights import WeightVector, _limb_floats
 
 __all__ = [
     "DynamicGraphRealization",
-    "GiantSnapshot",
     "candidate_probability",
     "simulate_dynamic_graph",
     "giant_path",
@@ -81,14 +81,6 @@ class DynamicGraphRealization:
         for arr in (ei, ej, arrivals):
             arr.setflags(write=False)
         return cls(w=w, edge_i=ei, edge_j=ej, arrivals=arrivals, lam_max=lam_max)
-
-
-@dataclass(frozen=True)
-class GiantSnapshot:
-    """Count and volume of the most voluminous component at one lambda."""
-
-    count: int
-    volume: float
 
 
 def _bernoulli_indices(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
@@ -193,8 +185,9 @@ def _prefix_ends(r: DynamicGraphRealization, lambdas: np.ndarray) -> list[int]:
     return np.searchsorted(r.arrivals, lambdas / r.n, side="right").tolist()
 
 
-def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
-    """Giant snapshots over an ascending lambda grid, labels warm-started."""
+def giant_path(r: DynamicGraphRealization, lambdas) -> np.ndarray:
+    """The most voluminous component over an ascending lambda grid, labels
+    warm-started: one float64 row (count, volume) per lambda, shape (m, 2)."""
     grid = np.asarray(lambdas, dtype=np.float64)
     if grid.ndim != 1:
         raise ValueError("lambda grid must be a 1-d sequence")
@@ -204,8 +197,8 @@ def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
     e0, limbs = r.w.limbs
     table = limbs[:, r.w.classes[1]]
     labels = np.arange(r.n)
-    snapshots = []
-    for start, stop in zip([0] + ends, ends):
+    giants = np.empty((grid.size, 2))
+    for giant, start, stop in zip(giants, [0] + ends, ends):
         labels = _merge(labels, r.edge_i[start:stop], r.edge_j[start:stop])
         sums = _label_volumes(labels, table)
         # the max exact volume, ties to the smallest label
@@ -213,8 +206,6 @@ def giant_path(r: DynamicGraphRealization, lambdas) -> list[GiantSnapshot]:
         for limb in sums[-2::-1]:
             tied = tied[limb[tied] == limb[tied].max()]
         best = int(tied[0])
-        count = int(np.count_nonzero(labels == best))
-        (volume,) = _limb_floats(e0, sums[:, [best]])
-        snapshots.append(GiantSnapshot(count=count, volume=volume))
-    return snapshots
+        giant[:] = np.count_nonzero(labels == best), *_limb_floats(e0, sums[:, [best]])
+    return giants
 

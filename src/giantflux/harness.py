@@ -28,9 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph_oracle import candidate_probability, giant_path, simulate_dynamic_graph
-from .theory import (
-    DEFAULT_MARGIN, SupercriticalCurves, require_supercritical, supercritical_curves, x_cov,
-)
+from .theory import DEFAULT_MARGIN, require_supercritical, supercritical_curves, x_cov
 from .walk import giant_results, sample_clocks
 from .weights import WeightModel, WeightVector, weight_vector
 
@@ -132,11 +130,13 @@ class ExperimentConfig:
         # every given size, also one the subcommand ignores
         for label, sizes in (("n", (self.n,) if self.n is not None else ()),
                              ("n_list entries", self.n_list or ())):
-            for n in sizes:
+            for i, n in enumerate(sizes):
                 if n < 1:
                     raise ValueError(f"{label} must be >= 1, got {n}")
                 if n > MAX_N:
                     raise ValueError(f"{label} must be <= MAX_N = {MAX_N}, got {n}")
+                if n in sizes[:i]:
+                    raise ValueError(f"{label} must be distinct, got {n} more than once")
         if command in ("graph", "compare"):
             # model.values[-1] bounds every weight weight_vector can produce
             q = candidate_probability(self.n, float(grid[-1]), float(self.model.values[-1]))
@@ -284,19 +284,23 @@ def _map_indexed(fn, count: int, threads: int) -> None:
             fn(i)
 
 
+def _weights(config: ExperimentConfig, n: int) -> WeightVector:
+    """The weight vector of every replicate at size n."""
+    return weight_vector(config.model, n, _child_seed(config.seed, _TAG_WEIGHTS, n))
+
+
 def replicate_stats(
     config: ExperimentConfig, n: int, simulator: str, seed_path: tuple[int, ...] = ()
 ) -> tuple[WeightVector, np.ndarray]:
     """``config.replicates`` runs of one simulator at size n on the config's grid.
 
-    Returns the weight vector and a float64 array of shape (R, m, k): entry
-    [rep, i] holds the giant at lambda_i of replicate rep, as
-    (count, volume, g, d) for ``"walk"`` and (count, volume) for ``"graph"``.
-    The array is allocated once and each replicate writes its own row, so
-    memory grows with R by that array alone, 8k bytes per (replicate, lambda).
+    Returns the weight vector and a float64 array of shape (R, m, k): row rep
+    is replicate rep's ``giant_results`` (``"walk"``, k = 4) or ``giant_path``
+    (``"graph"``, k = 2).  The array is allocated once and each replicate
+    writes its own row, so memory grows with R by that array alone.
     Replicate rep draws from ``_child_seed(config.seed, tag, *seed_path, rep)``.
     """
-    w = weight_vector(config.model, n, _child_seed(config.seed, _TAG_WEIGHTS, n))
+    w = _weights(config, n)
     grid = config.grid()
     if simulator == "walk":
         stats = np.empty((config.replicates, grid.size, 4))
@@ -304,34 +308,40 @@ def replicate_stats(
         def one(rep: int) -> None:
             seed = _child_seed(config.seed, _TAG_CLOCKS, *seed_path, rep)
             held.r = r = sample_clocks(w, seed, getattr(held, "r", None))
-            stats[rep] = [(e.vertex_count, e.total_volume, e.g, e.d)
-                          for e in giant_results(r, grid)]
+            stats[rep] = giant_results(r, grid)
     elif simulator == "graph":
         stats = np.empty((config.replicates, grid.size, 2))
         def one(rep: int) -> None:
             seed = _child_seed(config.seed, _TAG_GRAPH, *seed_path, rep)
-            r = simulate_dynamic_graph(w, seed, float(grid[-1]))
-            stats[rep] = [(s.count, s.volume) for s in giant_path(r, grid)]
+            stats[rep] = giant_path(simulate_dynamic_graph(w, seed, float(grid[-1])), grid)
     else:
         raise ValueError(f"unknown simulator {simulator!r}; expected 'walk' or 'graph'")
     _map_indexed(one, config.replicates, config.threads)
     return w, stats
 
 
-def _fluctuations(
-    config: ExperimentConfig, w: WeightVector, stats: np.ndarray
-) -> tuple[SupercriticalCurves, np.ndarray]:
-    """The curves of w's own law and the (R, 2m) fluctuation matrix y.
-
-    Columns follow ``x_cov``'s coordinates (count_1, volume_1, count_2, ...),
-    each centred on the finite-n law of the vector in use:
-    (L - rho_n n)/sqrt(n) and (V - theta_n n)/sqrt(n).
-    """
-    curves_n = supercritical_curves(WeightModel.empirical(w.weights), config.grid(), config.margin)
-    centre = np.stack((curves_n.rho, curves_n.theta), axis=1) * w.n
-    y = np.subtract(stats[..., :2], centre)
-    y /= np.sqrt(w.n)
-    return curves_n, y.reshape(len(stats), -1)
+def _fluctuations(config: ExperimentConfig, runs):
+    """For each (n, seed_path) of ``runs`` in turn, yield the walk's
+    ``replicate_stats`` array at size n and its (R, 2m) fluctuation matrix y,
+    in ``x_cov``'s coordinates (count_1, volume_1, count_2, ...), centred on
+    the law of the weight vector in use: (L - rho_n n) / sqrt(n) and
+    (V - theta_n n) / sqrt(n).  All laws come first, so a vector that is not
+    supercritical on the grid by its own law is refused, naming n and its
+    lambda_crit, before any replicate runs."""
+    grid, centres = config.grid(), []
+    for n, _ in runs:
+        law = WeightModel.empirical(_weights(config, n).weights)
+        try:
+            curves = supercritical_curves(law, grid, config.margin)
+        except ValueError as exc:
+            raise ValueError(f"n={n}: by the weight vector's own law, {exc}") from None
+        centres.append(np.stack((curves.rho, curves.theta), axis=1) * n)
+    del law, curves  # the law, also held by curves, copies the weights: free it first
+    for (n, seed_path), centre in zip(runs, centres):
+        _, stats = replicate_stats(config, n, "walk", seed_path)
+        y = np.subtract(stats[..., :2], centre)
+        y /= np.sqrt(n)
+        yield stats, y.reshape(len(stats), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +364,7 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
     _require_kind(config, "fclt", "run_fclt")
     grid = config.grid()
     matrix = x_cov(supercritical_curves(config.model, grid, config.margin)).matrix
-    _, y = _fluctuations(config, *replicate_stats(config, config.n, "walk"))
+    ((_, y),) = _fluctuations(config, [(config.n, ())])
 
     rows = []  # (lambda, stat, a, b): the mean of column a when b is None
     for i, lam in enumerate(grid):
@@ -417,9 +427,8 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
     grid = config.grid()
     matrix = x_cov(supercritical_curves(config.model, grid, config.margin)).matrix
     records = []
-    for n_idx, n in enumerate(config.n_list):
-        stats = replicate_stats(config, n, "walk", seed_path=(n_idx,))
-        _, y = _fluctuations(config, *stats)
+    runs = [(n, (n_idx,)) for n_idx, n in enumerate(config.n_list)]
+    for (n, _), (_, y) in zip(runs, _fluctuations(config, runs)):
         for i, lam in enumerate(grid):
             for name, a in (("count", 2 * i), ("volume", 2 * i + 1)):
                 var, _ = _cov_se(y[:, a], y[:, a])

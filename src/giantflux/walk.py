@@ -10,6 +10,7 @@ Its excursions above the running infimum correspond to connected components;
 the longest excursion (first one on ties) is the giant.  The excursion
 interval (g, d) gives the scaled volume d - g, and the vertices of the giant
 are exactly the clocks landing in the closed window [lambda g, lambda d].
+A grid's giants are one float64 array, a row (count, volume, g, d) each.
 
 Rescaling time by 1/lambda keeps the clock order, so one sort of packed
 integer keys (clock bits above weight class) serves every lambda; the scan
@@ -51,7 +52,6 @@ from .weights import WeightVector, _limb_floats
 
 __all__ = [
     "WalkRealization",
-    "ExcursionResult",
     "sample_clocks",
     "all_excursions",
     "giant_results",
@@ -70,7 +70,7 @@ class WalkRealization:
     In clock order a vertex is kept only through its weight class:
     ``atoms[sorted_class[k]]`` is the weight of the k-th clock.  ``limbs``
     (``WeightVector.limbs``) holds the atoms as exact integer limbs, from
-    which ``mass_prefix`` and each giant's ``total_volume`` are summed.
+    which ``mass_prefix`` and each giant's volume are summed.
 
     The four arrays are read-only views of the realization's own buffers,
     which ``sample_clocks(w, seed, out=r)`` overwrites with the next draw.
@@ -183,21 +183,6 @@ def _realize(r: WalkRealization, v: WeightVector, xi: np.ndarray) -> WalkRealiza
     _clock_order(xi, v.classes[1], r.atoms.size, (keys, classes))
     _mass_prefix(v.limbs, classes, v.n, (prefix, counts, scratch[2]))
     return r
-
-
-@dataclass(frozen=True)
-class ExcursionResult:
-    """The excursion picked as the giant at one lambda.
-
-    d - g is the scaled volume (the giant volume over n); ``total_volume``
-    is the correctly rounded weight sum over the clock window and agrees
-    with n * (d - g) up to accumulated rounding.
-    """
-
-    g: float
-    d: float
-    vertex_count: int
-    total_volume: float
 
 
 def sample_clocks(w: WeightVector, seed: int, out=None) -> WalkRealization:
@@ -324,13 +309,11 @@ def _check_lambdas(r: WalkRealization, lambdas) -> np.ndarray:
     return grid
 
 
-def all_excursions(r: WalkRealization, lam: float) -> list[ExcursionResult]:
-    """Every excursion at intensity lam, in time order."""
+def all_excursions(r: WalkRealization, lam: float) -> np.ndarray:
+    """Every excursion at intensity lam, in time order, as (E, 4) rows like ``giant_results``."""
     _check_lambdas(r, lam)
     g, d, starts, ends, _ = _scan(r, lam)
-    volumes = _window_volumes(r, starts, ends + 1)
-    counts = (ends - starts + 1).tolist()
-    return [ExcursionResult(*row) for row in zip(g.tolist(), d.tolist(), counts, volumes)]
+    return np.column_stack((ends - starts + 1, _window_volumes(r, starts, ends + 1), g, d))
 
 
 def _pick(g, d, starts, ends) -> tuple[float, float, int, int]:
@@ -387,10 +370,12 @@ def _track(r: WalkRealization, lams: np.ndarray, positions: np.ndarray, a: int) 
     return [row if ok else None for ok, row in zip(sure.tolist(), rows)]
 
 
-def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
+def giant_results(r: WalkRealization, lambdas) -> np.ndarray:
     """The giant (first-longest excursion) at each lambda, from the one draw.
 
-    Results are in the order of ``lambdas``, duplicates included.  The
+    Returns an (m, 4) float64 array, one row (count, volume, g, d) per lambda
+    in the order of ``lambdas``, duplicates included; volume is the window's
+    correctly rounded weight sum, n (d - g) up to rounding.  The
     smallest lambda is scanned over every clock (``_scan``); its giant, which
     starts at clock position a, is then tracked through every larger lambda
     at once over that scan's candidates (``_track``).  A tracked excursion
@@ -402,7 +387,7 @@ def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
     grid = _check_lambdas(r, lambdas)
     order = np.argsort(grid, kind="stable")
     if not order.size:
-        return ()
+        return np.empty((0, 4))
     g, d, starts, ends, positions = _scan(r, grid[order[0]], candidates=order.size > 1)
     picks: list = [None] * order.size
     picks[order[0]] = _pick(g, d, starts, ends)
@@ -410,11 +395,9 @@ def giant_results(r: WalkRealization, lambdas) -> tuple[ExcursionResult, ...]:
     if later:
         for i, pick in zip(later, _track(r, grid[later], positions, picks[order[0]][2])):
             picks[i] = pick or _pick(*_scan(r, grid[i])[:4])
-    lo, hi = np.array([pick[2:] for pick in picks]).T
-    volumes = _window_volumes(r, lo, hi + 1)
-    return tuple(
-        ExcursionResult(g, d, hi - lo + 1, v) for (g, d, lo, hi), v in zip(picks, volumes)
-    )
+    g, d, lo, hi = zip(*picks)
+    lo, hi = np.array(lo), np.array(hi)
+    return np.column_stack((hi - lo + 1, _window_volumes(r, lo, hi + 1), g, d))
 
 
 def walk_value(r: WalkRealization, lam: float, t: float) -> float:

@@ -417,6 +417,31 @@ class TestErrorContract:
         assert "expect 6.93e+08 graph candidates" in err
         assert not out.exists() and not out.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize("command", ["fclt", "walk", "converge"])
+    def test_vector_subcritical_by_its_own_law(self, tmp_path, capsys, monkeypatch, command):
+        """Half-half at n = 3 gives the vector (1, 1, 2), whose own law has
+        lambda_crit 0.5 against the model's 0.4: lambda = 0.45 exits 2 with one
+        line naming n and the vector's lambda_crit, and no replicate runs."""
+        model = {"type": "discrete", "atoms": [[1.0, 0.5], [2.0, 0.5]]}
+        cfg = _write_config(tmp_path, model=model, lambda_grid=[0.45], n=3, n_list=[3],
+                            replicates=5)
+        ran = []
+        monkeypatch.setattr(harness, "_map_indexed", lambda fn, count, threads: ran.append(count))
+        out = tmp_path / "x.csv"
+        assert _run(command, "--config", str(cfg), "--out", str(out)) == 2
+        line = self._assert_one_error_line(capsys)
+        assert line.startswith("[giantflux] error: n=3: by the weight vector's own law")
+        assert line.endswith("(lambda_crit = 0.5)")
+        assert ran == [] and not out.exists()
+
+    def test_repeated_n_list_entry(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, lambda_grid=[2.0], n=None, n_list=[50, 50], replicates=5)
+        out = tmp_path / "x.csv"
+        assert _run("converge", "--config", str(cfg), "--out", str(out)) == 2
+        line = self._assert_one_error_line(capsys)
+        assert line == "[giantflux] error: n_list entries must be distinct, got 50 more than once"
+        assert not out.exists()
+
     @pytest.mark.parametrize("multiplier", [-1, 0])
     def test_nonpositive_multiplier_is_config_error(self, tmp_path, capsys, multiplier):
         cfg = _write_config(tmp_path, tolerance_multiplier=multiplier, replicates=5, n=40)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from giantflux import harness
-from giantflux.graph_oracle import candidate_probability
+from giantflux.graph_oracle import candidate_probability, giant_path, simulate_dynamic_graph
 from giantflux.harness import (
     ExperimentConfig,
     _child_seed,
@@ -23,6 +23,7 @@ from giantflux.harness import (
     write_report_json,
 )
 from giantflux.theory import supercritical_curves, x_cov
+from giantflux.walk import giant_results, sample_clocks
 from giantflux.weights import WeightModel, weight_vector
 
 ER = WeightModel.constant(1.0)
@@ -80,6 +81,10 @@ class TestConfigValidation:
             (
                 dict(kind="convergence-study", n=None, n_list=(100, 10**9)),
                 "n_list entries must be <= MAX_N = 100000000, got 1000000000",
+            ),
+            (
+                dict(kind="convergence-study", n=None, n_list=(50, 80, 50)),
+                "n_list entries must be distinct, got 50 more than once",
             ),
         ],
     )
@@ -163,7 +168,7 @@ class TestFclt:
         config = _config(model=HALF_HALF, lambdas=grid)
         report = run_fclt(config)
         matrix = x_cov(supercritical_curves(HALF_HALF, grid)).matrix
-        _, y = harness._fluctuations(config, *replicate_stats(config, config.n, "walk"))
+        ((_, y),) = harness._fluctuations(config, [(config.n, ())])
         assert y.shape == (config.replicates, 2 * len(grid))
         expected = []
         for i, lam in enumerate(grid):
@@ -284,6 +289,21 @@ class TestConvergenceStudy:
     def test_seeds_disjoint_across_n(self):
         assert _child_seed(1, 1, 0, 0) != _child_seed(1, 1, 1, 0)
 
+    def test_refuses_a_subcritical_vector_before_any_n_runs(self, monkeypatch):
+        """Half-half has lambda_crit 0.4, but its vector at n = 3 is (1, 1, 2),
+        whose own law has lambda_crit 0.5: lambda = 0.45 is refused, naming
+        n = 3 and 0.5, before any replicate runs, those at n = 50 included."""
+        ran = []
+        monkeypatch.setattr(harness, "_map_indexed", lambda fn, count, threads: ran.append(count))
+        config = _config(model=HALF_HALF, lambdas=(0.45,), replicates=5,
+                         kind="convergence-study", n=None, n_list=(50, 3))
+        with pytest.raises(ValueError) as info:
+            run_convergence_study(config)
+        message = str(info.value)
+        assert message.startswith("n=3: by the weight vector's own law, lambda = 0.45")
+        assert message.endswith("(lambda_crit = 0.5)")
+        assert ran == []
+
     def test_requires_n_list(self):
         with pytest.raises(ValueError, match="n_list"):
             run_convergence_study(
@@ -331,6 +351,23 @@ class TestReplicateStats:
         replicate_stats(replace(config, replicates=2), config.n, simulator)  # warm-up
         per_entry = (traced_peak(1000) - traced_peak(100)) / (900 * len(lambdas))
         assert per_entry <= 2 * 8 * k, per_entry
+
+    @pytest.mark.parametrize("simulator", ["walk", "graph"])
+    @pytest.mark.parametrize("seed_path", [(), (1,)])
+    def test_rows_are_the_simulators_own(self, simulator, seed_path):
+        """Row rep is, byte for byte, what the simulator returns for replicate
+        rep's seed: ``giant_results`` of its clocks, or ``giant_path`` of its graph."""
+        config = _config(model=HALF_HALF, lambdas=(1.5, 2.0, 3.0), n=300, replicates=6, threads=2)
+        w, stats = replicate_stats(config, config.n, simulator, seed_path)
+        grid = config.grid()
+        for rep in range(config.replicates):
+            if simulator == "walk":
+                seed = _child_seed(config.seed, harness._TAG_CLOCKS, *seed_path, rep)
+                rows = giant_results(sample_clocks(w, seed), grid)
+            else:
+                seed = _child_seed(config.seed, harness._TAG_GRAPH, *seed_path, rep)
+                rows = giant_path(simulate_dynamic_graph(w, seed, float(grid[-1])), grid)
+            assert stats[rep].tobytes() == rows.tobytes()
 
     def test_rejects_an_unknown_simulator(self):
         with pytest.raises(ValueError) as info:

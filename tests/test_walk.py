@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import astuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -26,6 +25,9 @@ from giantflux.walk import (
 )
 from giantflux.weights import WeightModel, WeightVector, weight_vector
 
+# columns of a giant_results / all_excursions row
+COUNT, VOLUME, G, D = range(4)
+
 
 def _random_realization(rng, n, w_low=0.5, w_high=3.0):
     w = rng.uniform(w_low, w_high, size=n)
@@ -37,30 +39,30 @@ class TestHandComputedPaths:
     def test_single_vertex(self):
         # jump of size 1 at t = 0.3/2; descent needs exactly 1 unit of time
         r = WalkRealization.from_clocks([1.0], [0.3])
-        res = giant_results(r, [2.0])[0]
-        assert res.g == pytest.approx(0.15, abs=1e-15)
-        assert res.d == pytest.approx(1.15, abs=1e-15)
-        assert res.total_volume == 1.0
-        assert res.vertex_count == 1
+        count, volume, g, d = giant_results(r, [2.0])[0]
+        assert g == pytest.approx(0.15, abs=1e-15)
+        assert d == pytest.approx(1.15, abs=1e-15)
+        assert volume == 1.0
+        assert count == 1
 
     def test_two_jumps_merge(self):
         # second jump arrives before the first excursion closes
         r = WalkRealization.from_clocks([1.0, 1.0], [0.2, 0.5])
-        res = giant_results(r, [1.0])[0]
-        assert res.g == pytest.approx(0.2, abs=1e-15)
-        assert res.d == pytest.approx(1.2, abs=1e-15)
-        assert res.total_volume == 2.0
-        assert res.vertex_count == 2
+        count, volume, g, d = giant_results(r, [1.0])[0]
+        assert g == pytest.approx(0.2, abs=1e-15)
+        assert d == pytest.approx(1.2, abs=1e-15)
+        assert volume == 2.0
+        assert count == 2
 
     def test_tie_break_takes_first(self):
         # two disjoint excursions of length exactly 1/2 each
         r = WalkRealization.from_clocks([1.0, 1.0], [0.2, 1.9])
         excs = all_excursions(r, 1.0)
         assert len(excs) == 2
-        assert excs[0].g == pytest.approx(0.2) and excs[0].d == pytest.approx(0.7)
-        assert excs[1].g == pytest.approx(1.9) and excs[1].d == pytest.approx(2.4)
+        assert excs[0, G] == pytest.approx(0.2) and excs[0, D] == pytest.approx(0.7)
+        assert excs[1, G] == pytest.approx(1.9) and excs[1, D] == pytest.approx(2.4)
         res = giant_results(r, [1.0])[0]
-        assert res.g == pytest.approx(0.2, abs=1e-15)
+        assert res[G] == pytest.approx(0.2, abs=1e-15)
 
 
 class TestSampleClocks:
@@ -119,7 +121,7 @@ class TestReusedBuffers:
             got = giant_results(r, grid)
             fresh = sample_clocks(v, seed)
             assert not np.shares_memory(fresh.sorted_clocks, r.sorted_clocks)
-            assert got == giant_results(fresh, grid)
+            assert got.tobytes() == giant_results(fresh, grid).tobytes()
             for a, b in ((r.sorted_clocks, fresh.sorted_clocks),
                          (r.sorted_class, fresh.sorted_class), (r.mass_prefix, fresh.mass_prefix)):
                 assert a.tobytes() == b.tobytes()
@@ -236,10 +238,10 @@ class TestClockOrder:
             )
             for lam, res in zip(grid, giant_results(r, grid)):
                 g, d, volume, count = _brute_force_longest(weights.tolist(), xi.tolist(), lam)
-                assert res.vertex_count == count
-                assert res.total_volume == volume
-                assert abs(res.g - g) <= 1e-10
-                assert abs(res.d - d) <= 1e-10
+                assert res[COUNT] == count
+                assert res[VOLUME] == volume
+                assert abs(res[G] - g) <= 1e-10
+                assert abs(res[D] - d) <= 1e-10
         assert cross_ties > 100
 
 
@@ -250,7 +252,7 @@ class TestExcursionStructure:
         for n in (1, 2, 17, 400):
             r = _random_realization(rng, n)
             for lam in (0.2, 1.0, 3.0):
-                total = math.fsum(e.d - e.g for e in all_excursions(r, lam))
+                total = math.fsum(e[D] - e[G] for e in all_excursions(r, lam))
                 assert total == pytest.approx(r.total_mass, rel=1e-9)
 
     def test_longest_dominates(self):
@@ -259,7 +261,7 @@ class TestExcursionStructure:
         for lam in (0.3, 0.8, 2.0):
             excs = all_excursions(r, lam)
             best = giant_results(r, [lam])[0]
-            assert all(best.d - best.g >= e.d - e.g - 1e-12 for e in excs)
+            assert all(best[D] - best[G] >= e[D] - e[G] - 1e-12 for e in excs)
 
     def test_end_value_hits_running_infimum(self):
         """H(d) equals the infimum of H over [0, g], the defining property.
@@ -273,10 +275,10 @@ class TestExcursionStructure:
         jump_t = r.sorted_clocks / lam
         eps = 1e-10
         for e in all_excursions(r, lam):
-            value_at_d = walk_value(r, lam, e.d)
+            value_at_d = walk_value(r, lam, e[D])
             pre_jump = [
                 walk_value(r, lam, max(t - eps, 0.0))
-                for t in jump_t[jump_t <= e.g + eps]
+                for t in jump_t[jump_t <= e[G] + eps]
             ]
             inf_before = min(pre_jump)
             assert value_at_d == pytest.approx(inf_before, abs=1e-8)
@@ -290,17 +292,17 @@ class TestExcursionStructure:
         for lam in (0.5, 1.5):
             e = giant_results(r, [lam])[0]
             t = r.sorted_clocks / lam
-            in_window = np.count_nonzero((t >= e.g) & (t <= e.d))
-            assert e.vertex_count == in_window
-            before_d = np.count_nonzero(t <= e.d) / n
-            before_g = np.count_nonzero(t <= e.g) / n
-            assert e.vertex_count == round(n * (before_d - before_g) + 1)
+            in_window = np.count_nonzero((t >= e[G]) & (t <= e[D]))
+            assert e[COUNT] == in_window
+            before_d = np.count_nonzero(t <= e[D]) / n
+            before_g = np.count_nonzero(t <= e[G]) / n
+            assert e[COUNT] == round(n * (before_d - before_g) + 1)
 
     def test_volume_consistency(self):
         rng = np.random.default_rng(15)
         r = _random_realization(rng, 1000)
         e = giant_results(r, [2.0])[0]
-        assert e.total_volume == pytest.approx(r.n * (e.d - e.g), rel=1e-9)
+        assert e[VOLUME] == pytest.approx(r.n * (e[D] - e[G]), rel=1e-9)
 
 
 class TestWalkValue:
@@ -333,7 +335,7 @@ class TestSweep:
         v = weight_vector(WeightModel.constant(1.0), 500, 0)
         r = sample_clocks(v, 5)
         grid = giant_results(r, [1.5, 2.0, 3.0])
-        assert grid[1] == giant_results(r, [2.0])[0]
+        assert grid[1].tobytes() == giant_results(r, [2.0])[0].tobytes()
 
     def test_er_law_of_large_numbers(self):
         """Scaled giant volume concentrates near the limiting fraction."""
@@ -344,7 +346,7 @@ class TestSweep:
         for k in range(100):
             r = sample_clocks(v, 9000 + k)
             res = giant_results(r, [2.0])[0]
-            if abs(res.total_volume / n - rho_target) < 0.02:
+            if abs(res[VOLUME] / n - rho_target) < 0.02:
                 hits += 1
         assert hits >= 95
 
@@ -353,13 +355,13 @@ class TestSweep:
         v = weight_vector(WeightModel.constant(1.0), 2000, 0)
         r = sample_clocks(v, 21)
         for res in giant_results(r, [1.5, 2.0, 3.0]):
-            assert res.total_volume == res.vertex_count
+            assert res[VOLUME] == res[COUNT]
 
     def test_bit_identical_rerun(self):
         v = weight_vector(WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)]), 500, 0)
         a = giant_results(sample_clocks(v, 77), [2.0, 3.0])
         b = giant_results(sample_clocks(v, 77), [2.0, 3.0])
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
 
 @st.composite
@@ -370,7 +372,7 @@ def _sizes(draw):
 
 
 class TestClassVolume:
-    """``total_volume`` from class counts equals ``fsum`` over the clock window."""
+    """The volume column from class counts equals ``fsum`` over the clock window."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -391,10 +393,10 @@ class TestClassVolume:
         r = WalkRealization.from_clocks(w, xi)
         order = np.argsort(xi)
         t = xi[order] / lam
-        for e in all_excursions(r, lam) + [giant_results(r, [lam])[0]]:
-            lo = int(np.searchsorted(t, e.g))
-            window = w[order[lo : lo + e.vertex_count]]
-            assert e.total_volume == math.fsum(window.tolist())
+        for e in np.vstack((all_excursions(r, lam), giant_results(r, [lam]))):
+            lo = int(np.searchsorted(t, e[G]))
+            window = w[order[lo : lo + int(e[COUNT])]]
+            assert e[VOLUME] == math.fsum(window.tolist())
 
 
 class TestLambdaValidation:
@@ -447,8 +449,8 @@ def _grids(draw):
 
 def _assert_grid_matches_single_scans(r, grid):
     multi = giant_results(r, grid)
-    singles = [giant_results(r, [lam])[0] for lam in grid]
-    assert [astuple(res) for res in multi] == [astuple(res) for res in singles]
+    singles = np.vstack([giant_results(r, [lam])[0] for lam in grid])
+    assert multi.tobytes() == singles.tobytes()
 
 
 @pytest.fixture
@@ -515,7 +517,7 @@ class TestNestedGrid:
         assert r.mass_before[1] - r.sorted_clocks[1] / below > -r.sorted_clocks[0] / below
         for lam in (below, 1.0, above):
             assert len(all_excursions(r, lam)) == 2
-        assert giant_results(r, [1.0])[0].vertex_count == 1
+        assert giant_results(r, [1.0])[0, COUNT] == 1
         _assert_grid_matches_single_scans(r, [above, 1.0, below, 1.0])
 
     def test_supercritical_grid_scans_once(self, scan_count):
@@ -551,7 +553,7 @@ class TestNestedGrid:
         scan_count()
         results = giant_results(r, [1.0, 2.0])
         assert scan_count() == 1
-        assert [e.vertex_count for e in results] == [5, 6]
+        assert [e[COUNT] for e in results] == [5, 6]
         _assert_grid_matches_single_scans(r, [1.0, 2.0])
 
     def test_rows_in_several_blocks(self, scan_count):
@@ -580,7 +582,7 @@ class TestNestedGrid:
         r = WalkRealization.from_clocks([1.0, w], clocks)
         results = giant_results(r, [1.0, lam])
         assert scan_count() == scans
-        assert [e.vertex_count for e in results] == [1, 1] and results[1].g == 0.05
+        assert [e[COUNT] for e in results] == [1, 1] and results[1, G] == 0.05
         _assert_grid_matches_single_scans(r, [1.0, lam])
 
 
@@ -602,10 +604,10 @@ class TestBruteForce:
         for lam, res in zip(grid, giant_results(r, grid)):
             g, d, volume, count = _brute_force_longest(weights.tolist(), clocks.tolist(), lam)
             for e in (res, giant_results(r, [lam])[0]):
-                assert e.vertex_count == count
-                assert e.total_volume == volume
-                assert abs(e.g - g) <= 1e-10
-                assert abs(e.d - d) <= 1e-10
+                assert e[COUNT] == count
+                assert e[VOLUME] == volume
+                assert abs(e[G] - g) <= 1e-10
+                assert abs(e[D] - d) <= 1e-10
 
 
 def _fsum_windows(r, lo, hi):
@@ -660,7 +662,7 @@ class TestLimbVolume:
         lo = np.arange(n)
         assert _window_volumes(r, lo, lo + 1) == r.atoms[r.sorted_class].tolist()
         single = WalkRealization.from_clocks([0.1], [0.3])
-        assert giant_results(single, [2.0])[0].total_volume == 0.1
+        assert giant_results(single, [2.0])[0, VOLUME] == 0.1
 
     def test_overlapping_windows_of_a_grid(self):
         """The giants of a 20-lambda grid share one call; each equals its own fsum."""
@@ -671,10 +673,10 @@ class TestLimbVolume:
         grid = rng.permutation(np.linspace(0.2, 3.0, 20))
         results = giant_results(r, grid)
         t = r.sorted_clocks
-        lo = np.array([np.searchsorted(t / lam, e.g) for lam, e in zip(grid, results)])
-        hi = lo + [e.vertex_count for e in results]
+        lo = np.array([np.searchsorted(t / lam, e[G]) for lam, e in zip(grid, results)])
+        hi = lo + [int(e[COUNT]) for e in results]
         assert len(set(zip(lo.tolist(), hi.tolist()))) > 1
-        assert [e.total_volume for e in results] == _fsum_windows(r, lo, hi)
+        assert [e[VOLUME] for e in results] == _fsum_windows(r, lo, hi)
 
     def test_sum_past_the_float_range_overflows(self):
         r = WalkRealization.from_clocks([1e308, 1.5e308, 1.0], [0.1, 0.2, 0.3])
@@ -754,7 +756,7 @@ class TestMassPrefix:
 
 def _giant_digest(v, seed, grid):
     results = giant_results(sample_clocks(v, seed), grid)
-    rows = tuple((e.g, e.d, e.vertex_count, e.total_volume) for e in results)
+    rows = tuple((g, d, int(count), volume) for count, volume, g, d in results.tolist())
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
@@ -778,7 +780,7 @@ class TestGolden:
         v = vector()
         root = math.sqrt(v.n)
         for e in giant_results(sample_clocks(v, 2024), np.linspace(*grid, 20)):
-            assert root * (e.d - e.g) == pytest.approx(e.total_volume / root, rel=1e-12, abs=0)
+            assert root * (e[D] - e[G]) == pytest.approx(e[VOLUME] / root, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "vector, seed, grid, digest",
