@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .harness import COMMAND_KINDS, MAX_THREADS, ExperimentConfig
+from .harness import COMMAND_KINDS, MAX_THREADS, ExperimentConfig, _log
 from .limit_sampler import sample_x_path
 from .theory import ConvergenceError, supercritical_curves, x_cov
 from .weights import WeightModel
@@ -40,10 +40,6 @@ __all__ = ["ConfigError", "dispatch", "main"]
 
 class ConfigError(ValueError):
     """Configuration or validation problem; maps to exit code 2."""
-
-
-def _log(message: str) -> None:
-    print(f"[giantflux] {message}", file=sys.stderr)
 
 
 def _int_field(name: str, value) -> int:
@@ -67,14 +63,10 @@ def _float_field(name: str, value) -> float:
     raise ConfigError(f"field '{name}' must be a finite number, got {json.dumps(value)}")
 
 
-def _list_field(name: str, value) -> list:
+def _n_list_field(name: str, value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ConfigError(f"field '{name}' must be a list, got {json.dumps(value)}")
-    return value
-
-
-def _n_list_field(name: str, value) -> tuple[int, ...]:
-    return tuple(_int_field(name, x) for x in _list_field(name, value))
+    return tuple(_int_field(name, x) for x in value)
 
 
 def _parse_grid(raw) -> tuple[float, ...]:
@@ -170,7 +162,6 @@ def _cmd_theory(config: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
-    _log(f"running {config.replicates} walk replicates at n={config.n}")
     ((stats, y),) = harness._fluctuations(config, [(config.n, ())])
     # stats columns are count, volume, g, d; y's are (count, volume) per lambda
     table = np.concatenate((stats[..., [2, 3, 1, 0]], y.reshape(stats[..., :2].shape)), axis=2)
@@ -182,8 +173,7 @@ def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_graph(config: ExperimentConfig, out: Path) -> int:
-    _log(f"running {config.replicates} graph replicates at n={config.n}")
-    _, stats = harness.replicate_stats(config, config.n, "graph")
+    stats = harness.replicate_stats(config, harness._weights(config, config.n), "graph")
     harness.write_lines_atomic(
         out, _table_lines("replicate,lambda,L,V", "%d,%s,%d,%.17g", config.lambdas, stats)
     )
@@ -201,7 +191,6 @@ def _cmd_limit(config: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_harness(config: ExperimentConfig, out: Path) -> int:
-    _log(f"running {config.kind} experiment (R={config.replicates}, threads={config.threads})")
     report = harness.run_experiment(config)
     harness.write_report_csv(report, out)
     harness.write_report_json(report, out.with_suffix(".json"))

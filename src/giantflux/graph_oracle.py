@@ -32,7 +32,7 @@ __all__ = [
     "giant_path",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicGraphRealization:
     """The edge arrivals at or below ``lam_max / n`` of one realization.
 

@@ -2,9 +2,9 @@
 
 One runner, ``replicate_stats``, serves every experiment and the CLI's
 ``walk`` and ``graph``: it runs R replicates of the walk or of the direct
-graph on the config's lambda grid and returns the giant's statistics as one
-(R, m, k) float64 array.  The array is allocated once and each replicate
-fills its own row, so the runner's memory grows with R by that array alone.
+graph on the weight vector it is given (a run draws one per size, with
+``_weights``) over the config's lambda grid, and returns the giant's
+statistics as one (R, m, k) float64 array, one row per replicate.
 The experiments centre and reduce that array themselves, comparing
 empirical moments with targets computed by the theory module (never
 hardcoded numbers), using z-scores at a configurable multiple of the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -284,23 +285,27 @@ def _map_indexed(fn, count: int, threads: int) -> None:
             fn(i)
 
 
+def _log(message: str) -> None:
+    print(f"[giantflux] {message}", file=sys.stderr)
+
+
 def _weights(config: ExperimentConfig, n: int) -> WeightVector:
-    """The weight vector of every replicate at size n."""
+    """The weight vector of a run at size n, for every replicate of both simulators."""
     return weight_vector(config.model, n, _child_seed(config.seed, _TAG_WEIGHTS, n))
 
 
 def replicate_stats(
-    config: ExperimentConfig, n: int, simulator: str, seed_path: tuple[int, ...] = ()
-) -> tuple[WeightVector, np.ndarray]:
-    """``config.replicates`` runs of one simulator at size n on the config's grid.
+    config: ExperimentConfig, w: WeightVector, simulator: str, seed_path: tuple[int, ...] = ()
+) -> np.ndarray:
+    """``config.replicates`` runs of one simulator on w over the config's grid.
 
-    Returns the weight vector and a float64 array of shape (R, m, k): row rep
-    is replicate rep's ``giant_results`` (``"walk"``, k = 4) or ``giant_path``
-    (``"graph"``, k = 2).  The array is allocated once and each replicate
-    writes its own row, so memory grows with R by that array alone.
-    Replicate rep draws from ``_child_seed(config.seed, tag, *seed_path, rep)``.
+    Returns a float64 array of shape (R, m, k): row rep is replicate rep's
+    ``giant_results`` (``"walk"``, k = 4) or ``giant_path`` (``"graph"``,
+    k = 2).  The array is allocated once and each replicate writes its own
+    row, so memory grows with R by that array alone.  Replicate rep draws
+    from ``_child_seed(config.seed, tag, *seed_path, rep)``.  The one stderr
+    line of a call announces its replicates just before they start.
     """
-    w = _weights(config, n)
     grid = config.grid()
     if simulator == "walk":
         stats = np.empty((config.replicates, grid.size, 4))
@@ -316,29 +321,29 @@ def replicate_stats(
             stats[rep] = giant_path(simulate_dynamic_graph(w, seed, float(grid[-1])), grid)
     else:
         raise ValueError(f"unknown simulator {simulator!r}; expected 'walk' or 'graph'")
+    _log(f"running {config.replicates} {simulator} replicates at n={w.n}, threads={config.threads}")
     _map_indexed(one, config.replicates, config.threads)
-    return w, stats
+    return stats
 
 
 def _fluctuations(config: ExperimentConfig, runs):
     """For each (n, seed_path) of ``runs`` in turn, yield the walk's
     ``replicate_stats`` array at size n and its (R, 2m) fluctuation matrix y,
     in ``x_cov``'s coordinates (count_1, volume_1, count_2, ...), centred on
-    the law of the weight vector in use: (L - rho_n n) / sqrt(n) and
-    (V - theta_n n) / sqrt(n).  All laws come first, so a vector that is not
-    supercritical on the grid by its own law is refused, naming n and its
-    lambda_crit, before any replicate runs."""
-    grid, centres = config.grid(), []
+    ``w.law`` of the size's one vector w: (L - rho_n n) / sqrt(n) and
+    (V - theta_n n) / sqrt(n).  Every law is checked before any replicate
+    runs, naming n and its lambda_crit if the grid is not supercritical by
+    it, so all vectors are held at once: about 16 n bytes each."""
+    grid, drawn = config.grid(), []  # (vector, centre) per size
     for n, _ in runs:
-        law = WeightModel.empirical(_weights(config, n).weights)
+        w = _weights(config, n)
         try:
-            curves = supercritical_curves(law, grid, config.margin)
+            curves = supercritical_curves(w.law, grid, config.margin)
         except ValueError as exc:
             raise ValueError(f"n={n}: by the weight vector's own law, {exc}") from None
-        centres.append(np.stack((curves.rho, curves.theta), axis=1) * n)
-    del law, curves  # the law, also held by curves, copies the weights: free it first
-    for (n, seed_path), centre in zip(runs, centres):
-        _, stats = replicate_stats(config, n, "walk", seed_path)
+        drawn.append((w, np.stack((curves.rho, curves.theta), axis=1) * n))
+    for (n, seed_path), (w, centre) in zip(runs, drawn):
+        stats = replicate_stats(config, w, "walk", seed_path)
         y = np.subtract(stats[..., :2], centre)
         y /= np.sqrt(n)
         yield stats, y.reshape(len(stats), -1)
@@ -389,31 +394,23 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
 def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
     """Two-sample comparison of (count, volume) between the two simulators.
 
-    The same weight vector from ``weight_vector`` feeds both, with
-    independent seeds; the encoded walk and the direct graph must agree in
-    law, so every mean and variance z-score localizes a bug when it blows up.
+    One weight vector from ``weight_vector`` feeds both, with independent
+    seeds; the encoded walk and the direct graph must agree in law, so every
+    mean and variance z-score localizes a bug when it blows up.
     """
     _require_kind(config, "oracle-compare", "run_oracle_compare")
-    grid = config.grid()
-    _, walk_stats = replicate_stats(config, config.n, "walk")
-    _, graph_stats = replicate_stats(config, config.n, "graph")
+    grid, w = config.grid(), _weights(config, config.n)
+    walk_stats = replicate_stats(config, w, "walk")
+    graph_stats = replicate_stats(config, w, "graph")
 
-    mult = config.multiplier
     records = []
     for i, lam in enumerate(grid):
         for k, name in ((0, "count"), (1, "volume")):
-            xw = walk_stats[:, i, k]
-            xg = graph_stats[:, i, k]
-            mw, sew = _mean_se(xw)
-            mg, seg = _mean_se(xg)
-            records.append(
-                _record(lam, f"mean_{name}", mw, mg, sqrt(sew**2 + seg**2), mult)
-            )
-            vw, sew = _cov_se(xw, xw)
-            vg, seg = _cov_se(xg, xg)
-            records.append(
-                _record(lam, f"var_{name}", vw, vg, sqrt(sew**2 + seg**2), mult)
-            )
+            xw, xg = walk_stats[:, i, k], graph_stats[:, i, k]
+            for stat, estimate in (("mean", _mean_se), ("var", lambda x: _cov_se(x, x))):
+                (vw, sew), (vg, seg) = estimate(xw), estimate(xg)
+                records.append(_record(lam, f"{stat}_{name}", vw, vg, sqrt(sew**2 + seg**2),
+                                       config.multiplier))
     return ExperimentReport(kind=config.kind, meta=config.meta(), records=tuple(records))
 
 

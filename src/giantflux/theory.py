@@ -172,7 +172,7 @@ def psi_kernel(model: WeightModel, k: int, times) -> np.ndarray:
     return kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupercriticalCurves:
     """Tabulated (lambda, theta, rho, beta) for a model over a lambda grid."""
 
@@ -212,7 +212,7 @@ def supercritical_curves(
     return SupercriticalCurves(model=model, lambdas=grid, theta=th, rho=rh, beta=be)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitCovariance:
     """Joint covariance of the limit fluctuation pair over a lambda grid.
 

@@ -63,7 +63,7 @@ __all__ = [
 _LEVEL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkRealization:
     """One draw of clocks plus everything precomputed for per-lambda scans.
 
@@ -85,7 +85,7 @@ class WalkRealization:
     limbs: tuple[int, np.ndarray]  # (e0, L x K limb table) of the atoms
     # writable: packed keys (sorted into the clocks), classes, S_0..S_n, (L, n + 1) int64
     # limb prefix, 3 float64 scratch rows (clock draw, limb term, scan values), n + 1 scan mask
-    _buffers: tuple = field(repr=False, compare=False)
+    _buffers: tuple = field(repr=False)
 
     @property
     def n(self) -> int:

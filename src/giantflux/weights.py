@@ -44,7 +44,15 @@ def _frozen(values: Sequence[float], name: str = "weights") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _classes(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only distinct weights, ascending, and each entry's index into them."""
+    atoms, index = np.unique(weights, return_inverse=True)
+    atoms.setflags(write=False)
+    index.setflags(write=False)
+    return atoms, index
+
+
+@dataclass(frozen=True, eq=False)
 class WeightModel:
     """Distribution of a strictly positive, finite vertex weight W.
 
@@ -61,7 +69,7 @@ class WeightModel:
     kind: str
     values: np.ndarray
     probs: np.ndarray
-    source: np.ndarray | None = field(default=None, repr=False, compare=False)
+    source: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         low, high = float(self.values[0]), float(self.values[-1])  # NaN sorts last
@@ -96,8 +104,7 @@ class WeightModel:
         w = _frozen(weights, "empirical weights")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("empirical model needs a non-empty 1-d weight sequence")
-        support, counts = np.unique(w, return_counts=True)
-        return cls("empirical", _frozen(support), _frozen(counts / w.size), w)
+        return _uniform_law(w, *_classes(w))
 
     @classmethod
     def from_config(cls, config: dict) -> "WeightModel":
@@ -140,12 +147,12 @@ class WeightModel:
         return {"type": "empirical", "weights": self.source.tolist()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """A concrete length-n weight vector.
 
     ``weights`` is always a read-only float64 array (a writable input is
-    copied once), so everything derived from it can be cached.
+    copied once), so everything derived from it, ``law`` too, can be cached.
     """
 
     weights: np.ndarray
@@ -171,10 +178,12 @@ class WeightVector:
         ``atoms[index]`` reproduces ``weights`` exactly.  Computed once per
         vector: every walk realization of the vector shares it.
         """
-        atoms, index = np.unique(self.weights, return_inverse=True)
-        atoms.setflags(write=False)
-        index.setflags(write=False)
-        return atoms, index
+        return _classes(self.weights)
+
+    @cached_property
+    def law(self) -> WeightModel:
+        """The vector's own empirical law, from ``classes``; its source is ``weights``, uncopied."""
+        return _uniform_law(self.weights, *self.classes)
 
     @cached_property
     def limbs(self) -> tuple[int, np.ndarray]:
@@ -202,6 +211,11 @@ class WeightVector:
         table = (((mant >> right) << left) & np.uint64(2**31 - 1)).astype(np.int64)
         table.setflags(write=False)
         return e0, table
+
+
+def _uniform_law(weights: np.ndarray, atoms: np.ndarray, index: np.ndarray) -> WeightModel:
+    """The empirical law of ``weights`` from its classes: ``atoms``, bincount(index) / n."""
+    return WeightModel("empirical", atoms, _frozen(np.bincount(index) / weights.size), weights)
 
 
 def _limb_floats(e0: int, sums: np.ndarray) -> list[float]:

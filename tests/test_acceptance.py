@@ -17,6 +17,7 @@ from giantflux.graph_oracle import simulate_dynamic_graph
 from giantflux.harness import (
     ExperimentConfig,
     _cov_se,
+    _weights,
     replicate_stats,
     run_fclt,
     run_oracle_compare,
@@ -163,10 +164,9 @@ def test_criterion_6_endpoint_theorem():
             model=ER, lambdas=(2.0,), replicates=200, seed=20250809,
             kind="walk", n=10**5, threads=1,
         )
-        w, stats = replicate_stats(config, config.n, "walk")
-        curves_n = supercritical_curves(
-            WeightModel.empirical(w.weights), config.grid(), config.margin
-        )
+        w = _weights(config, config.n)
+        stats = replicate_stats(config, w, "walk")
+        curves_n = supercritical_curves(w.law, config.grid(), config.margin)
         g, d = stats[:, 0, 2], stats[:, 0, 3]
         # n (d - g) is the giant's volume, so the right edge's limit variance
         # is the volume's; for unit weights it is the closed-form variance

@@ -429,10 +429,26 @@ class TestErrorContract:
         monkeypatch.setattr(harness, "_map_indexed", lambda fn, count, threads: ran.append(count))
         out = tmp_path / "x.csv"
         assert _run(command, "--config", str(cfg), "--out", str(out)) == 2
-        line = self._assert_one_error_line(capsys)
+        err = capsys.readouterr().err
+        line = err.removesuffix("\n")
+        assert "\n" not in line, f"stderr holds more than the error line: {err!r}"
         assert line.startswith("[giantflux] error: n=3: by the weight vector's own law")
         assert line.endswith("(lambda_crit = 0.5)")
         assert ran == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["fclt", "walk", "graph", "compare", "converge"])
+    def test_one_weight_draw_per_size(self, tmp_path, capsys, monkeypatch, command):
+        """A run draws each size's weight vector once and hands it to every
+        replicate of both simulators; each replicate_stats call writes one
+        start line."""
+        sizes, draw = [], harness.weight_vector
+        monkeypatch.setattr(harness, "weight_vector",
+                            lambda model, n, seed: sizes.append(n) or draw(model, n, seed))
+        cfg = _write_config(tmp_path, n=50, n_list=[40, 60], replicates=5)
+        assert _run(command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")) in (0, 1)
+        assert sizes == ([40, 60] if command == "converge" else [50])
+        starts = [line for line in capsys.readouterr().err.splitlines() if " replicates at n=" in line]
+        assert len(starts) == {"compare": 2, "converge": 2}.get(command, 1), starts
 
     def test_repeated_n_list_entry(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, lambda_grid=[2.0], n=None, n_list=[50, 50], replicates=5)

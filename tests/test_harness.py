@@ -24,7 +24,7 @@ from giantflux.harness import (
 )
 from giantflux.theory import supercritical_curves, x_cov
 from giantflux.walk import giant_results, sample_clocks
-from giantflux.weights import WeightModel, weight_vector
+from giantflux.weights import WeightModel, WeightVector, weight_vector
 
 ER = WeightModel.constant(1.0)
 HALF_HALF = WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)])
@@ -40,6 +40,27 @@ def _config(**kw):
 
 def _write_three_blocks(report, path):
     harness.write_lines_atomic(path, map(str, range(3 * harness._BLOCK_LINES)))
+
+
+class TestEquality:
+    """Classes holding arrays compare by identity, so ``==`` and ``hash``
+    never reach numpy's ambiguous array truth value."""
+
+    def test_model_and_config_compare_and_hash(self):
+        a, b = (WeightModel.discrete([(1, 0.5), (2, 0.5)]) for _ in range(2))
+        assert a == a and a != b and hash(a) == hash(a)
+        config = ExperimentConfig(model=a, lambdas=(1.5,), kind="theory")
+        assert config == replace(config) and hash(config) == hash(replace(config))
+        assert config != replace(config, model=b)
+
+    def test_every_array_holder_compares_by_identity(self):
+        v = weight_vector(HALF_HALF, 20, 0)
+        curves = supercritical_curves(HALF_HALF, (1.5, 2.0))
+        for make in (lambda: weight_vector(HALF_HALF, 20, 0), lambda: WeightVector(v.weights).law,
+                     lambda: supercritical_curves(HALF_HALF, (1.5, 2.0)), lambda: x_cov(curves),
+                     lambda: sample_clocks(v, 1), lambda: simulate_dynamic_graph(v, 1, 2.0)):
+            x = make()
+            assert x == x and x != make() and hash(x) == hash(x)
 
 
 class TestConfigValidation:
@@ -258,7 +279,7 @@ class TestOracleCompare:
         with pytest.raises(ValueError, match="graph candidates per replicate"):
             _config(model=HALF_HALF, kind="oracle-compare", n=10**5, lambdas=(1.5, 700.0))
 
-    def test_compare_accepts_empirical_model(self):
+    def test_compare_accepts_empirical_model(self, monkeypatch):
         """Both simulators get the vector of weight_vector, so an empirical
         model compares like any other, iid resampled vectors included."""
         tail = 4.5
@@ -269,10 +290,16 @@ class TestOracleCompare:
         )
         report = run_oracle_compare(config)
         assert len(report.records) == 8 and report.all_passed
+        seen, runner = [], harness.replicate_stats
+        monkeypatch.setattr(harness, "replicate_stats",
+                            lambda cfg, w, simulator: seen.append(w) or runner(cfg, w, simulator))
         for n in (400, 300):
-            w_walk, _ = replicate_stats(replace(config, replicates=2), n, "walk")
-            w_graph, _ = replicate_stats(replace(config, replicates=2), n, "graph")
-            np.testing.assert_array_equal(w_walk.weights, w_graph.weights)
+            seen.clear()
+            run_oracle_compare(replace(config, n=n, replicates=2))
+            w_walk, w_graph = seen
+            assert w_walk is w_graph
+            drawn = weight_vector(config.model, n, _child_seed(config.seed, harness._TAG_WEIGHTS, n))
+            np.testing.assert_array_equal(w_walk.weights, drawn.weights)
 
 
 class TestConvergenceStudy:
@@ -322,11 +349,12 @@ class TestReplicateStats:
         config = _config(model=HALF_HALF, lambdas=lambdas, n=2000, replicates=48)
         interval = sys.getswitchinterval()
         for simulator, k in (("walk", 4), ("graph", 2)):
-            _, one = replicate_stats(config, config.n, simulator)
+            w = harness._weights(config, config.n)
+            one = replicate_stats(config, w, simulator)
             sys.setswitchinterval(1e-6)
             try:
                 for threads in (2, 4):
-                    _, many = replicate_stats(replace(config, threads=threads), config.n, simulator)
+                    many = replicate_stats(replace(config, threads=threads), w, simulator)
                     assert many.shape == (48, 5, k)
                     assert many.tobytes() == one.tobytes()
             finally:
@@ -339,16 +367,17 @@ class TestReplicateStats:
         grows by at most twice the array's 8k bytes per (replicate, lambda)."""
         lambdas = tuple(np.linspace(1.5, 3.0, 20).tolist())
         config = _config(model=HALF_HALF, lambdas=lambdas, n=200)
+        w = harness._weights(config, config.n)
 
         def traced_peak(replicates):
             tracemalloc.start()
             try:
-                replicate_stats(replace(config, replicates=replicates), config.n, simulator)
+                replicate_stats(replace(config, replicates=replicates), w, simulator)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        replicate_stats(replace(config, replicates=2), config.n, simulator)  # warm-up
+        replicate_stats(replace(config, replicates=2), w, simulator)  # warm-up
         per_entry = (traced_peak(1000) - traced_peak(100)) / (900 * len(lambdas))
         assert per_entry <= 2 * 8 * k, per_entry
 
@@ -358,7 +387,8 @@ class TestReplicateStats:
         """Row rep is, byte for byte, what the simulator returns for replicate
         rep's seed: ``giant_results`` of its clocks, or ``giant_path`` of its graph."""
         config = _config(model=HALF_HALF, lambdas=(1.5, 2.0, 3.0), n=300, replicates=6, threads=2)
-        w, stats = replicate_stats(config, config.n, simulator, seed_path)
+        w = harness._weights(config, config.n)
+        stats = replicate_stats(config, w, simulator, seed_path)
         grid = config.grid()
         for rep in range(config.replicates):
             if simulator == "walk":
@@ -371,13 +401,14 @@ class TestReplicateStats:
 
     def test_rejects_an_unknown_simulator(self):
         with pytest.raises(ValueError) as info:
-            replicate_stats(_config(), 50, "tree")
+            replicate_stats(_config(), harness._weights(_config(), 50), "tree")
         assert str(info.value) == "unknown simulator 'tree'; expected 'walk' or 'graph'"
 
     def test_excursion_inside_total_mass(self):
         """d always lies in (g, g + total mass] for every replicate."""
         config = _config(model=HALF_HALF, kind="walk", n=500, lambdas=(1.5, 3.0))
-        v, stats = replicate_stats(config, 500, "walk")
+        v = harness._weights(config, 500)
+        stats = replicate_stats(config, v, "walk")
         total_mass = float(np.sum(v.weights)) / 500
         g, d = stats[..., 2], stats[..., 3]
         assert stats.shape == (40, 2, 4)

@@ -348,3 +348,31 @@ class TestWeightVector:
             exact = sum(int(limb) << (31 * l) for l, limb in enumerate(table[:, k]))
             assert Fraction(exact) * Fraction(2) ** e0 == Fraction(atom)
         assert v.limbs is v.limbs
+
+    @pytest.mark.parametrize(
+        "model, n",
+        [
+            (HALF_HALF, 3),
+            (HALF_HALF, 2 * 10**4),
+            (WeightModel.empirical([3.0, 1.0, 1.5, 2.0, 1.0]), 5),  # its own vector
+            (WeightModel.empirical([3.0, 1.0, 1.5, 2.0, 1.0]), 50),  # iid resampled
+            # Pareto quantiles with tail exponent 3.5: all n weights distinct
+            (WeightModel.empirical((1.0 - (np.arange(400) + 0.5) / 400) ** -0.4), 400),
+        ],
+        ids=["half-half-3", "half-half-2e4", "empirical-own", "empirical-iid", "pareto"],
+    )
+    def test_law_is_the_vectors_empirical_model(self, model, n):
+        """``law`` is built from ``classes``, byte for byte the empirical model
+        of the weights (atom counts over n), keeps the weights uncopied as its
+        source and is computed once."""
+        v = weight_vector(model, n, 11)
+        law, emp = v.law, WeightModel.empirical(v.weights)
+        atoms, counts = np.unique(v.weights, return_counts=True)
+        for got in (emp, law):
+            assert got.kind == "empirical"
+            assert got.values.tobytes() == atoms.tobytes()
+            assert got.probs.tobytes() == (counts / n).tobytes()
+        assert law.values is v.classes[0]
+        assert law.source is v.weights and law is v.law
+        if model.kind == "empirical" and n == model.source.size:
+            assert law.source is model.source
