@@ -162,12 +162,15 @@ def _cmd_theory(config: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
-    ((stats, y),) = harness._fluctuations(config, [(config.n, ())])
-    # stats columns are count, volume, g, d; y's are (count, volume) per lambda
-    table = np.concatenate((stats[..., [2, 3, 1, 0]], y.reshape(stats[..., :2].shape)), axis=2)
+    ((w, centre),) = harness._centres(config, [config.n])
+    stats = harness.replicate_stats(config, w, "walk")  # count, volume, g, d
+    def tables():  # g, d, volume, count and the fluctuation pair, one replicate at a time
+        for rows in stats:
+            fluc = harness._fluctuations(rows[None, :, :2].copy(), centre, w.n)
+            yield np.concatenate((rows[:, [2, 3, 1, 0]], fluc.reshape(-1, 2)), axis=1)
     harness.write_lines_atomic(out, _table_lines(
         "replicate,lambda,g,d,volume,count,flucL,flucV",
-        "%d,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g", config.lambdas, table,
+        "%d,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g", config.lambdas, tables(),
     ))
     return 0
 

@@ -3,12 +3,12 @@
 One runner, ``replicate_stats``, serves every experiment and the CLI's
 ``walk`` and ``graph``: it runs R replicates of the walk or of the direct
 graph on the weight vector it is given (a run draws one per size, with
-``_weights``) over the config's lambda grid, and returns the giant's
-statistics as one (R, m, k) float64 array, one row per replicate.
-The experiments centre and reduce that array themselves, comparing
-empirical moments with targets computed by the theory module (never
-hardcoded numbers), using z-scores at a configurable multiple of the
-standard error.  Reports are deterministic functions of the
+``_weights``) over the config's lambda grid, and returns the k columns of
+the giant's statistics its caller reads as one (R, m, k) float64 array;
+``_fluctuations`` centres its (count, volume) pairs in place.  The
+experiments reduce these arrays against targets computed by the theory
+module (never hardcoded numbers), with z-scores at a configurable multiple
+of the standard error.  Reports are deterministic functions of the
 configuration, including the base seed: replicate seeds are derived from
 (base seed, stream tag, replicate index), and aggregation is a reduction in
 replicate-index order, so threading cannot change any result.
@@ -295,58 +295,61 @@ def _weights(config: ExperimentConfig, n: int) -> WeightVector:
 
 
 def replicate_stats(
-    config: ExperimentConfig, w: WeightVector, simulator: str, seed_path: tuple[int, ...] = ()
+    config: ExperimentConfig, w: WeightVector, simulator: str, seed_path: tuple[int, ...] = (),
+    columns: int | None = None,
 ) -> np.ndarray:
     """``config.replicates`` runs of one simulator on w over the config's grid.
 
-    Returns a float64 array of shape (R, m, k): row rep is replicate rep's
-    ``giant_results`` (``"walk"``, k = 4) or ``giant_path`` (``"graph"``,
-    k = 2).  The array is allocated once and each replicate writes its own
+    Returns a float64 array of shape (R, m, k): row rep is the leading k =
+    ``columns`` (default all) columns of replicate rep's ``giant_results``
+    (``"walk"``: count, volume, g, d) or ``giant_path`` (``"graph"``: count,
+    volume).  The array is allocated once and each replicate writes its own
     row, so memory grows with R by that array alone.  Replicate rep draws
     from ``_child_seed(config.seed, tag, *seed_path, rep)``.  The one stderr
     line of a call announces its replicates just before they start.
     """
-    grid = config.grid()
+    grid, width = config.grid(), {"walk": 4, "graph": 2}.get(simulator)
+    if width is None:
+        raise ValueError(f"unknown simulator {simulator!r}; expected 'walk' or 'graph'")
+    k = width if columns is None else columns
+    stats = np.empty((config.replicates, grid.size, k))
     if simulator == "walk":
-        stats = np.empty((config.replicates, grid.size, 4))
         held = threading.local()  # each worker's last realization, whose buffers it reuses
         def one(rep: int) -> None:
             seed = _child_seed(config.seed, _TAG_CLOCKS, *seed_path, rep)
             held.r = r = sample_clocks(w, seed, getattr(held, "r", None))
-            stats[rep] = giant_results(r, grid)
-    elif simulator == "graph":
-        stats = np.empty((config.replicates, grid.size, 2))
+            stats[rep] = giant_results(r, grid)[:, :k]
+    else:
         def one(rep: int) -> None:
             seed = _child_seed(config.seed, _TAG_GRAPH, *seed_path, rep)
-            stats[rep] = giant_path(simulate_dynamic_graph(w, seed, float(grid[-1])), grid)
-    else:
-        raise ValueError(f"unknown simulator {simulator!r}; expected 'walk' or 'graph'")
+            stats[rep] = giant_path(simulate_dynamic_graph(w, seed, float(grid[-1])), grid)[:, :k]
     _log(f"running {config.replicates} {simulator} replicates at n={w.n}, threads={config.threads}")
     _map_indexed(one, config.replicates, config.threads)
     return stats
 
 
-def _fluctuations(config: ExperimentConfig, runs):
-    """For each (n, seed_path) of ``runs`` in turn, yield the walk's
-    ``replicate_stats`` array at size n and its (R, 2m) fluctuation matrix y,
-    in ``x_cov``'s coordinates (count_1, volume_1, count_2, ...), centred on
-    ``w.law`` of the size's one vector w: (L - rho_n n) / sqrt(n) and
-    (V - theta_n n) / sqrt(n).  Every law is checked before any replicate
-    runs, naming n and its lambda_crit if the grid is not supercritical by
-    it, so all vectors are held at once: about 16 n bytes each."""
-    grid, drawn = config.grid(), []  # (vector, centre) per size
-    for n, _ in runs:
+def _centres(config: ExperimentConfig, sizes) -> list[tuple[WeightVector, np.ndarray]]:
+    """Per size n, its one weight vector w and the (m, 2) centre n (rho_n,
+    theta_n) by ``w.law``.  Every law is checked before any replicate runs,
+    naming n and its lambda_crit if the grid is not supercritical by it."""
+    grid, drawn = config.grid(), []
+    for n in sizes:
         w = _weights(config, n)
         try:
             curves = supercritical_curves(w.law, grid, config.margin)
         except ValueError as exc:
             raise ValueError(f"n={n}: by the weight vector's own law, {exc}") from None
         drawn.append((w, np.stack((curves.rho, curves.theta), axis=1) * n))
-    for (n, seed_path), (w, centre) in zip(runs, drawn):
-        stats = replicate_stats(config, w, "walk", seed_path)
-        y = np.subtract(stats[..., :2], centre)
-        y /= np.sqrt(n)
-        yield stats, y.reshape(len(stats), -1)
+    return drawn
+
+
+def _fluctuations(stats: np.ndarray, centre: np.ndarray, n: int) -> np.ndarray:
+    """The (R, 2m) fluctuation matrix, in ``x_cov``'s coordinates (count_1,
+    volume_1, count_2, ...): a view of the (R, m, 2) runner array ``stats``,
+    centred on ``_centres``' centre and scaled by 1/sqrt(n) in place."""
+    stats -= centre
+    stats /= np.sqrt(n)
+    return stats.reshape(len(stats), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +372,8 @@ def run_fclt(config: ExperimentConfig) -> ExperimentReport:
     _require_kind(config, "fclt", "run_fclt")
     grid = config.grid()
     matrix = x_cov(supercritical_curves(config.model, grid, config.margin)).matrix
-    ((_, y),) = _fluctuations(config, [(config.n, ())])
+    ((w, centre),) = _centres(config, [config.n])
+    y = _fluctuations(replicate_stats(config, w, "walk", columns=2), centre, w.n)
 
     rows = []  # (lambda, stat, a, b): the mean of column a when b is None
     for i, lam in enumerate(grid):
@@ -400,7 +404,7 @@ def run_oracle_compare(config: ExperimentConfig) -> ExperimentReport:
     """
     _require_kind(config, "oracle-compare", "run_oracle_compare")
     grid, w = config.grid(), _weights(config, config.n)
-    walk_stats = replicate_stats(config, w, "walk")
+    walk_stats = replicate_stats(config, w, "walk", columns=2)
     graph_stats = replicate_stats(config, w, "graph")
 
     records = []
@@ -424,12 +428,12 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentReport:
     grid = config.grid()
     matrix = x_cov(supercritical_curves(config.model, grid, config.margin)).matrix
     records = []
-    runs = [(n, (n_idx,)) for n_idx, n in enumerate(config.n_list)]
-    for (n, _), (_, y) in zip(runs, _fluctuations(config, runs)):
+    for n_idx, (w, centre) in enumerate(_centres(config, config.n_list)):
+        y = _fluctuations(replicate_stats(config, w, "walk", (n_idx,), columns=2), centre, w.n)
         for i, lam in enumerate(grid):
             for name, a in (("count", 2 * i), ("volume", 2 * i + 1)):
                 var, _ = _cov_se(y[:, a], y[:, a])
-                records.append(_record(lam, f"abs_var_err_{name}[n={n}]", abs(var - matrix[a, a]),
+                records.append(_record(lam, f"abs_var_err_{name}[n={w.n}]", abs(var - matrix[a, a]),
                                        0.0, nan, multiplier=None))
     return ExperimentReport(kind=config.kind, meta=config.meta(), records=tuple(records))
 

@@ -44,23 +44,15 @@ def _frozen(values: Sequence[float], name: str = "weights") -> np.ndarray:
     return arr
 
 
-def _classes(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only distinct weights, ascending, and each entry's index into them."""
-    atoms, index = np.unique(weights, return_inverse=True)
-    atoms.setflags(write=False)
-    index.setflags(write=False)
-    return atoms, index
-
-
 @dataclass(frozen=True, eq=False)
 class WeightModel:
     """Distribution of a strictly positive, finite vertex weight W.
 
     ``kind`` is one of ``constant``, ``discrete``, ``empirical``.  Every kind
     is stored alike: ``values`` holds the K distinct atoms in ascending order
-    and ``probs`` their probabilities.  An ``empirical`` model also keeps its
-    source vector in ``source``, for the config round trip and for
-    ``weight_vector``.  Build instances through the classmethods; they
+    and ``probs`` their probabilities.  An ``empirical`` model is the law of
+    the ``WeightVector`` it keeps in ``vector``, for the config round trip and
+    for ``weight_vector``.  Build instances through the classmethods; they
     validate probability normalization, and every construction checks that
     the atoms are > 0 and the largest one's square is a finite float (w_max
     below about 1.34e154), which keeps E[W^2], n w_max and w_max^2 finite.
@@ -69,7 +61,7 @@ class WeightModel:
     kind: str
     values: np.ndarray
     probs: np.ndarray
-    source: np.ndarray | None = field(default=None, repr=False)
+    vector: WeightVector | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         low, high = float(self.values[0]), float(self.values[-1])  # NaN sorts last
@@ -100,11 +92,8 @@ class WeightModel:
 
     @classmethod
     def empirical(cls, weights: Sequence[float]) -> "WeightModel":
-        """Uniform law over an explicit, non-empty weight vector: atom counts over n."""
-        w = _frozen(weights, "empirical weights")
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("empirical model needs a non-empty 1-d weight sequence")
-        return _uniform_law(w, *_classes(w))
+        """The law of the explicit weight vector, atom counts over n, keeping the vector."""
+        return WeightVector(_frozen(weights, "empirical weights")).law
 
     @classmethod
     def from_config(cls, config: dict) -> "WeightModel":
@@ -144,7 +133,7 @@ class WeightModel:
                 "type": "discrete",
                 "atoms": [[float(w), float(p)] for w, p in zip(self.values, self.probs)],
             }
-        return {"type": "empirical", "weights": self.source.tolist()}
+        return {"type": "empirical", "weights": self.vector.weights.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +153,9 @@ class WeightVector:
             object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size == 0:
             raise ValueError(f"weight vector must be non-empty and 1-d, got shape {w.shape}")
-        if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("weight vector entries must all be finite and > 0")
+        ok = (w > 0.0) & np.isfinite(w)
+        if not ok.all():
+            raise ValueError(f"weight vector entries must all be finite and > 0, got {w[~ok][0]}")
 
     @property
     def n(self) -> int:
@@ -175,15 +165,19 @@ class WeightVector:
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct weights (``atoms``, ascending) and each vertex's index into them.
 
-        ``atoms[index]`` reproduces ``weights`` exactly.  Computed once per
-        vector: every walk realization of the vector shares it.
+        ``atoms[index]`` reproduces ``weights`` exactly.  Both are read-only and
+        computed once per vector: every walk realization of the vector shares them.
         """
-        return _classes(self.weights)
+        atoms, index = np.unique(self.weights, return_inverse=True)
+        atoms.setflags(write=False)
+        index.setflags(write=False)
+        return atoms, index
 
     @cached_property
     def law(self) -> WeightModel:
-        """The vector's own empirical law, from ``classes``; its source is ``weights``, uncopied."""
-        return _uniform_law(self.weights, *self.classes)
+        """The vector's own empirical law, from ``classes``; its ``vector`` is this one."""
+        atoms, index = self.classes
+        return WeightModel("empirical", atoms, _frozen(np.bincount(index) / self.n), self)
 
     @cached_property
     def limbs(self) -> tuple[int, np.ndarray]:
@@ -211,11 +205,6 @@ class WeightVector:
         table = (((mant >> right) << left) & np.uint64(2**31 - 1)).astype(np.int64)
         table.setflags(write=False)
         return e0, table
-
-
-def _uniform_law(weights: np.ndarray, atoms: np.ndarray, index: np.ndarray) -> WeightModel:
-    """The empirical law of ``weights`` from its classes: ``atoms``, bincount(index) / n."""
-    return WeightModel("empirical", atoms, _frozen(np.bincount(index) / weights.size), weights)
 
 
 def _limb_floats(e0: int, sums: np.ndarray) -> list[float]:
@@ -269,14 +258,14 @@ def weight_vector(model: WeightModel, n: int, seed: int) -> WeightVector:
     A constant or discrete law gives its quantile vector w_j =
     F^{-1}((j - 1/2)/n), which reproduces the law's moments without sampling
     noise; midpoint levels avoid evaluating F^{-1} at 0 or 1.  An empirical
-    law's source vector is used as-is when its length is n, and otherwise
-    resampled by n iid draws from ``default_rng(seed)``.
+    law's own ``vector`` is returned itself when its length is n, and
+    otherwise resampled by n iid draws from ``default_rng(seed)``.
     """
     if model.kind == "empirical":
-        if n == model.source.size:
-            return WeightVector(model.source)
+        if n == model.vector.n:
+            return model.vector
         rng = np.random.default_rng(seed)
-        return WeightVector(model.source[rng.integers(0, model.source.size, size=n)])
+        return WeightVector(model.vector.weights[rng.integers(0, model.vector.n, size=n)])
     cum = np.cumsum(model.probs)
     cum[-1] = 1.0  # guard against the probability sum rounding below 1
     levels = (np.arange(1, n + 1) - 0.5) / n

@@ -636,6 +636,31 @@ class TestStreamedOutput:
             assert sum(1 for _ in fh) == 1 + 1000 * 100
         assert peak < 10 * 10**6, peak
 
+    def test_walk_table_grows_by_the_runner_array_alone(self, tmp_path, monkeypatch):
+        """``walk`` streams its rows from the runner's (R, m, 4) array and
+        centres one replicate at a time: from R = 100 to R = 1000 the traced
+        peak grows by at most twice that array's 32 bytes per (replicate,
+        lambda).  Blocks of one replicate's 20 lines keep the text of a block,
+        full at either R, out of the difference."""
+        grid = {"min": 1.5, "max": 3.0, "points": 20}
+        monkeypatch.setattr(harness, "_BLOCK_LINES", 20)
+
+        def traced_peak(replicates):
+            cfg = _write_config(tmp_path, model=_HALF_HALF, lambda_grid=grid, n=200,
+                                replicates=replicates)
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    assert _run("walk", "--config", str(cfg), "--out", str(tmp_path / "walk.csv"),
+                                "--threads", "1") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(2)  # warm-up
+        per_entry = (traced_peak(1000) - traced_peak(100)) / (900 * 20)
+        assert per_entry <= 2 * 8 * 4, per_entry
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -772,6 +797,15 @@ class TestGolden:
     @pytest.mark.parametrize("name", list(_DIGESTS))
     def test_digest(self, tmp_path, name):
         assert _golden_run(tmp_path, name) == _DIGESTS[name]
+
+    def test_empirical_model_is_sorted_once(self, tmp_path, monkeypatch):
+        """An empirical model keeps the vector it was built from, so at its own
+        length the run reuses that vector's classes: ``fclt-pareto`` sorts its
+        400 weights with one ``np.unique`` call, and its bytes do not move."""
+        calls, unique = [], np.unique  # the numpy that giantflux.weights sorts with
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+        assert _golden_run(tmp_path, "fclt-pareto") == _DIGESTS["fclt-pareto"]
+        assert len(calls) == 1
 
 
 def test_readme_documents_every_config_field():

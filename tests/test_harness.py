@@ -189,7 +189,8 @@ class TestFclt:
         config = _config(model=HALF_HALF, lambdas=grid)
         report = run_fclt(config)
         matrix = x_cov(supercritical_curves(HALF_HALF, grid)).matrix
-        ((_, y),) = harness._fluctuations(config, [(config.n, ())])
+        ((w, centre),) = harness._centres(config, [config.n])
+        y = harness._fluctuations(replicate_stats(config, w, "walk", columns=2), centre, w.n)
         assert y.shape == (config.replicates, 2 * len(grid))
         expected = []
         for i, lam in enumerate(grid):
@@ -291,8 +292,8 @@ class TestOracleCompare:
         report = run_oracle_compare(config)
         assert len(report.records) == 8 and report.all_passed
         seen, runner = [], harness.replicate_stats
-        monkeypatch.setattr(harness, "replicate_stats",
-                            lambda cfg, w, simulator: seen.append(w) or runner(cfg, w, simulator))
+        monkeypatch.setattr(harness, "replicate_stats", lambda cfg, w, *args, **kw:
+                            seen.append(w) or runner(cfg, w, *args, **kw))
         for n in (400, 300):
             seen.clear()
             run_oracle_compare(replace(config, n=n, replicates=2))
@@ -380,6 +381,36 @@ class TestReplicateStats:
         replicate_stats(replace(config, replicates=2), w, simulator)  # warm-up
         per_entry = (traced_peak(1000) - traced_peak(100)) / (900 * len(lambdas))
         assert per_entry <= 2 * 8 * k, per_entry
+
+    def test_fclt_memory_grows_by_the_columns_it_reads(self):
+        """``run_fclt`` asks the runner for (count, volume) alone and centres
+        them in place: from R = 100 to R = 1000 its traced peak grows by at
+        most twice those 2 columns' 16 bytes per (replicate, lambda)."""
+        lambdas = tuple(np.linspace(1.5, 3.0, 20).tolist())
+        config = _config(model=HALF_HALF, lambdas=lambdas, n=200)
+
+        def traced_peak(replicates):
+            tracemalloc.start()
+            try:
+                run_fclt(replace(config, replicates=replicates))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_fclt(replace(config, replicates=2))  # warm-up
+        per_entry = (traced_peak(1000) - traced_peak(100)) / (900 * len(lambdas))
+        assert per_entry <= 2 * 8 * 2, per_entry
+
+    @pytest.mark.parametrize("simulator, width", [("walk", 4), ("graph", 2)])
+    def test_keeps_the_leading_columns(self, simulator, width):
+        """``columns`` keeps the leading columns of every row, bit for bit."""
+        config = _config(model=HALF_HALF, lambdas=(1.5, 3.0), n=200, replicates=5)
+        w = harness._weights(config, config.n)
+        full = replicate_stats(config, w, simulator)
+        for k in range(1, width + 1):
+            kept = replicate_stats(config, w, simulator, columns=k)
+            assert kept.shape == (5, 2, k)
+            assert kept.tobytes() == np.ascontiguousarray(full[..., :k]).tobytes()
 
     @pytest.mark.parametrize("simulator", ["walk", "graph"])
     @pytest.mark.parametrize("seed_path", [(), (1,)])

@@ -286,14 +286,14 @@ class TestFiniteSupport:
         model = WeightModel.empirical([2.0, 1.0, 2.0, 2.0])
         np.testing.assert_array_equal(model.values, [1.0, 2.0])
         np.testing.assert_array_equal(model.probs, [0.25, 0.75])
-        np.testing.assert_array_equal(model.source, [2.0, 1.0, 2.0, 2.0])
+        np.testing.assert_array_equal(model.vector.weights, [2.0, 1.0, 2.0, 2.0])
         assert model.to_config() == {"type": "empirical", "weights": [2.0, 1.0, 2.0, 2.0]}
 
     def test_discrete_atoms_sorted_and_merged(self):
         model = WeightModel.discrete([(2.0, 0.25), (1.0, 0.5), (2.0, 0.25)])
         np.testing.assert_array_equal(model.values, [1.0, 2.0])
         np.testing.assert_array_equal(model.probs, [0.5, 0.5])
-        assert model.source is None
+        assert model.vector is None
 
     def test_iid_resamples_the_source_vector(self):
         source = np.array([3.0, 1.0, 1.0, 2.0, 1.0])
@@ -363,8 +363,8 @@ class TestWeightVector:
     )
     def test_law_is_the_vectors_empirical_model(self, model, n):
         """``law`` is built from ``classes``, byte for byte the empirical model
-        of the weights (atom counts over n), keeps the weights uncopied as its
-        source and is computed once."""
+        of the weights (atom counts over n), keeps the vector itself, and is
+        computed once; at an empirical model's own length it is the model's."""
         v = weight_vector(model, n, 11)
         law, emp = v.law, WeightModel.empirical(v.weights)
         atoms, counts = np.unique(v.weights, return_counts=True)
@@ -373,6 +373,6 @@ class TestWeightVector:
             assert got.values.tobytes() == atoms.tobytes()
             assert got.probs.tobytes() == (counts / n).tobytes()
         assert law.values is v.classes[0]
-        assert law.source is v.weights and law is v.law
-        if model.kind == "empirical" and n == model.source.size:
-            assert law.source is model.source
+        assert law.vector is v and law is v.law
+        if model.kind == "empirical" and n == model.vector.n:
+            assert v is model.vector
