@@ -138,13 +138,15 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _table_lines(header: str, template: str, lambdas, table: np.ndarray):
-    """``header``, then ``template % (index, lambda, *values)`` for each index
-    and lambda of an (R, m, k) table, one replicate's rows at a time."""
+    """``header``, then one item per index i of an (R, m, k) table: its m rows
+    ``i,lambda,template % values``, joined by newlines and formatted by one
+    ``%`` over the replicate's values (``%d`` fields take the floats too)."""
     yield header
-    labels = ["%.17g" % lam for lam in lambdas]
-    for i, rows in enumerate(table):
-        for lam, values in zip(labels, rows.tolist()):
-            yield template % (i, lam, *values)
+    # a label is %.17g of a finite float, so it holds no "%" to escape
+    rows = ["%.17g,%s" % (lam, template) for lam in lambdas]
+    for i, values in enumerate(table):
+        head = "%d," % i
+        yield (head + ("\n" + head).join(rows)) % tuple(values.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,7 @@ def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
             yield np.concatenate((rows[:, [2, 3, 1, 0]], fluc.reshape(-1, 2)), axis=1)
     harness.write_lines_atomic(out, _table_lines(
         "replicate,lambda,g,d,volume,count,flucL,flucV",
-        "%d,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g", config.lambdas, tables(),
+        "%.17g,%.17g,%.17g,%d,%.17g,%.17g", config.lambdas, tables(),
     ))
     return 0
 
@@ -178,7 +180,7 @@ def _cmd_walk(config: ExperimentConfig, out: Path) -> int:
 def _cmd_graph(config: ExperimentConfig, out: Path) -> int:
     stats = harness.replicate_stats(config, harness._weights(config, config.n), "graph")
     harness.write_lines_atomic(
-        out, _table_lines("replicate,lambda,L,V", "%d,%s,%d,%.17g", config.lambdas, stats)
+        out, _table_lines("replicate,lambda,L,V", "%d,%.17g", config.lambdas, stats)
     )
     return 0
 
@@ -188,7 +190,7 @@ def _cmd_limit(config: ExperimentConfig, out: Path) -> int:
     _log(f"sampling {config.draws} limit draws on {len(curves)} grid points")
     x0, x1 = sample_x_path(curves, config.draws, config.seed)
     harness.write_lines_atomic(out, _table_lines(
-        "draw,lambda,x0,x1", "%d,%s,%.17g,%.17g", curves.lambdas, np.stack((x0, x1), axis=2)
+        "draw,lambda,x0,x1", "%.17g,%.17g", curves.lambdas, np.stack((x0, x1), axis=2)
     ))
     return 0
 

@@ -20,9 +20,8 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from math import copysign, inf, isfinite, nan, sqrt
 from pathlib import Path
 
@@ -277,6 +276,8 @@ def _record(lam, stat, empirical, target, se, multiplier) -> ReportRecord:
 def _map_indexed(fn, count: int, threads: int) -> None:
     """Run fn(0), ..., fn(count - 1); each task writes its own rows and returns nothing."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a run with workers pays its import
+
         with ThreadPoolExecutor(max_workers=min(threads, count)) as pool:
             for _ in pool.map(fn, range(count)):
                 pass
@@ -454,10 +455,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # report emission
 
-# lines per ``write`` call of ``write_lines_atomic``: memory stays flat as a file grows
-_BLOCK_LINES = 4096
-
-
 def write_report_csv(report: ExperimentReport, path) -> None:
     passed = {None: "", True: "true", False: "false"}
     rows = ("%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s" % (
@@ -471,17 +468,17 @@ def write_report_json(report: ExperimentReport, path) -> None:
 
 
 def write_lines_atomic(path, lines) -> None:
-    """Stream ``lines``, each ended by a newline, ``_BLOCK_LINES`` at a time
-    into a temporary file beside ``path``; ``os.replace`` then swaps it in, so
+    """Write each item of ``lines``, ended by a newline, as it arrives into a
+    temporary file beside ``path`` (the file buffer batches small items, and
+    memory holds one item at a time); ``os.replace`` then swaps it in, so
     ``path`` holds either its old bytes or all the new ones.  A failed write,
     or ``lines`` raising, removes the temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    lines = iter(lines)
     try:
         with open(tmp, "x") as fh:
-            while block := list(islice(lines, _BLOCK_LINES)):
-                fh.write("\n".join(block) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

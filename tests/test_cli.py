@@ -636,14 +636,13 @@ class TestStreamedOutput:
             assert sum(1 for _ in fh) == 1 + 1000 * 100
         assert peak < 10 * 10**6, peak
 
-    def test_walk_table_grows_by_the_runner_array_alone(self, tmp_path, monkeypatch):
+    def test_walk_table_grows_by_the_runner_array_alone(self, tmp_path):
         """``walk`` streams its rows from the runner's (R, m, 4) array and
         centres one replicate at a time: from R = 100 to R = 1000 the traced
         peak grows by at most twice that array's 32 bytes per (replicate,
-        lambda).  Blocks of one replicate's 20 lines keep the text of a block,
-        full at either R, out of the difference."""
+        lambda).  Each replicate's 20 rows are written as they are formatted,
+        so the text of one replicate, the same at either R, is all that is held."""
         grid = {"min": 1.5, "max": 3.0, "points": 20}
-        monkeypatch.setattr(harness, "_BLOCK_LINES", 20)
 
         def traced_peak(replicates):
             cfg = _write_config(tmp_path, model=_HALF_HALF, lambda_grid=grid, n=200,
@@ -660,6 +659,60 @@ class TestStreamedOutput:
         traced_peak(2)  # warm-up
         per_entry = (traced_peak(1000) - traced_peak(100)) / (900 * 20)
         assert per_entry <= 2 * 8 * 4, per_entry
+
+
+_INTEGRAL = st.one_of(
+    st.sampled_from([-0.0, 0.0, 3.0, -7.0, 1e300, -1e300, 2.0**53 + 2]),
+    st.integers(-(10**6), 10**6).map(float),
+)
+_REAL = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_LABELS = st.one_of(
+    st.sampled_from([1e-05, 1e16, 1.0000000000000002, 0.0, 1.5, 2.0, 1e-300]),
+    st.floats(0.0, 1e20),
+)
+
+
+@st.composite
+def _tables(draw):
+    """(lambdas, value template, table): R in 1..3, m in 1..4, k in 1..3 columns,
+    each %d (integral floats) or %.17g (any finite float)."""
+    lambdas = draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True))
+    specs = draw(st.lists(st.sampled_from(["%d", "%.17g"]), min_size=1, max_size=3))
+    rows = st.tuples(*(_INTEGRAL if f == "%d" else _REAL for f in specs))
+    table = draw(st.lists(st.lists(rows, min_size=len(lambdas), max_size=len(lambdas)),
+                          min_size=1, max_size=3))
+    return lambdas, ",".join(specs), np.array(table, dtype=np.float64)
+
+
+class TestTableLines:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_tables())
+    @example(([1e-05, 1e16], "%.17g,%d", np.array([[[-0.0, 1e300], [5e-324, -0.0]],
+                                                   [[1e-300, 2.0], [-1e300, 7.0]]])))
+    @example(([1.0000000000000002], "%d", np.array([[[1e300]], [[-3.0]], [[0.0]]])))
+    def test_blocks_match_the_per_row_reference(self, case):
+        """One ``%`` per replicate writes the bytes of ``template % (i,
+        label, *row)`` row by row: every index and label in its own row."""
+        lambdas, template, table = case
+        reference = [
+            ("%d,%s," + template) % (i, "%.17g" % lam, *row)
+            for i, rows in enumerate(table.tolist()) for lam, row in zip(lambdas, rows)
+        ]
+        got = "\n".join(cli._table_lines("head", template, lambdas, table))
+        assert got == "\n".join(["head", *reference])
+
+
+def test_import_leaves_thread_pool_out():
+    """A run at one worker never needs ``concurrent.futures``, so importing the
+    CLI does not pay for it; ``_map_indexed`` imports it when workers start."""
+    env = dict(os.environ, PYTHONPATH=str(Path(giantflux.__file__).parents[1]))
+    probe = "import sys, giantflux.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestDeterminism:

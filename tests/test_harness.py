@@ -39,7 +39,7 @@ def _config(**kw):
 
 
 def _write_three_blocks(report, path):
-    harness.write_lines_atomic(path, map(str, range(3 * harness._BLOCK_LINES)))
+    harness.write_lines_atomic(path, map(str, range(3 * 4096)))
 
 
 class TestEquality:
@@ -511,7 +511,7 @@ class TestReportEmission:
         path.write_text("old contents\n")
 
         def lines():
-            yield from map(str, range(harness._BLOCK_LINES + 1))
+            yield from map(str, range(4096 + 1))
             raise ValueError("bad row")
 
         with pytest.raises(ValueError, match="bad row"):
@@ -521,8 +521,8 @@ class TestReportEmission:
 
     def test_multi_block_output_is_complete(self, tmp_path):
         path = tmp_path / "table.csv"
-        harness.write_lines_atomic(path, map(str, range(2 * harness._BLOCK_LINES + 1)))
-        assert path.read_text() == "".join(f"{i}\n" for i in range(2 * harness._BLOCK_LINES + 1))
+        harness.write_lines_atomic(path, map(str, range(2 * 4096 + 1)))
+        assert path.read_text() == "".join(f"{i}\n" for i in range(2 * 4096 + 1))
 
     def test_dispatcher_routes_by_kind(self):
         report = run_experiment(_config(replicates=10))
