@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .harness import COMMAND_KINDS, MAX_THREADS, ExperimentConfig, _log
+from .harness import COMMAND_KINDS, MAX_GRID, MAX_THREADS, ExperimentConfig, _log
 from .limit_sampler import sample_x_path
 from .theory import ConvergenceError, supercritical_curves, x_cov
 from .weights import WeightModel
@@ -77,8 +77,12 @@ def _parse_grid(raw) -> tuple[float, ...]:
         points = _int_field("lambda_grid.points", raw["points"])
         if points < 1:
             raise ConfigError("lambda_grid points must be >= 1")
+        if points > MAX_GRID:
+            raise ConfigError(f"lambda_grid points must be <= MAX_GRID = {MAX_GRID}, got {points}")
         lo = _float_field("lambda_grid.min", raw["min"])
         hi = _float_field("lambda_grid.max", raw["max"])
+        if not isfinite(hi - lo):
+            raise ConfigError(f"lambda_grid max - min must be a finite float, got {hi!r} - {lo!r}")
         return tuple(np.linspace(lo, hi, points).tolist())
     if isinstance(raw, list) and raw:
         return tuple(_float_field("lambda_grid", x) for x in raw)

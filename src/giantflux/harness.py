@@ -38,6 +38,7 @@ __all__ = [
     "ReportRecord",
     "COMMAND_KINDS",
     "MAX_N",
+    "MAX_GRID",
     "MAX_THREADS",
     "run_fclt",
     "run_oracle_compare",
@@ -62,6 +63,9 @@ _COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 # already needs gigabytes, and more would fail inside numpy with a message
 # naming no field
 MAX_N = 10**8
+
+# largest lambda grid: its 2m x 2m limit covariance holds (2m)^2 <= MAX_N entries
+MAX_GRID = 5000
 
 # largest worker count: each worker is an OS thread holding its own n-length
 # buffers, and a thread the system cannot start would fail mid-run
@@ -107,9 +111,11 @@ class ExperimentConfig:
         grid = self.grid()
         if grid.size == 0:
             raise ValueError("lambda_grid must be non-empty")
+        if grid.size > MAX_GRID:
+            raise ValueError(f"lambda_grid has {grid.size} points, more than MAX_GRID = {MAX_GRID}")
         if not np.all(np.isfinite(grid)):
             raise ValueError("lambda_grid entries must be finite")
-        if np.any(np.diff(grid) <= 0.0):
+        if np.any(grid[1:] <= grid[:-1]):
             raise ValueError("lambda_grid must be strictly ascending")
         if not self.margin >= 0.0:
             raise ValueError(f"margin must be >= 0, got {self.margin}")

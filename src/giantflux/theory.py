@@ -60,8 +60,12 @@ class ConvergenceError(RuntimeError):
 
 
 def lambda_crit(model: WeightModel) -> float:
-    """Critical edge-intensity parameter, 1 / E[W^2]."""
-    return 1.0 / mixed_moment(model, 2, 0.0)
+    """Critical edge-intensity parameter, 1 / E[W^2]; refused where that is not a finite float."""
+    second = mixed_moment(model, 2, 0.0)
+    crit = 1.0 / second if second > 0.0 else np.inf
+    if crit == np.inf:
+        raise ValueError(f"E[W^2] = {second!r} is too small: lambda_crit = 1 / E[W^2] overflows a float")
+    return crit
 
 
 def require_supercritical(model: WeightModel, lambdas, margin: float = DEFAULT_MARGIN) -> float:

@@ -56,6 +56,8 @@ class WeightModel:
     validate probability normalization, and every construction checks that
     the atoms are > 0 and the largest one's square is a finite float (w_max
     below about 1.34e154), which keeps E[W^2], n w_max and w_max^2 finite.
+    Nothing bounds the atoms below, but ``theory.lambda_crit`` refuses a law
+    whose 1 / E[W^2] overflows (a constant weight below about 7.5e-155).
     """
 
     kind: str

@@ -212,7 +212,7 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
             total = fsum(d - g for _, _, g, d in all_excursions(r, lam))
             assert total == pytest.approx(r.total_mass, rel=1e-9)
 
-        # union-find conserves counts and volumes at every grid point
+        # the oracle's hook-and-shortcut labels conserve counts and volumes at every grid point
         v = weight_vector(HALF_HALF, 80, 0)
         graph = simulate_dynamic_graph(v, 20250809, lam_max=3.0)
         for lam in (0.0, 1.0, 3.0):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import giantflux
 from giantflux import cli, harness
 from giantflux.cli import dispatch
-from giantflux.harness import MAX_N
+from giantflux.harness import MAX_GRID, MAX_N
 from giantflux.theory import lambda_crit, supercritical_curves, x_cov
 from giantflux.weights import WeightModel
 
@@ -293,22 +293,29 @@ class TestErrorContract:
         assert _run("theory", "--config", str(cfg), "--out", str(out)) == 2
         self._assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize(
-        "command, overrides",
-        [
-            ("theory", dict(lambda_grid={"min": 1.5, "max": 3.0, "points": 10**15})),
-            ("limit", dict(draws=10**15)),
-        ],
-    )
-    def test_array_too_large_to_allocate(self, tmp_path, capsys, command, overrides):
-        """Petabyte arrays: every allocator refuses them before touching memory."""
-        cfg = _write_config(tmp_path, **overrides)
+    def test_array_too_large_to_allocate(self, tmp_path, capsys):
+        """A petabyte array: every allocator refuses it before touching memory."""
+        cfg = _write_config(tmp_path, draws=10**15)
         out = tmp_path / "x.csv"
-        assert _run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert _run("limit", "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
         lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
         assert len(lines) == 1 and "Unable to allocate" in lines[0], err
         assert not out.exists()
+
+    def test_grid_longer_than_max_grid(self, tmp_path, capsys):
+        """Either grid form is refused above MAX_GRID before any array is built."""
+        out = tmp_path / "x.csv"
+        for grid, message in (
+            ({"min": 1.5, "max": 3.0, "points": 10**15},
+             f"lambda_grid points must be <= MAX_GRID = {MAX_GRID}, got {10**15}"),
+            (np.linspace(1.5, 3.0, MAX_GRID + 1).tolist(),
+             f"lambda_grid has {MAX_GRID + 1} points, more than MAX_GRID = {MAX_GRID}"),
+        ):
+            cfg = _write_config(tmp_path, lambda_grid=grid)
+            assert _run("theory", "--config", str(cfg), "--out", str(out)) == 2
+            assert capsys.readouterr().err.splitlines() == [f"[giantflux] error: {message}"]
+            assert not out.exists()
 
 
     @pytest.mark.parametrize(
@@ -590,6 +597,12 @@ class TestConfigFuzz:
         mutations=st.lists(st.tuples(st.sampled_from(_PATHS), _VALUES), min_size=1, max_size=3),
     )
     @example(command="theory", mutations=[(("model", "atoms"), [[1.0]])])
+    @example(command="theory", mutations=[(("lambda_grid", "points"), 2**63)])
+    @example(command="theory", mutations=[(("lambda_grid", "points"), 10**8)])
+    @example(command="theory", mutations=[(("lambda_grid",), {"min": -1e308, "max": 1.7e308,
+                                                              "points": 3})])
+    @example(command="graph", mutations=[(("lambda_grid",), [-1.7e308, 1.7e308])])
+    @example(command="theory", mutations=[(("model",), {"type": "constant", "c": 1e-200})])
     def test_mutated_config_exits_cleanly(self, command, mutations):
         config = json.loads(json.dumps(_FUZZ_BASE[command]))
         for path, value in mutations:
