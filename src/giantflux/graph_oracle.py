@@ -163,7 +163,8 @@ def _merge(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _label_volumes(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Each label's exact volume sum_l sums[l, label] << 31 l in units of
-    2**e0, from ``table``, the (L, n) ``WeightVector.limbs`` of the vertices.
+    2**e0, from ``table``, the (L, n) ``WeightVector.limbs`` of the vertices
+    as int64 (a narrower table would make ``np.add.at`` cast every call).
     The int64 sums are exact up to 2**32 vertices; each carry is moved up a
     limb, so rows l < L - 1 lie in [0, 2**31) and labels compare limb by limb."""
     sums = np.zeros(table.shape, dtype=np.int64)
@@ -195,7 +196,7 @@ def giant_path(r: DynamicGraphRealization, lambdas) -> np.ndarray:
         raise ValueError("lambda grid must be ascending")
     ends = _prefix_ends(r, grid)
     e0, limbs = r.w.limbs
-    table = limbs[:, r.w.classes[1]]
+    table = limbs.astype(np.int64)[:, r.w.classes[1]]
     labels = np.arange(r.n)
     giants = np.empty((grid.size, 2))
     for giant, start, stop in zip(giants, [0] + ends, ends):

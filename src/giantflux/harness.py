@@ -29,8 +29,8 @@ import numpy as np
 
 from .graph_oracle import candidate_probability, giant_path, simulate_dynamic_graph
 from .theory import DEFAULT_MARGIN, require_supercritical, supercritical_curves, x_cov
-from .walk import giant_results, sample_clocks
-from .weights import WeightModel, WeightVector, weight_vector
+from .walk import _buffer_bytes, giant_results, sample_clocks
+from .weights import WeightModel, WeightVector, _index_dtype, _limb_dtype, weight_vector
 
 __all__ = [
     "ExperimentConfig",
@@ -58,10 +58,11 @@ COMMAND_KINDS = {
 _COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 
 # largest vertex count a config may ask for, and largest expected candidate
-# count of one direct-graph replicate: the walk holds a few float64 arrays of
-# length n per worker and the graph a few of length candidates, so 10**8
-# already needs gigabytes, and more would fail inside numpy with a message
-# naming no field
+# count of one direct-graph replicate: more would fail inside numpy with a
+# message naming no field.  A walk worker holds 46 bytes per vertex for the
+# half-half law (walk._buffer_bytes), 4.6 GB at 10**8, so a walk run is also
+# refused when its buffers, vectors and runner array exceed the machine's
+# physical memory (ExperimentConfig._require_memory)
 MAX_N = 10**8
 
 # largest lambda grid: its 2m x 2m limit covariance holds (2m)^2 <= MAX_N entries
@@ -161,6 +162,44 @@ class ExperimentConfig:
         if not (isfinite(self.multiplier) and self.multiplier > 0.0):
             raise ValueError(
                 f"tolerance_multiplier must be finite and > 0, got {self.multiplier}"
+            )
+        if command in ("walk", "fclt", "compare"):
+            self._require_memory((self.n,), command)
+        elif command == "converge":
+            self._require_memory(self.n_list, command)
+
+    def _require_memory(self, sizes, command: str) -> None:
+        """Refuse a walk run whose arrays cannot fit in physical memory.
+
+        Each of min(threads, replicates) workers holds the buffers of one
+        realization of the largest size (``walk._buffer_bytes``), every
+        size's weight vector is held at once with its classes, law and limb
+        table, and the runner holds its (R, m, k) float64 array (compare:
+        two of k = 2).  Widths follow the model's atoms, a superset of every
+        vector's: a subset of one-limb atoms has no larger limb values, and
+        a wider table is taken at its largest possible limb value.
+        """
+        try:
+            available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # no sysconf: nothing to bound by
+            return
+        classes = self.model.values.size
+        table = (self.model.vector or WeightVector(self.model.values)).limbs[1]
+        limbs = table.shape[0]
+        top = int(table.max()) if limbs == 1 else 2**31 - 1
+
+        def vector(n: int) -> int:  # weights and classes; atoms, law and limb table
+            k, limb_bytes = min(n, classes), np.dtype(_limb_dtype(n, top)).itemsize
+            return n * (8 + _index_dtype(k).itemsize) + k * (16 + limbs * limb_bytes)
+
+        n, workers = max(sizes), min(self.threads, self.replicates)
+        walk = workers * _buffer_bytes(n, min(n, classes), limbs, _limb_dtype(n, top))
+        columns = 4 if command in ("walk", "compare") else 2
+        needed = walk + sum(map(vector, sizes)) + self.replicates * len(self.lambdas) * 8 * columns
+        if needed > available:
+            raise ValueError(
+                f"n={n} with {workers} walk workers needs {needed} bytes, more than the "
+                f"{available} bytes of physical memory"
             )
 
     def grid(self) -> np.ndarray:

@@ -33,13 +33,17 @@ realization's own buffers, and every result is bit for bit that of a full
 scan.
 
 Every distinct weight is an exact integer multiple of one power of two
-2**e0, held as 31-bit int64 limbs.  A draw keeps their exact prefix sums in
-clock order, one (L, n + 1) int64 row per limb (8 L (n + 1) bytes).  They
-give the jump-mass prefix, with one rounding per limb, and each window's
-weight sum as two lookups per limb: an exact int, rounded once as in the
-graph oracle (``weights._limb_floats``), bit for bit the ``fsum`` of its
-weights for every finite positive weight law, subnormals included, while
-that sum is representable.
+2**e0, held as 31-bit limbs.  A draw keeps their exact prefix sums in clock
+order, one (L, n + 1) row per limb: int32 while n times the largest limb
+value stays below 2**31, else int64 (``WeightVector.limbs``).  The sorted
+classes keep the width of ``WeightVector.classes``, uint8 up to 256
+distinct weights, so a realization of the half-half law holds 46 bytes per
+vertex (``_buffer_bytes``).  The limb prefix sums give the jump-mass
+prefix, with one rounding per limb, and each window's weight sum as two
+lookups per limb: an exact int, rounded once as in the graph oracle
+(``weights._limb_floats``), bit for bit the ``fsum`` of its weights for
+every finite positive weight law, subnormals included, while that sum is
+representable.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import WeightVector, _limb_floats
+from .weights import WeightVector, _index_dtype, _limb_floats
 
 __all__ = [
     "WalkRealization",
@@ -61,6 +65,9 @@ __all__ = [
 # near-tie rule for "descent re-hits the running infimum"; exact ties have
 # probability zero but floating point needs a deterministic decision
 _LEVEL_TOL = 1e-12
+
+# classes per block of _mass_prefix's limb gather: its intp index stays 128 KiB
+_GATHER = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +90,8 @@ class WalkRealization:
     mass_prefix: np.ndarray   # S_k: sum of w/n over the first k clocks (_mass_prefix)
     mass_before: np.ndarray   # S_{k-1}, with S_0 = 0
     limbs: tuple[int, np.ndarray]  # (e0, L x K limb table) of the atoms
-    # writable: packed keys (sorted into the clocks), classes, S_0..S_n, (L, n + 1) int64
-    # limb prefix, 3 float64 scratch rows (clock draw, limb term, scan values), n + 1 scan mask
+    # writable: packed keys (sorted into the clocks), classes, S_0..S_n, (L, n + 1) limb
+    # prefix, 3 float64 scratch rows (clock draw, limb term, scan values), n + 1 scan mask
     _buffers: tuple = field(repr=False)
 
     @property
@@ -106,37 +113,48 @@ class WalkRealization:
 def _allocate(v: WeightVector) -> WalkRealization:
     """A realization of ``v`` with fresh buffers, before any draw."""
     limbs = v.limbs  # first, so that np.unique's temporaries never stack on the buffers
-    keys, classes, prefix = np.empty(v.n, np.uint64), np.empty(v.n, np.intp), np.empty(v.n + 1)
+    atoms, index = v.classes
+    keys, classes, prefix = np.empty(v.n, np.uint64), np.empty_like(index), np.empty(v.n + 1)
     views = [keys.view(np.float64), classes.view(), prefix.view()]
     for view in views:
         view.setflags(write=False)
     clocks, sorted_class, mass = views
-    counts = np.empty((limbs[1].shape[0], v.n + 1), np.int64)
+    counts = np.empty((limbs[1].shape[0], v.n + 1), limbs[1].dtype)
     buffers = (keys, classes, prefix, counts, np.empty((3, v.n)), np.empty(v.n + 1, bool))
-    return WalkRealization(v.classes[0], clocks, sorted_class, mass[1:], mass[:-1], limbs, buffers)
+    return WalkRealization(atoms, clocks, sorted_class, mass[1:], mass[:-1], limbs, buffers)
 
 
-def _clock_order(xi, index, k: int, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _buffer_bytes(n: int, k: int, limbs: int, limb_dtype) -> int:
+    """The bytes of ``_allocate``'s buffers for n weights of k distinct
+    values whose limb table has ``limbs`` rows of ``limb_dtype``: n keys,
+    classes and 3 scratch rows; n + 1 jump masses, limb sums and mask bytes."""
+    per_vertex = 8 + _index_dtype(k).itemsize + 3 * 8
+    return n * per_vertex + (n + 1) * (8 + limbs * np.dtype(limb_dtype).itemsize + 1)
+
+
+def _clock_order(xi, index, k: int, low, high, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The clocks ``xi`` sorted, and the class ``index`` of each, of k classes.
 
+    ``low`` and ``high`` are min xi and max xi, positive float64 scalars.
     Positive doubles order like their bit patterns, so sorting the keys
-    (bits(xi) - bits(min xi)) << b | index, b = (k - 1).bit_length(), sorts
+    (bits(xi) - bits(low)) << b | index, b = (k - 1).bit_length(), sorts
     the clocks, equal clocks by class; both unpack bit for bit.  A clock
     span wider than 64 - b bits (many classes) takes an argsort instead.
-    ``out`` is the (uint64 keys, classes) pair written, fresh by default.
+    ``index`` may have any integer dtype, and is read in place, without a
+    uint64 copy.  ``out`` is the (uint64 keys, classes of ``index``'s
+    dtype) pair written, fresh by default.
     """
     key, sorted_class = out or (np.empty(xi.size, dtype=np.uint64), np.empty_like(index))
-    bits = xi.view(np.uint64)
-    low = bits.min()
+    low = np.float64(low).view(np.uint64)
     b = (k - 1).bit_length()
-    if int(bits.max() - low) >> (64 - b):
+    if int(np.float64(high).view(np.uint64) - low) >> (64 - b):
         order = np.argsort(xi)
         return xi.take(order, out=key.view(np.float64)), index.take(order, out=sorted_class)
-    np.subtract(bits, low, out=key)
+    np.subtract(xi.view(np.uint64), low, out=key)
     key <<= np.uint64(b)
-    key |= index.view(np.uint64)
+    np.bitwise_or(key, index, out=key, dtype=np.uint64, casting="unsafe")  # index >= 0
     key.sort()
-    np.bitwise_and(key, np.uint64((1 << b) - 1), out=sorted_class.view(np.uint64))
+    np.bitwise_and(key, np.uint64((1 << b) - 1), out=sorted_class, casting="unsafe")
     key >>= np.uint64(b)
     key += low
     return key.view(np.float64), sorted_class
@@ -145,21 +163,25 @@ def _clock_order(xi, index, k: int, out=None) -> tuple[np.ndarray, np.ndarray]:
 def _mass_prefix(limbs: tuple[int, np.ndarray], sorted_class, n: int, out=None) -> np.ndarray:
     """S_0 = 0, then S_k: the first k weights in clock order, summed, over n.
 
-    Per limb l, the prefix sums C_l of the limb values are exact in int64
-    (n < 2**32) and kept, with C_l[0] = 0, for the window volumes; the term
+    Per limb l, the prefix sums C_l of the limb values are exact in the
+    table's dtype (``WeightVector.limbs`` widens it where n of them could
+    overflow) and kept, with C_l[0] = 0, for the window volumes; the term
     fl(fl(C_l) / n) * 2**(e0 + 31 l) is added, lowest limb first.  Dividing
     before scaling keeps each term finite where S_k is.  S_k is within
     (L + 2) u S_k + L 2**-1074 of the exact sum (u = 2**-53), and correctly
-    rounded when L = 1, C_k < 2**53 and S_k is normal.  ``out`` is the
-    (n + 1 prefix, (L, n + 1) int64 C, term) written, fresh by default.
+    rounded when L = 1, C_k < 2**53 and S_k is normal.  The limb values are
+    gathered in blocks of ``_GATHER`` classes, so a narrow ``sorted_class``
+    is never widened to an n-length intp index.  ``out`` is the (n + 1
+    prefix, (L, n + 1) C of the table's dtype, term) written, fresh by default.
     """
     e0, table = limbs
     shape = (table.shape[0], n + 1)
-    prefix, counts, term = out or (np.empty(n + 1), np.empty(shape, np.int64), np.empty(n))
+    prefix, counts, term = out or (np.empty(n + 1), np.empty(shape, table.dtype), np.empty(n))
     prefix[0] = 0.0
     counts[:, 0] = 0
     for l, (limb, part) in enumerate(zip(table, counts[:, 1:])):
-        limb.take(sorted_class, out=part, mode="clip")  # in range; "raise" would buffer
+        for lo in range(0, n, _GATHER):  # in range, so "clip" (as "raise" would buffer)
+            limb.take(sorted_class[lo : lo + _GATHER], out=part[lo : lo + _GATHER], mode="clip")
         np.cumsum(part, out=part)
         # the lowest limb's term is the first partial sum: written, not added to zeros
         dest, scale = (term if l else prefix[1:]), e0 + 31 * l
@@ -175,12 +197,13 @@ def _realize(r: WalkRealization, v: WeightVector, xi: np.ndarray) -> WalkRealiza
     """Write the realization of ``v`` with clocks ``xi`` (vertex order) into r."""
     if xi.shape != v.weights.shape:
         raise ValueError("weights and clocks must be equal-length non-empty 1-d arrays")
-    if not xi.min() > 0.0:
+    low, high = xi.min(), xi.max()
+    if not low > 0.0:
         raise ValueError("clocks must be strictly positive")
-    if not xi.max() < np.inf:
+    if not high < np.inf:
         raise ValueError("clocks must be finite: xi/w overflows (a weight too small)")
     keys, classes, prefix, counts, scratch, _ = r._buffers
-    _clock_order(xi, v.classes[1], r.atoms.size, (keys, classes))
+    _clock_order(xi, v.classes[1], r.atoms.size, low, high, (keys, classes))
     _mass_prefix(v.limbs, classes, v.n, (prefix, counts, scratch[2]))
     return r
 

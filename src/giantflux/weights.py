@@ -167,10 +167,13 @@ class WeightVector:
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct weights (``atoms``, ascending) and each vertex's index into them.
 
-        ``atoms[index]`` reproduces ``weights`` exactly.  Both are read-only and
-        computed once per vector: every walk realization of the vector shares them.
+        ``atoms[index]`` reproduces ``weights`` exactly.  ``index`` has the
+        narrowest unsigned dtype that holds K - 1 (``_index_dtype``): uint8
+        for up to 256 atoms.  Both are read-only and computed once per
+        vector: every walk realization of the vector shares them.
         """
         atoms, index = np.unique(self.weights, return_inverse=True)
+        index = index.astype(_index_dtype(atoms.size))
         atoms.setflags(write=False)
         index.setflags(write=False)
         return atoms, index
@@ -187,9 +190,10 @@ class WeightVector:
 
         ``atoms[k] == sum_l int(table[l, k]) << (31 * l)`` times ``2**e0``
         exactly, with ``e0 <= 0`` the smallest exponent of a lowest set bit
-        among the atoms.  ``table`` is (L, K) int64 with L = ceil(bits / 31)
-        limbs for the atoms' bits in units of ``2**e0``; a sum of up to
-        2**32 limb values still fits in int64.  Computed once per vector.
+        among the atoms.  ``table`` is (L, K) with L = ceil(bits / 31) limbs
+        for the atoms' bits in units of ``2**e0``, of ``_limb_dtype``: int32
+        when the sum of n limb values fits in it, else int64, which holds
+        the sum of up to 2**32 of them.  Computed once per vector.
         """
         atoms, _ = self.classes
         frac, exp = np.frexp(atoms)
@@ -204,9 +208,20 @@ class WeightVector:
         offset = 31 * np.arange(-(-bits // 31))[:, None] - shift
         right = np.clip(offset, 0, 63).astype(np.uint64)
         left = np.clip(-offset, 0, 63).astype(np.uint64)
-        table = (((mant >> right) << left) & np.uint64(2**31 - 1)).astype(np.int64)
+        table = ((mant >> right) << left) & np.uint64(2**31 - 1)
+        table = table.astype(_limb_dtype(self.n, int(table.max())))
         table.setflags(write=False)
         return e0, table
+
+
+def _index_dtype(k: int) -> np.dtype:
+    """The narrowest unsigned dtype that indexes k classes: holds k - 1."""
+    return np.min_scalar_type(k - 1)
+
+
+def _limb_dtype(n: int, top: int) -> type:
+    """int32 when n limb values of at most ``top`` sum below 2**31, else int64."""
+    return np.int32 if n * top < 2**31 else np.int64
 
 
 def _limb_floats(e0: int, sums: np.ndarray) -> list[float]:

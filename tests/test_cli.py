@@ -700,6 +700,72 @@ def _tables(draw):
     return lambdas, ",".join(specs), np.array(table, dtype=np.float64)
 
 
+# a parent of a few MB that spawns ``python *argv`` and prints the child's
+# exit code and peak RSS in KiB, as os.wait4 reports them: spawned from the
+# pytest process itself, a child's peak would count the pages it inherits
+_PEAK_RSS = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def _peak_rss_kb(*argv) -> tuple[int, int]:
+    """(exit code, peak RSS in KiB) of a ``python *argv`` child, read with
+    ``os.wait4`` by a ``python -S`` parent that imports nothing else."""
+    env = dict(os.environ, PYTHONPATH=str(Path(giantflux.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    code, peak = map(int, out.stdout.split())
+    return code, peak
+
+
+class TestPeakMemory:
+    def test_fclt_bytes_per_vertex(self, tmp_path):
+        """A one-thread ``fclt`` child on the half-half law grows by at most
+        66 bytes of peak RSS per vertex from n = 2e3 to n = 2e5: one worker's
+        46 (``walk._buffer_bytes``) and the weight vector's 9, with the
+        setup's transient arrays on top.  With 8-byte classes and limb sums
+        it grew by about 80."""
+        peaks = []
+        for n in (2000, 200_000):
+            cfg = _write_config(tmp_path, f"config{n}.json", model=_HALF_HALF, lambda_grid=[1.5],
+                                n=n, replicates=2)
+            out = tmp_path / f"{n}.csv"
+            code, peak = _peak_rss_kb("-m", "giantflux.cli", "fclt", "--config", str(cfg),
+                                      "--out", str(out), "--threads", "1")
+            assert code in (0, 1) and out.exists()
+            peaks.append(peak)
+        per_vertex = (peaks[1] - peaks[0]) * 1024 / (200_000 - 2000)
+        assert per_vertex <= 66, (peaks, per_vertex)
+
+    @pytest.mark.parametrize("command", ["walk", "fclt", "compare", "converge"])
+    def test_run_past_physical_memory_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        """A walk run whose arrays exceed physical memory exits 2 with one
+        line, before the start line and without writing its output."""
+        sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}  # 400 KiB
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        n = {"n_list": [200, 20_000]} if command == "converge" else {"n": 20_000}
+        cfg = _write_config(tmp_path, model=_HALF_HALF, replicates=5, **n)
+        out = tmp_path / "x.csv"
+        assert _run(command, "--config", str(cfg), "--out", str(out), "--threads", "2") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"[giantflux] error: n=20000 with 2 walk workers needs {_walk_bytes(command)} "
+            "bytes, more than the 409600 bytes of physical memory"
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def _walk_bytes(command):
+    """The bytes ``test_run_past_physical_memory_exits_2`` needs: two workers
+    of 46 bytes per vertex, 9 per vertex and 40 of tables per weight vector,
+    and the runner's array of 5 replicates and 2 lambdas."""
+    vectors = 9 * 20_000 + 40 + (9 * 200 + 40 if command == "converge" else 0)
+    columns = 4 if command in ("walk", "compare") else 2
+    return 2 * (46 * 20_000 + 13) + vectors + 5 * 2 * 8 * columns
+
+
 class TestTableLines:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_tables())

@@ -116,6 +116,66 @@ class TestConfigValidation:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
+        "kind, threads, needed",
+        [
+            # two workers of 46 bytes per vertex, the vector's 9 per vertex and
+            # 40 bytes of tables, and the runner's (R, m, 2) array of R = 2
+            ("fclt", 2, 2 * (46 * 10**8 + 13) + 9 * 10**8 + 40 + 2 * 16),
+            ("fclt", 1, 46 * 10**8 + 13 + 9 * 10**8 + 40 + 2 * 16),
+            ("walk", 2, 2 * (46 * 10**8 + 13) + 9 * 10**8 + 40 + 2 * 32),
+            ("oracle-compare", 2, 2 * (46 * 10**8 + 13) + 9 * 10**8 + 40 + 2 * 32),
+        ],
+    )
+    def test_refuses_a_walk_run_past_physical_memory(self, monkeypatch, kind, threads, needed):
+        """At n = MAX_N the bytes a walk run holds are compared with the
+        machine's memory (monkeypatched here) without allocating any of them;
+        a run that fits exactly is accepted."""
+        available = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
+        monkeypatch.setattr(harness.os, "sysconf", available.__getitem__)
+        # lambda = 0.45 expects 9e7 graph candidates, within the candidate bound
+        fields = dict(model=HALF_HALF, lambdas=(0.45,), kind=kind, n=10**8, replicates=2,
+                      threads=threads)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                ExperimentConfig(**fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert str(info.value) == (f"n=100000000 with {threads} walk workers needs {needed} "
+                                   f"bytes, more than the {needed - 1} bytes of physical memory")
+        available["SC_PHYS_PAGES"] = needed
+        ExperimentConfig(**fields)
+
+    def test_refuses_converge_by_its_largest_size(self, monkeypatch):
+        """``converge`` holds every size's vector, and its workers the buffers
+        of the largest size, whose n the refusal names."""
+        needed = 46 * 10**6 + 13 + 9 * (10**6 + 10**3) + 2 * 40 + 2 * 16
+        available = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
+        monkeypatch.setattr(harness.os, "sysconf", available.__getitem__)
+        with pytest.raises(ValueError, match=f"^n=1000000 with 1 walk workers needs {needed} "):
+            _config(model=HALF_HALF, lambdas=(1.5,), kind="convergence-study", n=None,
+                    n_list=(10**6, 10**3), replicates=2)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n=10**8 + 1), "n must be <= MAX_N = 100000000, got 100000001"),
+            (
+                dict(kind="oracle-compare", n=10**8, lambdas=(2.0, 3.0)),
+                "n=100000000 and lambda_grid up to 3 expect 1.5e+08 graph candidates per "
+                "replicate, more than MAX_N = 100000000",
+            ),
+        ],
+    )
+    def test_size_bounds_come_before_the_memory_bound(self, monkeypatch, overrides, message):
+        monkeypatch.setattr(harness.os, "sysconf", lambda name: 1)
+        with pytest.raises(ValueError) as info:
+            _config(**overrides)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "lambdas, message",
         [
             ((), "lambda_grid must be non-empty"),

@@ -15,6 +15,8 @@ from giantflux import walk
 from giantflux.walk import (
     _LEVEL_TOL,
     WalkRealization,
+    _allocate,
+    _buffer_bytes,
     _clock_order,
     _scan,
     _window_volumes,
@@ -23,7 +25,7 @@ from giantflux.walk import (
     sample_clocks,
     walk_value,
 )
-from giantflux.weights import WeightModel, WeightVector, weight_vector
+from giantflux.weights import WeightModel, WeightVector, _index_dtype, weight_vector
 
 # columns of a giant_results / all_excursions row
 COUNT, VOLUME, G, D = range(4)
@@ -211,7 +213,7 @@ class TestClockOrder:
         argsorts = []
         real_argsort = np.argsort
         monkeypatch.setattr(np, "argsort", lambda a: argsorts.append(a) or real_argsort(a))
-        clocks, classes = _clock_order(xi, index, k)
+        clocks, classes = _clock_order(xi, index, k, xi.min(), xi.max())
         monkeypatch.undo()
         assert len(argsorts) == (0 if packed else 1)
         ref = real_argsort(xi, kind="stable")
@@ -221,6 +223,33 @@ class TestClockOrder:
         np.testing.assert_array_equal(classes[np.lexsort((classes, clocks))], index[by_class])
         if packed:
             np.testing.assert_array_equal(classes, index[by_class])
+
+    @pytest.mark.parametrize("k, inf", [(1, False), (2, False), (3, True), (64, False), (500, False)])
+    def test_narrow_index_sorts_as_intp(self, k, inf):
+        """The narrow index of ``WeightVector.classes`` is read in place and
+        gives the intp index's result bit for bit, packed or by argsort."""
+        rng = np.random.default_rng(72 + k)
+        xi, index = _tied_clocks(rng, 500, k, ties=40, inf=inf)
+        narrow = index.astype(_index_dtype(k))
+        wide = _clock_order(xi, index, k, xi.min(), xi.max())
+        clocks, classes = _clock_order(xi, narrow, k, xi.min(), xi.max())
+        assert classes.dtype == narrow.dtype == (np.uint16 if k == 500 else np.uint8)
+        np.testing.assert_array_equal(clocks.view(np.uint64), wide[0].view(np.uint64))
+        np.testing.assert_array_equal(classes, wide[1])
+
+    @pytest.mark.parametrize("base, limbs", [(1.0, 1), (2.0**70, 3)])
+    @pytest.mark.parametrize("k", [1, 2, 300])
+    def test_buffer_bytes_are_the_allocated_ones(self, k, base, limbs):
+        """``_buffer_bytes`` counts every buffer ``_allocate`` makes, for K in
+        {1, 2, n} and L in {1, 3}; the half-half law takes 46 bytes per vertex."""
+        n = 300
+        v = WeightVector(base * (1.0 + np.arange(n) % k))
+        table = v.limbs[1]
+        assert (v.classes[0].size, table.shape[0]) == (k, limbs)
+        held = sum(buffer.nbytes for buffer in _allocate(v)._buffers)
+        assert _buffer_bytes(n, k, limbs, table.dtype) == held
+        if (k, limbs) == (2, 1):
+            assert held == 46 * n + 13
 
     def test_ties_across_classes_match_brute_force(self):
         """Equal clocks in different classes: the giants do not depend on their order."""

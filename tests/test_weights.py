@@ -329,6 +329,36 @@ class TestWeightVector:
         assert v.classes is v.classes
 
     @pytest.mark.parametrize(
+        "k, dtype",
+        [(1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16), (65_537, np.uint32)],
+    )
+    def test_class_index_holds_k_minus_one(self, k, dtype):
+        """The index is the narrowest unsigned dtype that holds K - 1."""
+        weights = np.random.default_rng(k).permutation(np.arange(1.0, k + 1.0).repeat(2))
+        atoms, index = WeightVector(weights).classes
+        assert atoms.size == k and index.dtype == dtype
+        np.testing.assert_array_equal(atoms[index], weights)
+
+    def test_class_index_of_all_distinct_weights(self):
+        """A K = n Pareto quantile vector (tail exponent 3.5): one class per vertex."""
+        n = 70_000
+        v = weight_vector(WeightModel.empirical((1.0 - (np.arange(n) + 0.5) / n) ** -0.4), n, 0)
+        atoms, index = v.classes
+        assert atoms.size == n and index.dtype == np.uint32
+        np.testing.assert_array_equal(atoms[index], v.weights)
+
+    @pytest.mark.parametrize(
+        "n, top, dtype",
+        [(2, 2**30 - 1, np.int32), (2, 2**30, np.int64), (1, 2**31 - 1, np.int32),
+         (3, 715_827_882, np.int32), (3, 715_827_883, np.int64)],
+    )
+    def test_limb_table_is_int32_while_n_sums_fit(self, n, top, dtype):
+        """The table is int32 exactly when n times its largest value is below 2**31."""
+        weights = np.concatenate([[float(top)], np.ones(n - 1)])
+        _, table = WeightVector(weights).limbs
+        assert int(table.max()) == top and table.dtype == dtype
+
+    @pytest.mark.parametrize(
         "weights, e0, n_limbs",
         [
             ([1.0, 2.0, 1.0], 0, 1),
@@ -343,7 +373,8 @@ class TestWeightVector:
         v = WeightVector(np.array(weights))
         got_e0, table = v.limbs
         assert (got_e0, table.shape[0]) == (e0, n_limbs)
-        assert table.dtype == np.int64 and table.min() >= 0 and table.max() < 2**31
+        assert table.dtype == (np.int32 if v.n * int(table.max()) < 2**31 else np.int64)
+        assert table.min() >= 0 and table.max() < 2**31
         for k, atom in enumerate(v.classes[0].tolist()):
             exact = sum(int(limb) << (31 * l) for l, limb in enumerate(table[:, k]))
             assert Fraction(exact) * Fraction(2) ** e0 == Fraction(atom)
