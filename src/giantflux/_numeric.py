@@ -43,3 +43,23 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
         f"Cholesky failed up to jitter {_EPS_MAX:g} * max(diag); "
         "matrix is not positive semidefinite"
     )
+
+
+def _psd_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sampling factor F with F @ F.T ~= cov, honoring exact degeneracies.
+
+    Zero-variance coordinates are almost surely zero and get a zero row.
+    Coordinates whose covariance rows are bitwise equal are perfectly
+    correlated copies and share one factor row, so their draws come out
+    identical rather than jitter-close: for constant weight 1 the order-0 and
+    order-1 kernel rows are equal, and the jittered Cholesky of the full
+    matrix would draw them 2.8e-8 apart.  The reduced matrix goes through
+    ``chol_with_jitter``, whose jitter is returned with F.
+    """
+    active = np.flatnonzero(np.diag(cov) > 0.0)
+    sub = cov[np.ix_(active, active)]
+    _, first, inverse = np.unique(sub, axis=0, return_index=True, return_inverse=True)
+    lower, jitter = chol_with_jitter(sub[np.ix_(first, first)])
+    factor = np.zeros((cov.shape[0], lower.shape[1]))
+    factor[active] = lower[inverse]
+    return factor, jitter

@@ -16,8 +16,9 @@ empirical fluctuation processes of orders p, q in {0, 1}, which
 The pair at parameter lambda is a linear combination of the two kernel
 coordinates evaluated at time lambda * theta(lambda), with coefficients
 (1, lambda*phi_0'(lambda theta)/beta) for the count and (0, 1/beta) for the
-volume.  The Erdos-Renyi closed forms (constant weight 1) are kept as exact
-analytic anchors.
+volume.  ``x_cov`` keeps one factor of the kernel pair's covariance
+(``psi_cov_matrix``), which the limit sampler draws through.  The
+Erdos-Renyi closed forms (constant weight 1) are exact analytic anchors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import chol_with_jitter
+from ._numeric import _psd_factor
 from .weights import WeightModel, mixed_moment, phi
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "require_supercritical",
     "theta",
     "psi_kernel",
+    "psi_cov_matrix",
     "supercritical_curves",
     "x_cov",
     "er_closed_forms",
@@ -176,6 +178,19 @@ def psi_kernel(model: WeightModel, k: int, times) -> np.ndarray:
     return kernel
 
 
+def psi_cov_matrix(model: WeightModel, times) -> np.ndarray:
+    """Joint 2m x 2m kernel covariance at m time points, which may repeat.
+
+    Coordinates are ordered (order-0 at t_1..t_m, then order-1 at t_1..t_m),
+    so the blocks are the ``psi_kernel`` matrices of order 0, 1 (twice) and 2.
+    """
+    ts = np.asarray(times, dtype=np.float64)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("times must be a non-empty 1-d sequence")
+    k0, k1, k2 = (psi_kernel(model, k, ts) for k in (0, 1, 2))
+    return np.block([[k0, k1], [k1, k2]])
+
+
 @dataclass(frozen=True, eq=False)
 class SupercriticalCurves:
     """Tabulated (lambda, theta, rho, beta) for a model over a lambda grid."""
@@ -221,11 +236,14 @@ class LimitCovariance:
     """Joint covariance of the limit fluctuation pair over a lambda grid.
 
     ``matrix`` is the 2m x 2m covariance with coordinates ordered
-    (count_1, volume_1, count_2, volume_2, ...); ``jitter`` records the
-    diagonal jitter its PSD factorization needed (0 means clean).
+    (count_1, volume_1, count_2, volume_2, ...).  ``factor`` is the
+    ``_psd_factor`` F of the kernel pair's ``psi_cov_matrix`` at the times
+    lambda_i * theta_i, and ``jitter`` the diagonal jitter F needed (0 means
+    clean); mapped by ``_pair_coefficients``, F factors ``matrix``.
     """
 
     matrix: np.ndarray
+    factor: np.ndarray
     jitter: float
 
     @property
@@ -259,27 +277,28 @@ def x_cov(curves: SupercriticalCurves) -> LimitCovariance:
     With T_i = lambda_i * theta_i, the count coordinate is
     psi_0(T_i) + coeff_i * psi_1(T_i) and the volume coordinate is
     psi_1(T_i) / beta_i (``_pair_coefficients``), so every entry is a linear
-    combination of kernel values of weight order 0, 1, 2.  Block (i, j) with
-    i <= j is formed with i first and mirrored below the diagonal.  The
-    assembled matrix is validated PSD by the jittered Cholesky policy.
+    combination of kernel values of weight order 0, 1, 2, read from the blocks
+    of one ``psi_cov_matrix``.  Block (i, j) with i <= j is formed with i
+    first and mirrored below the diagonal.  The kernel pair is factored, not
+    the assembled matrix, so the factor keeps the exact rank (m for constant
+    weight 1, whose two kernel coordinates coincide).
     """
-    model = curves.model
-    lams = curves.lambdas
-    times = lams * curves.theta
+    m = curves.lambdas.size
+    pair = psi_cov_matrix(curves.model, curves.lambdas * curves.theta)
+    factor, jitter = _psd_factor(pair)
     coeff, inv_beta = _pair_coefficients(curves)
-    k0, k1, k2 = (psi_kernel(model, k, times) for k in (0, 1, 2))
+    k0, k1, k2 = pair[:m, :m], pair[:m, m:], pair[m:, m:]
     ci, cj = coeff[:, None], coeff[None, :]
     bi, bj = inv_beta[:, None], inv_beta[None, :]
-    m = lams.size
     cov = np.empty((2 * m, 2 * m))
     cov[0::2, 0::2] = k0 + (ci + cj) * k1 + ci * cj * k2
     cov[0::2, 1::2] = (k1 + ci * k2) * bj
     cov[1::2, 0::2] = (k1 + cj * k2) * bi
     cov[1::2, 1::2] = k2 * bi * bj
     cov = np.where(np.tri(2 * m, k=-1, dtype=bool), cov.T, cov)
-    _, jitter = chol_with_jitter(cov)
-    cov.setflags(write=False)
-    return LimitCovariance(matrix=cov, jitter=jitter)
+    for arr in (cov, factor):
+        arr.setflags(write=False)
+    return LimitCovariance(matrix=cov, factor=factor, jitter=jitter)
 
 
 @dataclass(frozen=True)

@@ -248,8 +248,9 @@ def mixed_moment(model: WeightModel, k: int, t):
     if k not in (0, 1, 2):
         raise ValueError(f"moment order k must be in {{0, 1, 2}}, got {k}")
     ts = np.asarray(t, dtype=np.float64)
-    if np.any(ts < 0.0):
-        raise ValueError(f"t must be >= 0, got {ts[ts < 0.0].flat[0]}")
+    bad = ~(ts >= 0.0)
+    if bad.any():
+        raise ValueError(f"t must be >= 0, got {ts[bad].flat[0]}")
     w = model.values
     with np.errstate(over="ignore"):  # -t w overflows to -inf only where exp gives 0
         terms = np.multiply.outer(-ts, w)

@@ -23,8 +23,10 @@ from giantflux.harness import (
     run_oracle_compare,
     write_report_json,
 )
-from giantflux.limit_sampler import psi_cov_matrix, sample_psi_pair
-from giantflux.theory import er_closed_forms, lambda_crit, phi, supercritical_curves, theta, x_cov
+from giantflux.limit_sampler import sample_psi_pair
+from giantflux.theory import (
+    er_closed_forms, lambda_crit, phi, psi_cov_matrix, supercritical_curves, theta, x_cov,
+)
 from giantflux.walk import WalkRealization, all_excursions, giant_results, sample_clocks
 from giantflux.weights import WeightModel, weight_vector
 

@@ -57,6 +57,15 @@ class TestTheoryCommand:
         assert row[1] == curves.theta[0]  # 17 significant digits round-trip
         assert row[4] == cov.var_count[0]
 
+    @pytest.mark.parametrize("grid", [[1.5, 2.0], {"min": 1.5, "max": 3.0, "points": 20}],
+                             ids=["m2", "m20"])
+    def test_constant_weight_factors_without_jitter(self, tmp_path, capsys, grid):
+        """For constant weight 1 the two kernel coordinates coincide, and the
+        factor of rank m that x_cov keeps needs no jitter."""
+        cfg = _write_config(tmp_path, lambda_grid=grid)
+        assert _run("theory", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 0
+        assert "(factorization jitter 0)" in capsys.readouterr().err
+
     def test_subcritical_grid_names_offender(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, lambda_grid=[0.8, 2.0])
         out = tmp_path / "x.csv"
@@ -933,11 +942,13 @@ class TestGolden:
     def test_empirical_model_is_sorted_once(self, tmp_path, monkeypatch):
         """An empirical model keeps the vector it was built from, so at its own
         length the run reuses that vector's classes: ``fclt-pareto`` sorts its
-        400 weights with one ``np.unique`` call, and its bytes do not move."""
-        calls, unique = [], np.unique  # the numpy that giantflux.weights sorts with
-        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+        400 weights with one ``np.unique`` call, and its bytes do not move.  The
+        only other call is ``x_cov``'s merge of equal kernel-pair rows."""
+        calls, unique = [], np.unique  # the numpy that giantflux sorts and merges with
+        monkeypatch.setattr(np, "unique",
+                            lambda *a, **kw: calls.append(kw.get("axis")) or unique(*a, **kw))
         assert _golden_run(tmp_path, "fclt-pareto") == _DIGESTS["fclt-pareto"]
-        assert len(calls) == 1
+        assert calls == [None, 0]
 
 
 def test_readme_documents_every_config_field():

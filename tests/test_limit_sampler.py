@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from giantflux import limit_sampler, theory
-from giantflux.limit_sampler import (
-    _draw_pair,
-    psi_cov_matrix,
-    sample_psi_pair,
-    sample_x_path,
-)
-from giantflux.theory import er_closed_forms, supercritical_curves, x_cov
+from giantflux import _numeric, limit_sampler
+from giantflux.limit_sampler import sample_psi_pair, sample_x_path
+from giantflux.theory import er_closed_forms, psi_cov_matrix, supercritical_curves, x_cov
 from giantflux.weights import WeightModel
 
 ER = WeightModel.constant(1.0)
@@ -81,13 +76,16 @@ class TestPsiPair:
             sample(0)
 
     def test_repeated_time_shares_one_draw(self):
-        """A repeated time gives bitwise-equal covariance rows, hence one shared draw."""
+        """A repeated time gives bitwise-equal covariance rows, hence one shared
+        factor row: the factor keeps the rank of the four distinct coordinates."""
         cov = psi_cov_matrix(HALF_HALF, [0.5, 1.0, 0.5])
         np.testing.assert_array_equal(cov[0], cov[2])
         np.testing.assert_array_equal(cov[3], cov[5])
-        draws = _draw_pair(cov, 20, seed=6)
-        np.testing.assert_array_equal(draws[:, :, 0], draws[:, :, 2])
-        assert np.all(draws[:, :, 0] != draws[:, :, 1])
+        factor, jitter = _numeric._psd_factor(cov)
+        np.testing.assert_array_equal(factor[0], factor[2])
+        np.testing.assert_array_equal(factor[3], factor[5])
+        assert factor.shape == (6, 4) and np.linalg.matrix_rank(factor) == 4
+        assert jitter == 0.0
 
     def test_kernel_matrix_symmetric_psd(self):
         k = psi_cov_matrix(HALF_HALF, [0.3, 0.9, 2.0])
@@ -115,8 +113,8 @@ class TestXPath:
             v, se = _cov_se(x0[:, 0], x0[:, 0])
             assert abs(v - er_closed_forms(lam).sigma_sq) <= 3 * se
 
-    def test_one_factorization_and_no_x_cov(self, monkeypatch):
-        """Only the kernel covariance is built and factored; x_cov is not called."""
+    def test_one_factorization_through_x_cov(self, monkeypatch):
+        """The draws go through x_cov's factor: one x_cov call, one Cholesky."""
         calls = []
 
         def counted(name, fn):
@@ -125,12 +123,10 @@ class TestXPath:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (limit_sampler, theory):
-            for name in ("chol_with_jitter", "x_cov"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for module, name in ((limit_sampler, "x_cov"), (_numeric, "chol_with_jitter")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         sample_x_path(supercritical_curves(HALF_HALF, [1.0, 2.0, 3.0]), 5, seed=9)
-        assert calls == ["chol_with_jitter"]
+        assert calls == ["x_cov", "chol_with_jitter"]
 
     def test_reproducible(self):
         curves = supercritical_curves(HALF_HALF, [1.0, 2.0])

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from giantflux import theory, weights
+from giantflux.limit_sampler import sample_psi_pair
 from giantflux.theory import (
     LimitCovariance,
     er_closed_forms,
     lambda_crit,
+    psi_cov_matrix,
     psi_kernel,
     require_supercritical,
     supercritical_curves,
@@ -264,6 +266,59 @@ class TestXCov:
     def test_matrix_symmetric(self):
         cov = x_cov(supercritical_curves(HALF_HALF, [0.8, 1.2, 2.0]))
         np.testing.assert_array_equal(cov.matrix, cov.matrix.T)
+
+
+class TestLimitFactor:
+    """``x_cov``'s kernel-pair factor F, mapped by the pair coefficients, is a
+    factor G of the assembled matrix: count rows F_0 + coeff F_1 and volume
+    rows F_1 / beta, interleaved as in the matrix."""
+
+    LAWS = {
+        "half-half": HALF_HALF,
+        "er": ER,
+        # the 400-weight Pareto (tail exponent 3.5) vector of the fclt-pareto golden: K = n
+        "pareto-k-eq-n": WeightModel.empirical((1.0 - (np.arange(400) + 0.5) / 400) ** -0.4),
+    }
+
+    @staticmethod
+    def _limit_factor(curves, factor):
+        coeff, inv_beta = theory._pair_coefficients(curves)
+        f0, f1 = factor[: len(curves)], factor[len(curves):]
+        g = np.empty((2 * len(curves), factor.shape[1]))
+        g[0::2] = f0 + coeff[:, None] * f1
+        g[1::2] = f1 * inv_beta[:, None]
+        return g
+
+    @pytest.mark.parametrize("m", [1, 20, 200])
+    @pytest.mark.parametrize("law", list(LAWS))
+    def test_factor_reproduces_matrix(self, law, m):
+        model = self.LAWS[law]
+        curves = supercritical_curves(model, lambda_crit(model) * np.linspace(1.5, 4.0, m))
+        cov = x_cov(curves)
+        g = self._limit_factor(curves, cov.factor)
+        err = np.max(np.abs(g @ g.T - cov.matrix)) / np.max(np.abs(cov.matrix))
+        assert err <= 1e-13
+        if law == "er":
+            assert cov.factor.shape == (2 * m, m)
+            assert cov.jitter == 0.0
+
+    def test_factor_is_read_only(self):
+        cov = x_cov(supercritical_curves(HALF_HALF, [1.5, 2.0]))
+        assert not cov.factor.flags.writeable and not cov.matrix.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda times: mixed_moment(HALF_HALF, 1, times),
+     lambda times: psi_cov_matrix(HALF_HALF, times),
+     lambda times: sample_psi_pair(HALF_HALF, times, 3, seed=1)],
+    ids=["mixed_moment", "psi_cov_matrix", "sample_psi_pair"],
+)
+@pytest.mark.parametrize("times", [[np.nan], [0.5, np.nan]], ids=["nan", "half-nan"])
+def test_nan_time_is_refused(call, times):
+    """A NaN time is refused with the negative-time message, not drawn as zero."""
+    with pytest.raises(ValueError, match="^t must be >= 0, got nan$"):
+        call(times)
 
 
 class TestErClosedForms:
