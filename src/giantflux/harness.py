@@ -59,10 +59,11 @@ _COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 
 # largest vertex count a config may ask for, and largest expected candidate
 # count of one direct-graph replicate: more would fail inside numpy with a
-# message naming no field.  A walk worker holds 46 bytes per vertex for the
-# half-half law (walk._buffer_bytes), 4.6 GB at 10**8, so a walk run is also
-# refused when its buffers, vectors and runner array exceed the machine's
-# physical memory (ExperimentConfig._require_memory)
+# message naming no field.  A walk worker holds 30 bytes per vertex for the
+# half-half law (walk._buffer_bytes: packed keys, sorted classes, limb prefix,
+# two scratch rows and a mask; plus one 128 KiB block), 3.0 GB at 10**8, so a
+# walk run is also refused when its buffers, vectors and runner array exceed
+# the machine's physical memory (ExperimentConfig._require_memory)
 MAX_N = 10**8
 
 # largest lambda grid: its 2m x 2m limit covariance holds (2m)^2 <= MAX_N entries
@@ -163,13 +164,32 @@ class ExperimentConfig:
             raise ValueError(
                 f"tolerance_multiplier must be finite and > 0, got {self.multiplier}"
             )
-        if command in ("walk", "fclt", "compare"):
-            self._require_memory((self.n,), command)
-        elif command == "converge":
-            self._require_memory(self.n_list, command)
+        if command in ("walk", "fclt", "compare", "converge"):
+            sizes = self.n_list if command == "converge" else (self.n,)
+            self._require_memory(*self._walk_bytes(sizes, command))
+        elif command == "limit":
+            # at most 4 m (draws + m) floats at once: in limit_sampler._draws z
+            # and z @ F.T, of at most 2m columns each, with the (2m)^2 factor F;
+            # later 4 m draws floats (sample_x_path's draws, x0 and a product,
+            # then cli._cmd_limit's x0, x1 and their (draws, m, 2) stack)
+            m = grid.size
+            self._require_memory(32 * m * (self.draws + m),
+                                 f"limit with draws={self.draws} on {m} lambdas")
 
-    def _require_memory(self, sizes, command: str) -> None:
-        """Refuse a walk run whose arrays cannot fit in physical memory.
+    @staticmethod
+    def _require_memory(needed: int, run: str) -> None:
+        """Refuse a run whose arrays, ``needed`` bytes, cannot fit in physical memory."""
+        try:
+            available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # no sysconf: nothing to bound by
+            return
+        if needed > available:
+            raise ValueError(
+                f"{run} needs {needed} bytes, more than the {available} bytes of physical memory"
+            )
+
+    def _walk_bytes(self, sizes, command: str) -> tuple[int, str]:
+        """The bytes a walk run holds, and the run as the refusal names it.
 
         Each of min(threads, replicates) workers holds the buffers of one
         realization of the largest size (``walk._buffer_bytes``), every
@@ -179,10 +199,6 @@ class ExperimentConfig:
         vector's: a subset of one-limb atoms has no larger limb values, and
         a wider table is taken at its largest possible limb value.
         """
-        try:
-            available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        except (AttributeError, ValueError, OSError):  # no sysconf: nothing to bound by
-            return
         classes = self.model.values.size
         table = (self.model.vector or WeightVector(self.model.values)).limbs[1]
         limbs = table.shape[0]
@@ -196,11 +212,7 @@ class ExperimentConfig:
         walk = workers * _buffer_bytes(n, min(n, classes), limbs, _limb_dtype(n, top))
         columns = 4 if command in ("walk", "compare") else 2
         needed = walk + sum(map(vector, sizes)) + self.replicates * len(self.lambdas) * 8 * columns
-        if needed > available:
-            raise ValueError(
-                f"n={n} with {workers} walk workers needs {needed} bytes, more than the "
-                f"{available} bytes of physical memory"
-            )
+        return needed, f"n={n} with {workers} walk workers"
 
     def grid(self) -> np.ndarray:
         return np.asarray(self.lambdas, dtype=np.float64)

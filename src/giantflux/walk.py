@@ -37,13 +37,15 @@ Every distinct weight is an exact integer multiple of one power of two
 order, one (L, n + 1) row per limb: int32 while n times the largest limb
 value stays below 2**31, else int64 (``WeightVector.limbs``).  The sorted
 classes keep the width of ``WeightVector.classes``, uint8 up to 256
-distinct weights, so a realization of the half-half law holds 46 bytes per
-vertex (``_buffer_bytes``).  The limb prefix sums give the jump-mass
-prefix, with one rounding per limb, and each window's weight sum as two
-lookups per limb: an exact int, rounded once as in the graph oracle
-(``weights._limb_floats``), bit for bit the ``fsum`` of its weights for
-every finite positive weight law, subnormals included, while that sum is
-representable.
+distinct weights.  A realization holds the packed keys (which become the
+sorted clocks), the sorted classes, the limb prefix, two float64 scratch
+rows, one block of ``_GATHER`` floats and an n + 1 mask: for the half-half
+law 30 bytes per vertex plus 128 KiB (``_buffer_bytes``).  The limb prefix
+gives the jump-mass prefix, with one rounding per limb, computed where a
+scan reads it, and each window's weight sum as two lookups per limb: an
+exact int, rounded once as in the graph oracle (``weights._limb_floats``),
+bit for bit the ``fsum`` of its weights for every finite positive weight
+law, subnormals included, while that sum is representable.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ __all__ = [
 # probability zero but floating point needs a deterministic decision
 _LEVEL_TOL = 1e-12
 
-# classes per block of _mass_prefix's limb gather: its intp index stays 128 KiB
+# classes per block of _limb_prefix's gather, and floats per block of _scan's
+# tolerance bounds: the intp index stays 128 KiB, and so does the float block
 _GATHER = 1 << 14
 
 
@@ -76,32 +79,48 @@ class WalkRealization:
 
     In clock order a vertex is kept only through its weight class:
     ``atoms[sorted_class[k]]`` is the weight of the k-th clock.  ``limbs``
-    (``WeightVector.limbs``) holds the atoms as exact integer limbs, from
-    which ``mass_prefix`` and each giant's volume are summed.
+    (``WeightVector.limbs``) holds the atoms as exact integer limbs, whose
+    prefix sums in clock order the realization keeps: ``mass_prefix`` and
+    each giant's volume are summed from them.
 
-    The four arrays are read-only views of the realization's own buffers,
-    which ``sample_clocks(w, seed, out=r)`` overwrites with the next draw.
-    Every scan overwrites r's scratch rows: scan r from one thread at a time.
+    ``sorted_clocks`` and ``sorted_class`` are read-only views of the
+    realization's own buffers, which ``sample_clocks(w, seed, out=r)``
+    overwrites with the next draw (a draw that raises leaves them
+    undefined); ``mass_prefix`` and ``mass_before`` are computed from the
+    limb prefix on each read.  Every scan overwrites r's scratch rows: scan
+    r from one thread at a time.
     """
 
     atoms: np.ndarray         # distinct weights, ascending
     sorted_clocks: np.ndarray
     sorted_class: np.ndarray  # index into atoms of each vertex, clock order
-    mass_prefix: np.ndarray   # S_k: sum of w/n over the first k clocks (_mass_prefix)
-    mass_before: np.ndarray   # S_{k-1}, with S_0 = 0
     limbs: tuple[int, np.ndarray]  # (e0, L x K limb table) of the atoms
-    # writable: packed keys (sorted into the clocks), classes, S_0..S_n, (L, n + 1) limb
-    # prefix, 3 float64 scratch rows (clock draw, limb term, scan values), n + 1 scan mask
+    # writable: packed keys (drawn into, sorted into the clocks), classes, (L, n + 1)
+    # limb prefix, 2 float64 scratch rows, min(n, _GATHER) float block, n + 1 scan mask
     _buffers: tuple = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.sorted_clocks.size
 
+    def _mass(self, at, out=None, term=None) -> np.ndarray:
+        """S at the prefix positions ``at`` (``_mass_prefix``)."""
+        return _mass_prefix(self.limbs[0], self._buffers[2], at, out, term)
+
+    @property
+    def mass_prefix(self) -> np.ndarray:
+        """S_1..S_n, read-only: S_k is the sum of w/n over the first k clocks."""
+        return _read_only(self._mass(slice(1, None)))
+
+    @property
+    def mass_before(self) -> np.ndarray:
+        """S_0..S_{n-1}, read-only, with S_0 = 0."""
+        return _read_only(self._mass(slice(None, -1)))
+
     @property
     def total_mass(self) -> float:
         """(1/n) * sum_j w_j, the total jump mass of the walk."""
-        return float(self.mass_prefix[-1])
+        return float(self._mass([self.n])[0])
 
     @classmethod
     def from_clocks(cls, weights, clocks) -> "WalkRealization":
@@ -110,26 +129,31 @@ class WalkRealization:
         return _realize(_allocate(v), v, np.array(clocks, dtype=np.float64))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _allocate(v: WeightVector) -> WalkRealization:
     """A realization of ``v`` with fresh buffers, before any draw."""
-    limbs = v.limbs  # first, so that np.unique's temporaries never stack on the buffers
+    limbs = v.limbs  # first, so that a setup's temporaries never stack on the buffers
     atoms, index = v.classes
-    keys, classes, prefix = np.empty(v.n, np.uint64), np.empty_like(index), np.empty(v.n + 1)
-    views = [keys.view(np.float64), classes.view(), prefix.view()]
-    for view in views:
-        view.setflags(write=False)
-    clocks, sorted_class, mass = views
+    keys, classes = np.empty(v.n, np.uint64), np.empty_like(index)
+    clocks, sorted_class = _read_only(keys.view(np.float64)), _read_only(classes.view())
     counts = np.empty((limbs[1].shape[0], v.n + 1), limbs[1].dtype)
-    buffers = (keys, classes, prefix, counts, np.empty((3, v.n)), np.empty(v.n + 1, bool))
-    return WalkRealization(atoms, clocks, sorted_class, mass[1:], mass[:-1], limbs, buffers)
+    buffers = (keys, classes, counts, np.empty((2, v.n)), np.empty(min(v.n, _GATHER)),
+               np.empty(v.n + 1, bool))
+    return WalkRealization(atoms, clocks, sorted_class, limbs, buffers)
 
 
 def _buffer_bytes(n: int, k: int, limbs: int, limb_dtype) -> int:
     """The bytes of ``_allocate``'s buffers for n weights of k distinct
     values whose limb table has ``limbs`` rows of ``limb_dtype``: n keys,
-    classes and 3 scratch rows; n + 1 jump masses, limb sums and mask bytes."""
-    per_vertex = 8 + _index_dtype(k).itemsize + 3 * 8
-    return n * per_vertex + (n + 1) * (8 + limbs * np.dtype(limb_dtype).itemsize + 1)
+    classes and 2 scratch rows; min(n, ``_GATHER``) block floats; n + 1
+    limb sums and mask bytes."""
+    per_vertex = 8 + _index_dtype(k).itemsize + 2 * 8
+    per_sum = limbs * np.dtype(limb_dtype).itemsize + 1
+    return n * per_vertex + 8 * min(n, _GATHER) + (n + 1) * per_sum
 
 
 def _clock_order(xi, index, k: int, low, high, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -139,17 +163,22 @@ def _clock_order(xi, index, k: int, low, high, out=None) -> tuple[np.ndarray, np
     Positive doubles order like their bit patterns, so sorting the keys
     (bits(xi) - bits(low)) << b | index, b = (k - 1).bit_length(), sorts
     the clocks, equal clocks by class; both unpack bit for bit.  A clock
-    span wider than 64 - b bits (many classes) takes an argsort instead.
+    span wider than 64 - b bits (many classes) takes an argsort for the
+    classes and sorts the clocks themselves: equal clocks have equal bits.
     ``index`` may have any integer dtype, and is read in place, without a
     uint64 copy.  ``out`` is the (uint64 keys, classes of ``index``'s
-    dtype) pair written, fresh by default.
+    dtype) pair written, fresh by default; keys whose float64 view is
+    ``xi`` itself are sorted in place.
     """
     key, sorted_class = out or (np.empty(xi.size, dtype=np.uint64), np.empty_like(index))
     low = np.float64(low).view(np.uint64)
     b = (k - 1).bit_length()
     if int(np.float64(high).view(np.uint64) - low) >> (64 - b):
-        order = np.argsort(xi)
-        return xi.take(order, out=key.view(np.float64)), index.take(order, out=sorted_class)
+        index.take(np.argsort(xi), out=sorted_class)
+        clocks = key.view(np.float64)
+        np.copyto(clocks, xi)  # nothing to copy when the keys hold xi
+        clocks.sort()
+        return clocks, sorted_class
     np.subtract(xi.view(np.uint64), low, out=key)
     key <<= np.uint64(b)
     np.bitwise_or(key, index, out=key, dtype=np.uint64, casting="unsafe")  # index >= 0
@@ -160,37 +189,47 @@ def _clock_order(xi, index, k: int, low, high, out=None) -> tuple[np.ndarray, np
     return key.view(np.float64), sorted_class
 
 
-def _mass_prefix(limbs: tuple[int, np.ndarray], sorted_class, n: int, out=None) -> np.ndarray:
-    """S_0 = 0, then S_k: the first k weights in clock order, summed, over n.
+def _limb_prefix(table: np.ndarray, sorted_class, out=None) -> np.ndarray:
+    """The (L, n + 1) prefix sums C_l of the limb values of ``table`` (L x K)
+    in the order of ``sorted_class``, with C_l[0] = 0.
 
-    Per limb l, the prefix sums C_l of the limb values are exact in the
-    table's dtype (``WeightVector.limbs`` widens it where n of them could
-    overflow) and kept, with C_l[0] = 0, for the window volumes; the term
-    fl(fl(C_l) / n) * 2**(e0 + 31 l) is added, lowest limb first.  Dividing
-    before scaling keeps each term finite where S_k is.  S_k is within
-    (L + 2) u S_k + L 2**-1074 of the exact sum (u = 2**-53), and correctly
-    rounded when L = 1, C_k < 2**53 and S_k is normal.  The limb values are
-    gathered in blocks of ``_GATHER`` classes, so a narrow ``sorted_class``
-    is never widened to an n-length intp index.  ``out`` is the (n + 1
-    prefix, (L, n + 1) C of the table's dtype, term) written, fresh by default.
+    Exact in the table's dtype: ``WeightVector.limbs`` widens it where n of
+    them could overflow.  The limb values are gathered in blocks of
+    ``_GATHER`` classes, so a narrow ``sorted_class`` is never widened to an
+    n-length intp index.  ``out`` is the array written, fresh by default.
     """
-    e0, table = limbs
-    shape = (table.shape[0], n + 1)
-    prefix, counts, term = out or (np.empty(n + 1), np.empty(shape, table.dtype), np.empty(n))
-    prefix[0] = 0.0
+    n = sorted_class.size
+    counts = np.empty((table.shape[0], n + 1), table.dtype) if out is None else out
     counts[:, 0] = 0
-    for l, (limb, part) in enumerate(zip(table, counts[:, 1:])):
+    for limb, part in zip(table, counts[:, 1:]):
         for lo in range(0, n, _GATHER):  # in range, so "clip" (as "raise" would buffer)
             limb.take(sorted_class[lo : lo + _GATHER], out=part[lo : lo + _GATHER], mode="clip")
         np.cumsum(part, out=part)
-        # the lowest limb's term is the first partial sum: written, not added to zeros
-        dest, scale = (term if l else prefix[1:]), e0 + 31 * l
-        np.divide(part, n, out=dest)
-        if scale:
-            np.ldexp(dest, scale, out=dest)
-        if l:
-            prefix[1:] += term
-    return prefix
+    return counts
+
+
+def _mass_prefix(e0: int, counts: np.ndarray, at=slice(None), out=None, term=None) -> np.ndarray:
+    """S_k at the prefix positions k of ``at``: the first k weights in clock
+    order, summed, over n, from their (L, n + 1) limb prefix ``counts``
+    (``_limb_prefix``) in units of 2**e0; S_0 = 0.
+
+    Per limb l the term fl(fl(C_l[k]) / n) * 2**(e0 + 31 l) is added,
+    lowest limb first.  Dividing before scaling keeps each term finite where
+    S_k is.  S_k is within (L + 2) u S_k + L 2**-1074 of the exact sum (u =
+    2**-53), and correctly rounded when L = 1, C_k < 2**53 and S_k is
+    normal.  ``out`` receives S and ``term`` each higher limb's term,
+    fresh by default; a slice ``at`` reads ``counts`` in place.
+    """
+    n = max(counts.shape[1] - 1, 1)  # S_0 = 0 also for n = 0
+    # the lowest limb's term is the first partial sum: written, not added to zeros
+    out = np.divide(counts[0][at], n, out=out)
+    if e0:
+        np.ldexp(out, e0, out=out)
+    for l in range(1, counts.shape[0]):
+        term = np.divide(counts[l][at], n, out=term)
+        np.ldexp(term, e0 + 31 * l, out=term)
+        out += term
+    return out
 
 
 def _realize(r: WalkRealization, v: WeightVector, xi: np.ndarray) -> WalkRealization:
@@ -202,17 +241,18 @@ def _realize(r: WalkRealization, v: WeightVector, xi: np.ndarray) -> WalkRealiza
         raise ValueError("clocks must be strictly positive")
     if not high < np.inf:
         raise ValueError("clocks must be finite: xi/w overflows (a weight too small)")
-    keys, classes, prefix, counts, scratch, _ = r._buffers
+    keys, classes, counts, *_ = r._buffers
     _clock_order(xi, v.classes[1], r.atoms.size, low, high, (keys, classes))
-    _mass_prefix(v.limbs, classes, v.n, (prefix, counts, scratch[2]))
+    _limb_prefix(v.limbs[1], classes, counts)
     return r
 
 
 def sample_clocks(w: WeightVector, seed: int, out=None) -> WalkRealization:
     """Draw the exponential clocks xi_j ~ Exp(w_j) for a weight vector, into a
-    new realization, or into and returning ``out`` when it is one of ``w``."""
+    new realization, or into and returning ``out`` when it is one of ``w``.
+    The clocks are drawn into the keys they are sorted as."""
     r = out if out is not None and out.limbs is w.limbs else _allocate(w)
-    xi = np.random.default_rng(seed).standard_exponential(out=r._buffers[4][0])
+    xi = np.random.default_rng(seed).standard_exponential(out=r._buffers[0].view(np.float64))
     with np.errstate(over="ignore"):  # _realize names an overflowed clock
         np.divide(xi, w.weights, out=xi)
     return _realize(r, w, xi)
@@ -281,31 +321,39 @@ def _scan(r: WalkRealization, lam: float, candidates=False):
     With ``candidates`` set, the last item holds the clock positions passing
     the looser ``_NEST_TOL`` test, a superset of the openings at every larger
     lambda; otherwise it is None.  ``giant_results`` tracks its first giant
-    over them (``_track``).  The per-position values are r's scratch rows.
+    over them (``_track``).  The per-position values are r's scratch rows,
+    the value row written with S_0..S_{n-1} first; each test's margin is
+    formed in r's block of ``_GATHER`` floats.
     """
-    clocks, before = r.sorted_clocks, r.mass_before
-    *_, scratch, mask = r._buffers
-    value_before, prev_min, bound = scratch
-    opens = mask[: r.n]
-    np.subtract(before, np.divide(clocks, lam, out=bound), out=value_before)
+    clocks, n = r.sorted_clocks, r.n
+    *_, (value_before, prev_min), block, mask = r._buffers
+    opens = mask[:n]
+    r._mass(slice(0, n), out=value_before, term=prev_min)
+    np.subtract(value_before, np.divide(clocks, lam, out=prev_min), out=value_before)
     np.minimum.accumulate(value_before, out=prev_min)
-    # value_before[0] = -t_0: prev_min <= 0, so 1 - prev_min is the
-    # 1 + |prev_min| of the tolerance
-    prev_min, bound = prev_min[:-1], bound[1:]
     opens[0] = True
-    np.multiply(np.subtract(1.0, prev_min, out=bound), _LEVEL_TOL, out=bound)
-    np.less_equal(value_before[1:], np.add(prev_min, bound, out=bound), out=opens[1:])
-    starts = opens.nonzero()[0]
-    near = None
-    if candidates:
-        np.add(np.divide(clocks[1:], lam, out=bound), 1.0, out=bound)
-        np.multiply(bound, _NEST_TOL, out=bound)
-        np.less_equal(value_before[1:], np.add(prev_min, bound, out=bound), out=opens[1:])
-        near = opens.nonzero()[0]
-    ends = np.concatenate((starts[1:] - 1, [r.n - 1]))
+    found = []  # position k >= 1 passes when value_before[k] <= prev_min[k - 1] + margin
+    for nest in (False, True)[: 1 + candidates]:
+        for lo in range(1, n, _GATHER):
+            hi = min(lo + _GATHER, n)
+            k, low, margin = slice(lo, hi), prev_min[lo - 1 : hi - 1], block[: hi - lo]
+            if nest:  # (1 + t_k) _NEST_TOL
+                np.add(np.divide(clocks[k], lam, out=margin), 1.0, out=margin)
+                np.multiply(margin, _NEST_TOL, out=margin)
+            else:  # value_before[0] = -t_0: low <= 0, so 1 - low is the 1 + |low| of the tol
+                np.multiply(np.subtract(1.0, low, out=margin), _LEVEL_TOL, out=margin)
+            np.less_equal(value_before[k], np.add(low, margin, out=margin), out=opens[k])
+        found.append(opens.nonzero()[0])
+    starts, near = found[0], found[1] if candidates else None
+    ends = np.concatenate((starts[1:], [n]))
+    d = r._mass(ends)  # S just after each excursion's last jump
+    ends -= 1
     g = clocks[starts] / lam
     t_end = clocks[ends] / lam
-    d = t_end + ((r.mass_prefix[ends] - t_end) - value_before[starts])
+    # d = t_end + ((S - t_end) - value_before), in place
+    d -= t_end
+    d -= value_before[starts]
+    d += t_end
     return g, d, starts, ends, near
 
 
@@ -313,11 +361,11 @@ def _window_volumes(r: WalkRealization, lo: np.ndarray, hi: np.ndarray) -> list[
     """Correctly rounded weight sum of each clock window [lo[i], hi[i]).
 
     A window's exact sum is C_l[hi] - C_l[lo] per limb, from the draw's kept
-    limb prefix (``_mass_prefix``), rounded once by ``_limb_floats``: bit
+    limb prefix (``_limb_prefix``), rounded once by ``_limb_floats``: bit
     for bit the ``fsum`` of the window's weights (``OverflowError`` past
     the float range, as ``fsum``).
     """
-    counts = r._buffers[3]
+    counts = r._buffers[2]
     return _limb_floats(r.limbs[0], counts[:, hi] - counts[:, lo])
 
 
@@ -365,9 +413,11 @@ def _track(r: WalkRealization, lams: np.ndarray, positions: np.ndarray, a: int) 
     in blocks of max(1, n // (|positions| + 1)), which fit r's first scratch
     row and its n + 1 mask.
     """
-    clocks, before = r.sorted_clocks[positions], r.mass_before[positions]
+    bounds = np.append(positions, r.n)
+    clocks, mass = r.sorted_clocks[positions], r._mass(bounds)  # S at each bound
+    before = mass[:-1]
     k, head = positions.size, int(np.searchsorted(positions, a)) + 1
-    *_, scratch, mask = r._buffers
+    *_, scratch, _, mask = r._buffers
     block = max(1, r.n // (k + 1))
     first, last = np.empty((2, lams.size), dtype=np.intp)
     for lo in range(0, lams.size, block):
@@ -380,13 +430,13 @@ def _track(r: WalkRealization, lams: np.ndarray, positions: np.ndarray, a: int) 
         hit[:, k] = True
         hit[:, head - 1 :: -1].argmax(axis=1, out=first[lo : lo + block])
         hit[:, head:].argmax(axis=1, out=last[lo : lo + block])
-    starts = positions[head - 1 - first]
-    ends = np.append(positions, r.n)[head + last] - 1
+    opening, closing = head - 1 - first, head + last  # indices into bounds
+    starts, ends = positions[opening], bounds[closing] - 1
     # g and the opening's value are _scan's fl(xi/lam) and fl(S - fl(xi/lam))
     g = r.sorted_clocks[starts] / lams
     t_end = r.sorted_clocks[ends] / lams
-    d = t_end + ((r.mass_prefix[ends] - t_end) - (r.mass_before[starts] - g))
-    total = r.total_mass
+    d = t_end + ((mass[closing] - t_end) - (mass[opening] - g))
+    total = float(mass[-1])
     margin = _HALF_MASS_TOL * ((1.0 + total) + r.sorted_clocks[-1] / lams)
     sure = d - g > 0.5 * (total + margin)
     rows = zip(g.tolist(), d.tolist(), starts.tolist(), ends.tolist())
@@ -430,5 +480,4 @@ def walk_value(r: WalkRealization, lam: float, t: float) -> float:
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     pos = int(np.searchsorted(r.sorted_clocks, lam * t, side="right"))
-    x1 = float(r.mass_prefix[pos - 1]) if pos > 0 else 0.0
-    return x1 - t
+    return float(r._mass([pos])[0]) - t

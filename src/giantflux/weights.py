@@ -171,6 +171,7 @@ class WeightVector:
         narrowest unsigned dtype that holds K - 1 (``_index_dtype``): uint8
         for up to 256 atoms.  Both are read-only and computed once per
         vector: every walk realization of the vector shares them.
+        ``weight_vector`` primes them from the index it draws by.
         """
         atoms, index = np.unique(self.weights, return_inverse=True)
         index = index.astype(_index_dtype(atoms.size))
@@ -277,14 +278,32 @@ def weight_vector(model: WeightModel, n: int, seed: int) -> WeightVector:
     F^{-1}((j - 1/2)/n), which reproduces the law's moments without sampling
     noise; midpoint levels avoid evaluating F^{-1} at 0 or 1.  An empirical
     law's own ``vector`` is returned itself when its length is n, and
-    otherwise resampled by n iid draws from ``default_rng(seed)``.
+    otherwise resampled by n iid draws from ``default_rng(seed)``.  Either
+    way the vector's ``classes`` come from the index it is drawn by, with no
+    sort of its n weights.
     """
     if model.kind == "empirical":
         if n == model.vector.n:
             return model.vector
-        rng = np.random.default_rng(seed)
-        return WeightVector(model.vector.weights[rng.integers(0, model.vector.n, size=n)])
+        draw = np.random.default_rng(seed).integers(0, model.vector.n, size=n)
+        atoms, index = model.vector.classes
+        return _indexed_vector(atoms, index[draw])
     cum = np.cumsum(model.probs)
     cum[-1] = 1.0  # guard against the probability sum rounding below 1
-    levels = (np.arange(1, n + 1) - 0.5) / n
-    return WeightVector(model.values[np.searchsorted(cum, levels, side="left")])
+    index = np.searchsorted(cum, (np.arange(1, n + 1) - 0.5) / n, side="left")
+    return _indexed_vector(model.values, index)
+
+
+def _indexed_vector(atoms: np.ndarray, index: np.ndarray) -> WeightVector:
+    """The vector ``atoms[index]`` (``atoms`` ascending and distinct), its
+    ``classes`` primed from ``index``: the atoms present, and ``index``
+    renumbered to them at ``_index_dtype`` width, as ``np.unique`` gives them."""
+    present = np.zeros(atoms.size, dtype=bool)
+    present[index] = True
+    renumber = (np.cumsum(present) - 1).astype(_index_dtype(np.count_nonzero(present)))
+    weights, classes = atoms[index], (atoms[present], renumber[index])
+    for arr in (weights, *classes):
+        arr.setflags(write=False)
+    v = WeightVector(weights)
+    vars(v)["classes"] = classes  # where cached_property keeps it
+    return v

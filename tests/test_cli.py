@@ -302,10 +302,21 @@ class TestErrorContract:
         assert _run("theory", "--config", str(cfg), "--out", str(out)) == 2
         self._assert_one_error_line(capsys)
 
-    def test_array_too_large_to_allocate(self, tmp_path, capsys):
-        """A petabyte array: every allocator refuses it before touching memory."""
+    def test_array_too_large_to_allocate(self, tmp_path, capsys, monkeypatch):
+        """Petabyte arrays: ``limit`` refuses their byte count before it
+        draws, and where the machine's memory cannot be read every allocator
+        refuses them before touching memory."""
         cfg = _write_config(tmp_path, draws=10**15)
         out = tmp_path / "x.csv"
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert _run("limit", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "[giantflux] error: limit with draws=1000000000000000 on 2 lambdas needs "
+            f"64000000000000128 bytes, more than the {memory} bytes of physical memory"
+        ]
+        def unreadable(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+        monkeypatch.setattr(os, "sysconf", unreadable)
         assert _run("limit", "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
         lines = [line for line in err.splitlines() if line.startswith("[giantflux] error:")]
@@ -733,10 +744,11 @@ def _peak_rss_kb(*argv) -> tuple[int, int]:
 class TestPeakMemory:
     def test_fclt_bytes_per_vertex(self, tmp_path):
         """A one-thread ``fclt`` child on the half-half law grows by at most
-        66 bytes of peak RSS per vertex from n = 2e3 to n = 2e5: one worker's
-        46 (``walk._buffer_bytes``) and the weight vector's 9, with the
+        50 bytes of peak RSS per vertex from n = 2e3 to n = 2e5: one worker's
+        30 (``walk._buffer_bytes``) and the weight vector's 9, with the
         setup's transient arrays on top.  With 8-byte classes and limb sums
-        it grew by about 80."""
+        it grew by about 80, and with a stored float prefix and a third
+        scratch row (46 bytes a worker) by about 61."""
         peaks = []
         for n in (2000, 200_000):
             cfg = _write_config(tmp_path, f"config{n}.json", model=_HALF_HALF, lambda_grid=[1.5],
@@ -747,7 +759,7 @@ class TestPeakMemory:
             assert code in (0, 1) and out.exists()
             peaks.append(peak)
         per_vertex = (peaks[1] - peaks[0]) * 1024 / (200_000 - 2000)
-        assert per_vertex <= 66, (peaks, per_vertex)
+        assert per_vertex <= 50, (peaks, per_vertex)
 
     @pytest.mark.parametrize("command", ["walk", "fclt", "compare", "converge"])
     def test_run_past_physical_memory_exits_2(self, tmp_path, capsys, monkeypatch, command):
@@ -768,11 +780,12 @@ class TestPeakMemory:
 
 def _walk_bytes(command):
     """The bytes ``test_run_past_physical_memory_exits_2`` needs: two workers
-    of 46 bytes per vertex, 9 per vertex and 40 of tables per weight vector,
-    and the runner's array of 5 replicates and 2 lambdas."""
+    of 30 bytes per vertex and a block of 2**14 floats, 9 per vertex and 40 of
+    tables per weight vector, and the runner's array of 5 replicates and 2
+    lambdas."""
     vectors = 9 * 20_000 + 40 + (9 * 200 + 40 if command == "converge" else 0)
     columns = 4 if command in ("walk", "compare") else 2
-    return 2 * (46 * 20_000 + 13) + vectors + 5 * 2 * 8 * columns
+    return 2 * (30 * 20_000 + 5 + 8 * 2**14) + vectors + 5 * 2 * 8 * columns
 
 
 class TestTableLines:

@@ -29,6 +29,10 @@ from giantflux.weights import WeightModel, WeightVector, weight_vector
 ER = WeightModel.constant(1.0)
 HALF_HALF = WeightModel.discrete([(1.0, 0.5), (2.0, 0.5)])
 
+# one half-half walk worker's buffers at n = 10**8 (walk._buffer_bytes):
+# 30 bytes per vertex, 5 more and a block of 2**14 floats
+_WORKER = 30 * 10**8 + 5 + 8 * 2**14
+
 
 def _config(**kw):
     base = dict(
@@ -118,12 +122,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kind, threads, needed",
         [
-            # two workers of 46 bytes per vertex, the vector's 9 per vertex and
-            # 40 bytes of tables, and the runner's (R, m, 2) array of R = 2
-            ("fclt", 2, 2 * (46 * 10**8 + 13) + 9 * 10**8 + 40 + 2 * 16),
-            ("fclt", 1, 46 * 10**8 + 13 + 9 * 10**8 + 40 + 2 * 16),
-            ("walk", 2, 2 * (46 * 10**8 + 13) + 9 * 10**8 + 40 + 2 * 32),
-            ("oracle-compare", 2, 2 * (46 * 10**8 + 13) + 9 * 10**8 + 40 + 2 * 32),
+            # two workers of 30 bytes per vertex and a block, the vector's 9 per
+            # vertex and 40 bytes of tables, and the runner's (R, m, 2) array of R = 2
+            ("fclt", 2, 2 * _WORKER + 9 * 10**8 + 40 + 2 * 16),
+            ("fclt", 1, _WORKER + 9 * 10**8 + 40 + 2 * 16),
+            ("walk", 2, 2 * _WORKER + 9 * 10**8 + 40 + 2 * 32),
+            ("oracle-compare", 2, 2 * _WORKER + 9 * 10**8 + 40 + 2 * 32),
         ],
     )
     def test_refuses_a_walk_run_past_physical_memory(self, monkeypatch, kind, threads, needed):
@@ -148,10 +152,36 @@ class TestConfigValidation:
         available["SC_PHYS_PAGES"] = needed
         ExperimentConfig(**fields)
 
+    def test_two_workers_at_max_n_fit_in_8_gb(self, monkeypatch):
+        """Half-half ``fclt`` at n = MAX_N on two workers needs about 6.9e9
+        bytes, within an 8 GB machine's 8419655680."""
+        available = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_055_580}
+        monkeypatch.setattr(harness.os, "sysconf", available.__getitem__)
+        ExperimentConfig(model=HALF_HALF, lambdas=(1.5,), kind="fclt", n=10**8, replicates=2,
+                         threads=2)
+        assert 2 * _WORKER + 9 * 10**8 + 40 + 2 * 16 == 6_900_262_226
+
+    @pytest.mark.parametrize("draws, m", [(10**7, 100), (2, 5000)])
+    def test_refuses_a_limit_run_past_physical_memory(self, monkeypatch, draws, m):
+        """``limit`` holds at most 4 m (draws + m) floats at once: the draws,
+        the factor and the table; one more byte than memory is refused
+        before anything is drawn."""
+        needed = 32 * m * (draws + m)
+        available = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
+        monkeypatch.setattr(harness.os, "sysconf", available.__getitem__)
+        fields = dict(model=HALF_HALF, lambdas=tuple(np.linspace(1.0, 4.0, m).tolist()),
+                      kind="limit", draws=draws)
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(**fields)
+        assert str(info.value) == (f"limit with draws={draws} on {m} lambdas needs {needed} "
+                                   f"bytes, more than the {needed - 1} bytes of physical memory")
+        available["SC_PHYS_PAGES"] = needed
+        ExperimentConfig(**fields)
+
     def test_refuses_converge_by_its_largest_size(self, monkeypatch):
         """``converge`` holds every size's vector, and its workers the buffers
         of the largest size, whose n the refusal names."""
-        needed = 46 * 10**6 + 13 + 9 * (10**6 + 10**3) + 2 * 40 + 2 * 16
+        needed = 30 * 10**6 + 5 + 8 * 2**14 + 9 * (10**6 + 10**3) + 2 * 40 + 2 * 16
         available = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
         monkeypatch.setattr(harness.os, "sysconf", available.__getitem__)
         with pytest.raises(ValueError, match=f"^n=1000000 with 1 walk workers needs {needed} "):

@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from giantflux._numeric import chol_with_jitter
-from giantflux.walk import _mass_prefix
+from giantflux.walk import _limb_prefix, _mass_prefix
 from giantflux.weights import WeightVector
 
 
 def _prefix(x):
     """S_1..S_n of ``x`` in its own order, through ``_mass_prefix``: exact
-    int64 prefix sums of each limb, a negative x entering with negated limbs."""
+    int64 prefix sums of each limb (``_limb_prefix``), a negative x entering
+    with negated limbs."""
     v = WeightVector(np.abs(x))
     atoms, index = v.classes
     e0, table = v.limbs
     sign = np.ones(atoms.size, dtype=np.int64)
     sign[index] = np.where(x < 0.0, -1, 1)
-    return _mass_prefix((e0, table * sign), index, x.size)[1:]
+    return _mass_prefix(e0, _limb_prefix(table * sign, index))[1:]
 
 
 class TestPairwiseCumsum:
@@ -51,9 +52,9 @@ class TestPairwiseCumsum:
         np.testing.assert_array_equal(got, np.arange(1, 1001, dtype=np.float64) / 1000)
 
     def test_empty(self):
-        # no jumps: the prefix is S_0 = 0 alone
-        empty = (0, np.zeros((1, 0), dtype=np.int64))
-        assert _mass_prefix(empty, np.empty(0, dtype=np.intp), 0).tolist() == [0.0]
+        # no jumps: the prefix is S_0 = 0 alone, without dividing 0 by 0
+        counts = _limb_prefix(np.zeros((1, 0), dtype=np.int64), np.empty(0, dtype=np.intp))
+        assert _mass_prefix(0, counts).tolist() == [0.0]
 
 
 class TestCholWithJitter:

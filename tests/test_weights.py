@@ -407,3 +407,33 @@ class TestWeightVector:
         assert law.vector is v and law is v.law
         if model.kind == "empirical" and n == model.vector.n:
             assert v is model.vector
+
+    @pytest.mark.parametrize(
+        "model, n",
+        [
+            (HALF_HALF, 2 * 10**4),
+            # the middle atom's quantile interval holds no level (j - 1/2)/4
+            (WeightModel.discrete([(1.0, 0.45), (2.0, 0.1), (3.0, 0.45)]), 4),
+            (WeightModel.empirical((1.0 - (np.arange(400) + 0.5) / 400) ** -0.4), 1000),
+        ],
+        ids=["half-half", "unused-atom", "pareto-resampled"],
+    )
+    def test_primed_classes_are_np_uniques(self, monkeypatch, model, n):
+        """``weight_vector`` primes ``classes`` from the index it draws by
+        instead of sorting the n weights; ``atoms``, ``index``, ``law`` and
+        ``limbs`` are byte for byte those of the same weights' ``np.unique``."""
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique over the weights")
+        monkeypatch.setattr(np, "unique", no_sort)
+        v = weight_vector(model, n, 11)
+        primed = v.classes
+        monkeypatch.undo()
+        ref = WeightVector(v.weights.copy())
+        got, want = (*primed, v.law.values, v.law.probs, v.limbs[1]), (
+            *ref.classes, ref.law.values, ref.law.probs, ref.limbs[1])
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        assert v.limbs[0] == ref.limbs[0]
+        if model.values.size == 3:
+            assert primed[0].tolist() == [1.0, 3.0]
